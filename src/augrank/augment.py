@@ -4,7 +4,7 @@ A rank-n augmentation of the closure of beta in B_n is determined by complex
 generator values under which both action matrices evaluate to the diagonal
 sign matrix of the writhe.  The solver looks for such values by damped
 Gauss-Newton (Levenberg-Marquardt style) least squares over seeded random
-restarts; the satellite constructor instead produces the values of a
+restarts, a chunk of restarts at a time in lockstep; the satellite constructor instead produces the values of a
 maximal-rank augmentation of a satellite directly from certificates for the
 companion and the pattern, with no search.
 
@@ -12,11 +12,13 @@ Numeric fast path: evaluating the action matrices under an assignment never
 builds symbolic entries.  Folding the word letter by letter, keep the current
 evaluated matrices together with the generator values pushed forward through
 each letter's substitution; one letter costs O(n) scalar operations, and the
-whole fold is batched over many points at once for finite differences.
+whole fold is batched over many points at once (every restart of a chunk and
+its finite differences).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -177,26 +179,32 @@ def matrix_a(n: int, eps: Assignment | None = None):
     return out
 
 
-def full_rank_residual(beta: BraidWord, eps: Assignment) -> tuple[float, float]:
-    """Max-abs entry error of each evaluated action matrix against the sign matrix."""
-    if eps.n != beta.n:
-        raise ValueError("assignment ambient mismatch")
-    ml, mr = eval_phi_matrices(beta, values_to_array(eps.values, beta.n))
+def _sign_errors(beta: BraidWord, ml: np.ndarray, mr: np.ndarray) -> tuple[float, float]:
     d = matrix_delta(beta)
     return float(np.abs(ml - d).max()), float(np.abs(mr - d).max())
 
 
-def ideal_residual(beta: BraidWord, eps: Assignment) -> float:
-    """Max-abs evaluated value over the 2n^2 defining relations of the closure."""
-    if eps.n != beta.n:
-        raise ValueError("assignment ambient mismatch")
-    ml, mr = eval_phi_matrices(beta, values_to_array(eps.values, beta.n))
+def _relation_error(beta: BraidWord, eps: Assignment, ml: np.ndarray, mr: np.ndarray) -> float:
     a0 = matrix_a(beta.n, eps)
     lam_d = np.ones(beta.n, dtype=complex)
     lam_d[0] = eps.lam * eps.mu ** writhe(beta)
     e1 = a0 - lam_d[:, None] * (ml @ a0)
     e2 = a0 - (a0 @ mr) / lam_d[None, :]
     return float(max(np.abs(e1).max(), np.abs(e2).max()))
+
+
+def full_rank_residual(beta: BraidWord, eps: Assignment) -> tuple[float, float]:
+    """Max-abs entry error of each evaluated action matrix against the sign matrix."""
+    if eps.n != beta.n:
+        raise ValueError("assignment ambient mismatch")
+    return _sign_errors(beta, *eval_phi_matrices(beta, values_to_array(eps.values, beta.n)))
+
+
+def ideal_residual(beta: BraidWord, eps: Assignment) -> float:
+    """Max-abs evaluated value over the 2n^2 defining relations of the closure."""
+    if eps.n != beta.n:
+        raise ValueError("assignment ambient mismatch")
+    return _relation_error(beta, eps, *eval_phi_matrices(beta, values_to_array(eps.values, beta.n)))
 
 
 def numerical_rank(m: np.ndarray, rel_threshold: float = RANK_REL_THRESHOLD) -> int:
@@ -215,76 +223,179 @@ def aug_rank(eps: Assignment, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Damped Gauss-Newton core
+# Restart-batched Levenberg-Marquardt core
 # ---------------------------------------------------------------------------
 
 FD_STEP = 1e-7
+FLOOR = 1e-14  # a restart whose max-abs residual falls below this stops
+POLISH_BELOW = 1e-6  # stopped restarts below this get up to two plain Gauss-Newton steps
+TRIALS = 10  # damping increases tried per iteration before a restart gives up
+LAM_START, LAM_MIN, LAM_MAX = 1e-3, 1e-14, 1e12
+# Restarts run in chunks of 1, 8, 64, 64, ...: successful searches mostly
+# accept restart 0, while a nonexistence search spends its budget 64 at a time.
+LEAD_CHUNKS = (1, 8)
+CHUNK = 64
+STOP_REASONS = ("floor", "no_descent", "damping_overflow", "max_iter", "non_finite")
 
 
-def _lm_minimize(
-    resid: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    x0: np.ndarray,
-    max_iter: int,
-    floor: float = 1e-14,
-) -> tuple[np.ndarray, float]:
-    """Minimize 0.5 |r|^2 with damped Gauss-Newton steps.
+def _chunks(restarts: int):
+    """Sizes of the successive chunks of a search with this many restarts."""
+    for size in itertools.chain(LEAD_CHUNKS, itertools.repeat(CHUNK)):
+        if restarts <= 0:
+            return
+        yield min(size, restarts)
+        restarts -= size
 
-    resid maps a batch (B, m) to (residual batch (B, d), max-abs metric (B,)).
-    Jacobians come from forward differences with relative step FD_STEP,
-    evaluated as one batch.  Returns the best point and its max-abs metric.
+
+def _sign_residual(beta: BraidWord) -> Callable[[np.ndarray], np.ndarray]:
+    """c(z) = [Phi^L - Delta, Phi^R - Delta] flattened, for generator values z of shape (B, m).
+
+    Every entry is a polynomial in z, so c is holomorphic.
     """
-    m = x0.size
-    x = x0.astype(float)
-    r, ma = resid(x[None])
-    r, best_ma = r[0], float(ma[0])
-    cost = 0.5 * float(r @ r)
-    lam = 1e-3
-    for _ in range(max_iter):
-        if best_ma < floor:
-            break
-        h = FD_STEP * np.maximum(1.0, np.abs(x))
-        xb = x[None, :] + np.diag(h)
-        rb, _ = resid(xb)
-        jac = (rb - r[None, :]).T / h[None, :]
-        grad = jac.T @ r
-        jtj = jac.T @ jac
-        diag = np.diag(jtj).copy()
-        diag[diag < 1e-12] = 1e-12
-        improved = False
-        for _ in range(10):
+    n = beta.n
+    rows, cols = (np.array(t) - 1 for t in zip(*gen_order(n)))
+    diag = np.arange(n)
+    d = delta_diag(beta)
+
+    def resid(z: np.ndarray) -> np.ndarray:
+        b = z.shape[0]
+        v = np.zeros((b, n, n), dtype=complex)
+        v[:, rows, cols] = z
+        ml, mr = eval_phi_matrices(beta, v)
+        ml[:, diag, diag] -= d
+        mr[:, diag, diag] -= d
+        return np.concatenate([ml.reshape(b, n * n), mr.reshape(b, n * n)], axis=1)
+
+    return resid
+
+
+def _cost(c: np.ndarray) -> np.ndarray:
+    return 0.5 * (c.real**2 + c.imag**2).sum(axis=1)
+
+
+def _jacobian(resid: Callable[[np.ndarray], np.ndarray], z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Forward differences along Re z for all rows in one fold; shape (B, d, m).
+
+    c is holomorphic, so its derivative along Im z is i times this one: the m
+    complex columns carry the whole real Jacobian.
+    """
+    b, m = z.shape
+    h = FD_STEP * np.maximum(1.0, np.abs(z))
+    cp = resid((z[:, None, :] + h[:, :, None] * np.eye(m)).reshape(b * m, m)).reshape(b, m, -1)
+    return ((cp - c[:, None, :]) / h[:, :, None]).transpose(0, 2, 1)
+
+
+def _normal_equations(jac: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J^H c and J^H J per row."""
+    jh = jac.conj().transpose(0, 2, 1)
+    return (jh @ c[:, :, None])[:, :, 0], jh @ jac
+
+
+def _damped_steps(
+    jtj: np.ndarray, dg: np.ndarray, lam: np.ndarray, grad: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve (J^H J + lam diag J^H J) s = -J^H c per row; ok is False where singular.
+
+    This is the real 2m x 2m damped system in its complex form.
+    """
+    a = jtj + (lam[:, None] * dg)[:, :, None] * np.eye(jtj.shape[-1])
+    rhs = -grad[:, :, None]
+    ok = np.ones(len(a), dtype=bool)
+    try:
+        return np.linalg.solve(a, rhs)[:, :, 0], ok
+    except np.linalg.LinAlgError:
+        steps = np.zeros_like(grad)
+        for k in range(len(a)):
             try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
+                steps[k] = np.linalg.solve(a[k : k + 1], rhs[k : k + 1])[0, :, 0]
             except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            rt, mat = resid((x + step)[None])
-            ct = 0.5 * float(rt[0] @ rt[0])
-            if ct < cost:
-                x = x + step
-                r, best_ma, cost = rt[0], float(mat[0]), ct
-                lam = max(lam / 3.0, 1e-14)
-                improved = True
+                ok[k] = False
+        return steps, ok
+
+
+def _accepted(ma: np.ndarray, stop: np.ndarray, tol: float) -> np.ndarray:
+    return (stop != "") & (stop != "non_finite") & (ma <= tol)
+
+
+def _polish(resid: Callable[[np.ndarray], np.ndarray], z, c, ma, rows: np.ndarray) -> None:
+    """Up to two undamped Gauss-Newton steps per row, kept while max-abs falls."""
+    for _ in range(2):
+        if not rows.size:
+            return
+        jac = _jacobian(resid, z[rows], c[rows])
+        steps = np.array([np.linalg.lstsq(j, -r, rcond=None)[0] for j, r in zip(jac, c[rows])])
+        ct = resid(z[rows] + steps)
+        mt = np.abs(ct).max(axis=1)
+        down = mt < ma[rows]
+        rows = rows[down]
+        z[rows] += steps[down]
+        c[rows], ma[rows] = ct[down], mt[down]
+
+
+def _lm_chunk(
+    resid: Callable[[np.ndarray], np.ndarray], z0: np.ndarray, max_iter: int, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimize 0.5 |c(z)|^2 from every row of z0, the rows in lockstep.
+
+    Each row keeps its own damping and stops for one of STOP_REASONS.  Only
+    running rows enter a fold, and no row's arithmetic reads another row, so
+    a row ends where it would end alone.  The chunk ends once every row has
+    stopped, or once some row is accepted (max-abs residual <= tol) and every
+    row before it has stopped; rows cut off there keep the stop reason "".
+    Returns the final points, their max-abs residuals and the stop reasons.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        b, m = z0.shape
+        z = z0.astype(complex)
+        c = resid(z)
+        cost, ma = _cost(c), np.abs(c).max(axis=1)
+        lam = np.full(b, LAM_START)
+        stop = np.full(b, "", dtype=object)
+        for it in range(max_iter + 1):
+            running = stop == ""
+            live = np.flatnonzero(running)
+            bad = ~np.isfinite(cost[live])
+            stop[live[bad]] = "non_finite"
+            live = live[~bad]
+            low = ma[live] < FLOOR
+            stop[live[low]] = "floor"
+            live = live[~low]
+            if it == max_iter:
+                stop[live] = "max_iter"
+            elif live.size:
+                grad, jtj = _normal_equations(_jacobian(resid, z[live], c[live]), c[live])
+                bad = ~(np.isfinite(grad).all(axis=1) & np.isfinite(jtj).all(axis=(1, 2)))
+                stop[live[bad]] = "non_finite"
+                live, grad, jtj = live[~bad], grad[~bad], jtj[~bad]
+                dg = np.maximum(np.diagonal(jtj, axis1=1, axis2=2).real, 1e-12)
+                pending = np.arange(live.size)  # positions in live still without a descent step
+                for _ in range(TRIALS):
+                    if not pending.size:
+                        break
+                    rows = live[pending]
+                    steps, ok = _damped_steps(jtj[pending], dg[pending], lam[rows], grad[pending])
+                    lam[rows[~ok]] *= 10.0
+                    tried, rows = pending[ok], rows[ok]
+                    zt = z[rows] + steps[ok]
+                    ct = resid(zt)
+                    costt = _cost(ct)
+                    down = costt < cost[rows]
+                    hit, miss = rows[down], rows[~down]
+                    z[hit], c[hit], cost[hit] = zt[down], ct[down], costt[down]
+                    ma[hit] = np.abs(ct[down]).max(axis=1)
+                    lam[hit] = np.maximum(lam[hit] / 3.0, LAM_MIN)
+                    lam[miss] *= 10.0
+                    over = lam[miss] > LAM_MAX
+                    stop[miss[over]] = "damping_overflow"
+                    pending = np.sort(np.concatenate([pending[~ok], tried[~down][~over]]))
+                stop[live[pending]] = "no_descent"
+            just = np.flatnonzero(running & (stop != "") & (stop != "non_finite"))
+            _polish(resid, z, c, ma, just[ma[just] < POLISH_BELOW])
+            done = stop != ""
+            won = np.flatnonzero(_accepted(ma, stop, tol))
+            if done.all() or (won.size and done[: won[0]].all()):
                 break
-            lam *= 10.0
-            if lam > 1e12:
-                break
-        if not improved:
-            break
-    # final polish: plain Gauss-Newton once the basin is reached
-    if best_ma < 1e-6:
-        for _ in range(2):
-            h = FD_STEP * np.maximum(1.0, np.abs(x))
-            xb = x[None, :] + np.diag(h)
-            rb, _ = resid(xb)
-            jac = (rb - r[None, :]).T / h[None, :]
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-            rt, mat = resid((x + step)[None])
-            if float(mat[0]) < best_ma:
-                x = x + step
-                r, best_ma = rt[0], float(mat[0])
-            else:
-                break
-    return x, best_ma
+        return z, ma, stop
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +479,11 @@ class Certificate:
         return cls.from_obj(jsonio.load_file(path))
 
 
+def _finite_or_none(x: float) -> float | None:
+    """A best residual with no finite restart behind it is written as null."""
+    return x if math.isfinite(x) else None
+
+
 @dataclass(frozen=True)
 class NotFound:
     """Search outcome when no acceptable point was reached; carries evidence."""
@@ -383,7 +499,7 @@ class NotFound:
         return {
             "braid": {"n": self.braid.n, "word": list(self.braid.letters)},
             "found": False,
-            "best_residual": self.best_residual,
+            "best_residual": _finite_or_none(self.best_residual),
             "residual_summary": dict(self.residual_summary),
             "seed": self.seed,
             "restarts": self.restarts,
@@ -399,19 +515,19 @@ class SolveOptions:
     max_iter: int = 120
 
 
-def _summary(values: list[float]) -> dict:
-    if not values:
-        return {"count": 0}
-    arr = np.sort(np.array(values))
-    q = lambda t: float(arr[min(len(arr) - 1, int(t * (len(arr) - 1)))])
-    return {
-        "count": len(values),
-        "min": float(arr[0]),
-        "q25": q(0.25),
-        "median": q(0.5),
-        "q75": q(0.75),
-        "max": float(arr[-1]),
-    }
+def _summary(finals: list[float], stops: list[str]) -> dict:
+    """Quartiles of the final residuals of the restarts that stayed finite, and the stop counts.
+
+    ``count`` is the number of restarts run; ``non_finite`` restarts are
+    counted in ``stops`` but are not evidence, so they stay out of the quartiles.
+    """
+    out: dict = {"count": len(finals)}
+    arr = np.sort(np.array([r for r, why in zip(finals, stops) if why != "non_finite"]))
+    if arr.size:
+        q = lambda t: float(arr[min(len(arr) - 1, int(t * (len(arr) - 1)))])
+        out.update(min=float(arr[0]), q25=q(0.25), median=q(0.5), q75=q(0.75), max=float(arr[-1]))
+    out["stops"] = {why: stops.count(why) for why in STOP_REASONS}
+    return out
 
 
 def _sample_mu(rng: np.random.Generator) -> complex:
@@ -419,54 +535,6 @@ def _sample_mu(rng: np.random.Generator) -> complex:
         mu = complex(rng.standard_normal(), rng.standard_normal())
         if 0.3 <= abs(mu) <= 3.0 and abs(mu - 1) >= 0.3:
             return mu
-
-
-def recover_lambda_mu(
-    beta: BraidWord, values: Mapping[Gen, complex], rng: np.random.Generator
-) -> tuple[complex, complex, float]:
-    """Pick (lambda, mu) minimizing the relation residual for fixed generator values.
-
-    Every nonzero mu != 1 extends a solution of the sign-matrix equations:
-    lambda = (-1)^w mu^-w zeroes both relation families.  That closed form
-    seeds a short joint minimization over (lambda, mu), whose result is
-    reported with its residual.
-    """
-    n, w = beta.n, writhe(beta)
-    ml, mr = eval_phi_matrices(beta, values_to_array(values, n))
-    upper = np.triu(np.ones((n, n)), 1)
-    lower = np.tril(np.ones((n, n)), -1)
-    vmat = values_to_array(values, n)
-
-    def ideal_stack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lam = x[:, 0] + 1j * x[:, 1]
-        mu = x[:, 2] + 1j * x[:, 3]
-        b = x.shape[0]
-        a0 = (
-            upper[None] * vmat[None]
-            - mu[:, None, None] * lower[None] * vmat[None]
-            + (1 - mu)[:, None, None] * np.eye(n)[None]
-        )
-        lam_d = np.ones((b, n), dtype=complex)
-        lam_d[:, 0] = lam * mu**w
-        e1 = a0 - lam_d[:, :, None] * (ml[None] @ a0)
-        e2 = a0 - (a0 @ mr[None]) / lam_d[:, None, :]
-        flat = np.concatenate(
-            [e1.real.reshape(b, -1), e1.imag.reshape(b, -1), e2.real.reshape(b, -1), e2.imag.reshape(b, -1)],
-            axis=1,
-        )
-        maxabs = np.maximum(np.abs(e1).reshape(b, -1).max(axis=1), np.abs(e2).reshape(b, -1).max(axis=1))
-        return flat, maxabs
-
-    mu0 = _sample_mu(rng)
-    lam0 = (-1) ** (w % 2) * mu0 ** (-w)
-    x0 = np.array([lam0.real, lam0.imag, mu0.real, mu0.imag])
-    x, _ = _lm_minimize(ideal_stack, x0, max_iter=40, floor=1e-15)
-    lam = complex(x[0], x[1])
-    mu = complex(x[2], x[3])
-    if abs(mu - 1) < 0.05 or abs(mu) < 1e-6 or lam == 0:
-        lam, mu = lam0, mu0  # polish drifted into the excluded locus; keep the seed point
-    _, res = ideal_stack(np.array([[lam.real, lam.imag, mu.real, mu.imag]]))
-    return lam, mu, float(res[0])
 
 
 def _certificate_from_values(
@@ -477,15 +545,22 @@ def _certificate_from_values(
     restarts: int,
     tol: float,
 ) -> Certificate:
-    lam, mu, ideal_res = recover_lambda_mu(beta, values, rng)
-    eps = Assignment(beta.n, values, lam, mu)
-    res_l, res_r = full_rank_residual(beta, eps)
+    """Complete generator values to a certificate, folding the word once.
+
+    Every nonzero mu != 1 extends a solution of the sign-matrix equations:
+    lambda = (-1)^w mu^-w zeroes both relation families, with mu drawn from rng.
+    """
+    w = writhe(beta)
+    mu = _sample_mu(rng)
+    eps = Assignment(beta.n, values, (-1) ** (w % 2) * mu ** (-w), mu)
+    ml, mr = eval_phi_matrices(beta, values_to_array(values, beta.n))
+    res_l, res_r = _sign_errors(beta, ml, mr)
     return Certificate(
         braid=beta,
         assignment=eps,
         residual_L=res_l,
         residual_R=res_r,
-        ideal_residual=ideal_res,
+        ideal_residual=_relation_error(beta, eps, ml, mr),
         rank=aug_rank(eps, beta.n),
         seed=seed,
         restarts=restarts,
@@ -496,60 +571,44 @@ def _certificate_from_values(
 def solve_full_rank(beta: BraidWord, options: SolveOptions = SolveOptions()) -> Certificate | NotFound:
     """Multi-start search for generator values satisfying the sign-matrix equations.
 
-    Restarts draw independent substreams from the seed and run in index
-    order; the first accepted point wins, so the outcome is a deterministic
-    function of (seed, restarts, tol).
+    Restart t starts from the t-th substream spawned from the seed.  Restarts
+    run in chunks (see LEAD_CHUNKS) and the lowest-index accepted restart wins,
+    the one a restart-by-restart search would return first; so the outcome
+    is a deterministic function of (seed, restarts, tol, max_iter).
     """
     if component_count(beta) != 1:
         raise ValueError("closure must be a knot")
     n = beta.n
     m = n * (n - 1)
-    d = delta_diag(beta)
 
     if m == 0:
         rng = np.random.default_rng(np.random.SeedSequence(options.seed))
         return _certificate_from_values(beta, {}, rng, options.seed, options.restarts, options.tol)
 
-    letters = beta.letters
-
-    def resid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        b = x.shape[0]
-        v = np.zeros((b, n, n), dtype=complex)
-        idx = np.array(gen_order(n))
-        v[:, idx[:, 0] - 1, idx[:, 1] - 1] = x[:, :m] + 1j * x[:, m:]
-        ml, mr = eval_phi_matrices(beta, v)
-        cl = ml - np.diag(d)[None]
-        cr = mr - np.diag(d)[None]
-        flat = np.concatenate(
-            [cl.real.reshape(b, -1), cl.imag.reshape(b, -1), cr.real.reshape(b, -1), cr.imag.reshape(b, -1)],
-            axis=1,
-        )
-        maxabs = np.maximum(np.abs(cl).reshape(b, -1).max(axis=1), np.abs(cr).reshape(b, -1).max(axis=1))
-        return flat, maxabs
-
-    children = np.random.SeedSequence(options.seed).spawn(options.restarts)
-    best = math.inf
-    log: list[float] = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        x0 = rng.standard_normal(2 * m)
-        x, ma = _lm_minimize(resid, x0, max_iter=options.max_iter)
-        log.append(ma)
-        best = min(best, ma)
-        if ma <= options.tol:
-            vals = {
-                g: complex(x[t], x[m + t]) for t, g in enumerate(gen_order(n))
-            }
-            return _certificate_from_values(
-                beta, vals, rng, options.seed, options.restarts, options.tol
-            )
+    resid = _sign_residual(beta)
+    seeds = np.random.SeedSequence(options.seed)
+    finals: list[float] = []
+    stops: list[str] = []
+    for size in _chunks(options.restarts):
+        # spawning continues the numbering, so chunk by chunk gives the same substreams
+        rngs = [np.random.default_rng(child) for child in seeds.spawn(size)]
+        x0 = np.array([rng.standard_normal(2 * m) for rng in rngs])
+        z, ma, stop = _lm_chunk(resid, x0[:, :m] + 1j * x0[:, m:], options.max_iter, options.tol)
+        won = np.flatnonzero(_accepted(ma, stop, options.tol))
+        if won.size:
+            k = won[0]
+            values = {g: complex(val) for g, val in zip(gen_order(n), z[k])}
+            return _certificate_from_values(beta, values, rngs[k], options.seed, options.restarts, options.tol)
+        finals.extend(ma.tolist())
+        stops.extend(stop.tolist())
+    summary = _summary(finals, stops)
     return NotFound(
         braid=beta,
-        best_residual=best,
+        best_residual=summary.get("min", math.inf),
         seed=options.seed,
         restarts=options.restarts,
         tol=options.tol,
-        residual_summary=_summary(log),
+        residual_summary=summary,
     )
 
 
@@ -695,7 +754,7 @@ class EvidenceReport:
             "label": "evidence-only",
             "braid": {"n": self.braid.n, "word": list(self.braid.letters)},
             "found": self.found,
-            "best_residual": self.best_residual,
+            "best_residual": _finite_or_none(self.best_residual),
             "residual_summary": dict(self.residual_summary),
             "seed": self.seed,
             "restarts": self.restarts,

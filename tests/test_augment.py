@@ -10,6 +10,9 @@ from augrank.augment import (
     MuOneError,
     NotFound,
     SolveOptions,
+    _damped_steps,
+    _lm_chunk,
+    _sign_residual,
     aug_rank,
     check_block_structure,
     construct_satellite_aug,
@@ -173,6 +176,60 @@ class TestSolver:
         assert out.best_residual > ACCEPT_TOL
         assert out.residual_summary["count"] == 8
         assert out.residual_summary["min"] <= out.residual_summary["max"]
+        assert sum(out.residual_summary["stops"].values()) == 8
+
+    def test_non_finite_restarts_are_not_evidence(self):
+        # T(2,601) does have a maximal-rank augmentation, but the plain residual
+        # overflows from some starts; those restarts must not count as evidence
+        with np.errstate(over="raise"):
+            out = solve_full_rank(torus_braid(2, 601), SolveOptions(restarts=4, seed=0))
+        assert isinstance(out, NotFound)
+        summary = out.residual_summary
+        assert summary["count"] == 4
+        assert summary["stops"]["non_finite"] >= 1
+        assert sum(summary["stops"].values()) == 4
+        assert np.isfinite(out.best_residual)
+        assert out.best_residual == summary["min"]
+        assert np.isfinite(summary["max"])
+
+    def test_no_finite_restart_writes_null_best(self):
+        out = solve_full_rank(satellite_braid(TREFOIL, BraidWord(2, (1,))), SolveOptions(restarts=0))
+        assert isinstance(out, NotFound)
+        assert out.residual_summary["count"] == 0
+        assert not any(out.residual_summary["stops"].values())
+        assert out.to_obj()["best_residual"] is None
+        assert nonexistence_search(TREFOIL, SolveOptions(restarts=0)).to_obj()["best_residual"] is None
+
+    def test_chunk_independence(self):
+        # criterion 10's braid; with seed 0 its first accepted restart is not restart 0
+        beta = satellite_braid(BraidWord(2, (1,) * 5), BraidWord(2, (1,)))
+        m = beta.n * (beta.n - 1)
+        rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(0).spawn(8)]
+        x0 = np.array([rng.standard_normal(2 * m) for rng in rngs])
+        z0 = x0[:, :m] + 1j * x0[:, m:]
+        resid = _sign_residual(beta)
+        _, chunk_ma, chunk_stop = _lm_chunk(resid, z0, 120, -np.inf)
+        alone = [_lm_chunk(resid, z0[k : k + 1], 120, -np.inf) for k in range(8)]
+        assert np.allclose(chunk_ma, [ma[0] for _, ma, _ in alone], rtol=1e-12, atol=0)
+        assert list(chunk_stop) == [stop[0] for _, _, stop in alone]
+        accepted = [k for k, (_, ma, _) in enumerate(alone) if ma[0] <= ACCEPT_TOL]
+        assert accepted and accepted[0] > 0
+        cert = solve_full_rank(beta, SolveOptions(restarts=8, seed=0))
+        assert isinstance(cert, Certificate)
+        z_win = alone[accepted[0]][0][0]
+        assert [cert.assignment.value(*g) for g in gen_order(beta.n)] == list(z_win)
+
+    def test_singular_row_does_not_stop_the_others(self):
+        rng = np.random.default_rng(5)
+        j = rng.standard_normal((3, 6, 4)) + 1j * rng.standard_normal((3, 6, 4))
+        jtj = j.conj().transpose(0, 2, 1) @ j
+        jtj[1] = 0.0
+        grad = rng.standard_normal((3, 4)) + 0j
+        steps, ok = _damped_steps(jtj, np.ones((3, 4)), np.array([0.1, 0.0, 0.1]), grad)
+        assert list(ok) == [True, False, True]
+        for k in (0, 2):
+            want = np.linalg.solve(jtj[k] + 0.1 * np.eye(4), -grad[k])
+            assert np.allclose(steps[k], want, rtol=1e-12, atol=0)
 
     def test_determinism(self):
         c1 = solve_full_rank(torus_braid(2, 5), SolveOptions(seed=7))
