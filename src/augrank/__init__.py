@@ -37,10 +37,10 @@ from .action import (
     phi_left,
     phi_left_direct,
     phi_letter,
+    phi_matrices,
     phi_matrix,
     phi_right,
     phi_right_direct,
-    phi_star,
     tau_closed_form,
 )
 from .splitting import (

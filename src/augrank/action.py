@@ -19,15 +19,31 @@ suite certifies.
 
 For beta in B_n, extending by an untouched strand at n+1 and acting on the
 module spanned by a_{1,n+1}..a_{n,n+1} (resp. a_{n+1,1}..a_{n+1,n}) yields the
-n x n matrices over the algebra computed by :func:`phi_left` and
-:func:`phi_right`.  These satisfy the chain rule
+n x n matrices over the algebra computed by :func:`phi_matrices`.  They obey
+the chain rule
 
     PhiL(b1 b2) = act(b1, PhiL(b2)) . PhiL(b1)
     PhiR(b1 b2) = PhiR(b1) . act(b1, PhiR(b2))
 
-so both are computed by folding per-letter matrices.  phi_right is the
-transpose of the entrywise conjugate of phi_left; the two are computed along
-independent routes here so the symmetry stays a testable fact.
+With b1 a prefix P and b2 one letter e, this is a left-to-right fold:
+
+    PhiL(P e) = act(P, PhiL(e)) . PhiL(P)
+    PhiR(P e) = PhiR(P) . act(P, PhiR(e))
+
+PhiL(e) and PhiR(e) are the identity outside a 2 x 2 block whose only
+non-constant entry is one generator, so the fold only needs the images
+act(P, a_ij) of the generators, carried forward with the matrices.  One
+letter costs O(n) products.  :func:`_letter_step` is that step, written once
+for numpy arrays over any ring: NCPoly objects here, batched complex numbers
+in :func:`augrank.augment.eval_phi_matrices`.  In the free algebra the order
+of the factors matters: rows of PhiL and the row images are multiplied on the
+left, columns of PhiR and the column images on the right.
+
+The oracles stay independent of the fold: :func:`phi_left_direct` and
+:func:`phi_right_direct` read the matrices off the action on starred
+generators, :func:`chain_compose` composes with :func:`phi` and
+:func:`mat_mul`, and phi_right is the transpose of the entrywise conjugate of
+phi_left.
 """
 
 from __future__ import annotations
@@ -36,8 +52,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .braids import BraidWord
-from .freealg import Gen, Mon, NCPoly, _check_budget
+from .freealg import Gen, Mon, NCPoly, _check_budget, term_budget
 
 # ---------------------------------------------------------------------------
 # The action on polynomials
@@ -76,9 +94,10 @@ def phi_letter(e: int, x: NCPoly) -> NCPoly:
     if not 1 <= k <= x.n - 1:
         raise ValueError(f"letter {e} out of range for ambient {x.n}")
     imgs = _letter_images(x.n, x.star, k, e < 0)
+    budget = term_budget()
     out: dict[Mon, int] = {}
     for mon, coeff in x.terms.items():
-        _check_budget(len(out))
+        _check_budget(len(out), budget)
         parts = [imgs.get(g) for g in mon]
         if all(p is None for p in parts):
             acc = out.get(mon, 0) + coeff
@@ -99,7 +118,7 @@ def phi_letter(e: int, x: NCPoly) -> NCPoly:
                 out[m] = acc
             else:
                 out.pop(m, None)
-    _check_budget(len(out))
+    _check_budget(len(out), budget)
     return NCPoly._raw(x.n, x.star, out)
 
 
@@ -110,13 +129,6 @@ def phi(beta: BraidWord, x: NCPoly) -> NCPoly:
     for e in reversed(beta.letters):
         x = phi_letter(e, x)
     return x
-
-
-def phi_star(beta: BraidWord, x: NCPoly) -> NCPoly:
-    """Act on the starred extension (beta included with the extra slot untouched)."""
-    if not x.star:
-        raise ValueError("phi_star expects a starred polynomial")
-    return phi(beta, x)
 
 
 # ---------------------------------------------------------------------------
@@ -258,45 +270,63 @@ def mat_mul(a: PhiMatrix, b: PhiMatrix) -> PhiMatrix:
     return PhiMatrix(n, a.side, tuple(rows))
 
 
-def letter_matrix(n: int, e: int, side: str) -> PhiMatrix:
-    """The action matrix of a single signed letter."""
-    k = abs(e)
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"letter {e} out of range for B_{n}")
-    grid = [
-        [NCPoly.one(n) if i == j else NCPoly.zero(n) for j in range(n)] for i in range(n)
-    ]
-    K, K1 = k - 1, k  # 0-based block corner
-    if side == "L":
-        block_gen = NCPoly.gen(n, k + 1, k) if e > 0 else NCPoly.gen(n, k, k + 1)
-    elif side == "R":
-        block_gen = NCPoly.gen(n, k, k + 1) if e > 0 else NCPoly.gen(n, k + 1, k)
-    else:
-        raise ValueError(f"side must be 'L' or 'R', got {side!r}")
+def _letter_step(ml: np.ndarray, mr: np.ndarray, v: np.ndarray, e: int) -> np.ndarray:
+    """Advance the fold by one letter; updates ml/mr in place, returns new values.
+
+    ml and mr hold PhiL(P) and PhiR(P), v holds act(P, a_ij) at [..., i-1, j-1];
+    leading axes are a batch.  sigma_k^-1 is sigma_k with the roles of
+    strands k and k+1 swapped, so both signs share the update below.
+    """
+    n = v.shape[-1]
+    s, t = abs(e) - 1, abs(e)
+    if e < 0:
+        s, t = t, s
+    oth = np.array([r for r in range(n) if r not in (s, t)], dtype=int)
+    v_ts, v_st = v[..., t, s, None], v[..., s, t, None]
+    row = ml[..., t, :] - v_ts * ml[..., s, :]
+    ml[..., t, :] = ml[..., s, :]
+    ml[..., s, :] = row
+    col = mr[..., :, t] - mr[..., :, s] * v_st
+    mr[..., :, t] = mr[..., :, s]
+    mr[..., :, s] = col
+    w = v.copy()
+    if oth.size:
+        w[..., t, oth] = v[..., s, oth]
+        w[..., oth, t] = v[..., oth, s]
+        w[..., s, oth] = v[..., t, oth] - v_ts * v[..., s, oth]
+        w[..., oth, s] = v[..., oth, t] - v[..., oth, s] * v_st
+    w[..., s, t] = -v[..., t, s]
+    w[..., t, s] = -v[..., s, t]
+    return w
+
+
+def phi_matrices(beta: BraidWord) -> tuple[PhiMatrix, PhiMatrix]:
+    """Left and right action matrices of beta, from one letter fold."""
+    n = beta.n
     one, zero = NCPoly.one(n), NCPoly.zero(n)
-    if e > 0:
-        grid[K][K], grid[K][K1] = -block_gen, one
-        grid[K1][K], grid[K1][K1] = one, zero
-    else:
-        grid[K][K], grid[K][K1] = zero, one
-        grid[K1][K], grid[K1][K1] = one, -block_gen
-    return PhiMatrix(n, side, tuple(tuple(row) for row in grid))
+    ml = np.empty((n, n), dtype=object)
+    v = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            ml[i, j] = one if i == j else zero
+            v[i, j] = zero if i == j else NCPoly.gen(n, i + 1, j + 1)  # diagonal unused
+    mr = ml.copy()
+    for e in beta.letters:
+        v = _letter_step(ml, mr, v, e)
+    return (
+        PhiMatrix(n, "L", tuple(tuple(row) for row in ml)),
+        PhiMatrix(n, "R", tuple(tuple(row) for row in mr)),
+    )
 
 
 def phi_left(beta: BraidWord) -> PhiMatrix:
-    """Left action matrix, by per-letter chain-rule folding."""
-    m = PhiMatrix.identity(beta.n, "L")
-    for e in reversed(beta.letters):
-        m = mat_mul(m.map_entries(lambda x: phi_letter(e, x)), letter_matrix(beta.n, e, "L"))
-    return m
+    """Left action matrix."""
+    return phi_matrices(beta)[0]
 
 
 def phi_right(beta: BraidWord) -> PhiMatrix:
-    """Right action matrix, by per-letter chain-rule folding."""
-    m = PhiMatrix.identity(beta.n, "R")
-    for e in reversed(beta.letters):
-        m = mat_mul(letter_matrix(beta.n, e, "R"), m.map_entries(lambda x: phi_letter(e, x)))
-    return m
+    """Right action matrix."""
+    return phi_matrices(beta)[1]
 
 
 def phi_matrix(beta: BraidWord, side: str) -> PhiMatrix:
@@ -328,7 +358,7 @@ def phi_left_direct(beta: BraidWord) -> PhiMatrix:
     zero = NCPoly.zero(n)
     rows = []
     for i in range(1, n + 1):
-        img = phi_star(beta, NCPoly.gen(n, i, n + 1, star=True))
+        img = phi(beta, NCPoly.gen(n, i, n + 1, star=True))
         coeffs = star_decompose(img)
         rows.append(tuple(coeffs.get(j, zero) for j in range(1, n + 1)))
     return PhiMatrix(n, "L", tuple(rows))
@@ -340,7 +370,7 @@ def phi_right_direct(beta: BraidWord) -> PhiMatrix:
     zero = NCPoly.zero(n)
     grid = [[zero] * n for _ in range(n)]
     for i in range(1, n + 1):
-        img = phi_star(beta, NCPoly.gen(n, n + 1, i, star=True))
+        img = phi(beta, NCPoly.gen(n, n + 1, i, star=True))
         for j, coeff in star_decompose_right(img).items():
             grid[j - 1][i - 1] = coeff
     return PhiMatrix(n, "R", tuple(tuple(row) for row in grid))

@@ -9,11 +9,12 @@ maximal-rank augmentation of a satellite directly from certificates for the
 companion and the pattern, with no search.
 
 Numeric fast path: evaluating the action matrices under an assignment never
-builds symbolic entries.  Folding the word letter by letter, keep the current
-evaluated matrices together with the generator values pushed forward through
-each letter's substitution; one letter costs O(n) scalar operations, and the
-whole fold is batched over many points at once (every restart of a chunk and
-its finite differences).
+builds symbolic entries.  The word is folded letter by letter with the step
+that also builds the symbolic matrices (:func:`augrank.action._letter_step`),
+run on complex arrays: the current evaluated matrices are kept together with
+the generator values pushed forward through each letter's substitution.  One
+letter costs O(n) scalar operations, and the whole fold is batched over many
+points at once (every restart of a chunk and its finite differences).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .braids import BraidWord, Perm, component_count, perm, satellite_braid, tau_word, writhe
 from .braids import cable, include_bar
-from .action import phi_left
+from .action import _letter_step, phi_left
 from .freealg import Assignment, Gen, NCPoly
 from .reporting import CheckReport
 from . import jsonio
@@ -64,48 +65,6 @@ def array_to_values(v: np.ndarray) -> dict[Gen, complex]:
 # ---------------------------------------------------------------------------
 # Numeric letter fold
 # ---------------------------------------------------------------------------
-
-
-def _letter_step(ml: np.ndarray, mr: np.ndarray, v: np.ndarray, e: int) -> np.ndarray:
-    """Advance the fold by one letter; updates ml/mr in place, returns new values."""
-    n = v.shape[-1]
-    k0 = abs(e) - 1
-    k1 = k0 + 1
-    oth = np.array([t for t in range(n) if t not in (k0, k1)], dtype=int)
-    a_k1k = v[..., k1, k0].copy()
-    a_kk1 = v[..., k0, k1].copy()
-    if e > 0:
-        row = -a_k1k[..., None] * ml[..., k0, :] + ml[..., k1, :]
-        ml[..., k1, :] = ml[..., k0, :]
-        ml[..., k0, :] = row
-        col = -a_kk1[..., None] * mr[..., :, k0] + mr[..., :, k1]
-        mr[..., :, k1] = mr[..., :, k0]
-        mr[..., :, k0] = col
-    else:
-        row = ml[..., k0, :] - a_kk1[..., None] * ml[..., k1, :]
-        ml[..., k0, :] = ml[..., k1, :]
-        ml[..., k1, :] = row
-        col = mr[..., :, k0] - a_k1k[..., None] * mr[..., :, k1]
-        mr[..., :, k0] = mr[..., :, k1]
-        mr[..., :, k1] = col
-    w = v.copy()
-    if e > 0:
-        if oth.size:
-            w[..., k1, oth] = v[..., k0, oth]
-            w[..., oth, k1] = v[..., oth, k0]
-            w[..., k0, oth] = v[..., k1, oth] - a_k1k[..., None] * v[..., k0, oth]
-            w[..., oth, k0] = v[..., oth, k1] - v[..., oth, k0] * a_kk1[..., None]
-        w[..., k0, k1] = -a_k1k
-        w[..., k1, k0] = -a_kk1
-    else:
-        if oth.size:
-            w[..., k0, oth] = v[..., k1, oth]
-            w[..., oth, k0] = v[..., oth, k1]
-            w[..., k1, oth] = v[..., k0, oth] - a_kk1[..., None] * v[..., k1, oth]
-            w[..., oth, k1] = v[..., oth, k0] - v[..., oth, k1] * a_k1k[..., None]
-        w[..., k0, k1] = -a_k1k
-        w[..., k1, k0] = -a_kk1
-    return w
 
 
 def eval_phi_matrices(beta: BraidWord, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -442,28 +401,34 @@ class Certificate:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Certificate":
+        def num(x, field: str) -> float:
+            out = float(x)
+            if not math.isfinite(out):
+                raise ValueError(f"certificate field {field} is not finite: {out!r}")
+            return out
+
+        def cnum(x, field: str) -> complex:
+            return complex(num(x["re"], f"{field}.re"), num(x["im"], f"{field}.im"))
+
         try:
             braid = BraidWord(int(obj["braid"]["n"]), tuple(int(e) for e in obj["braid"]["word"]))
             values = {
-                (int(g["i"]), int(g["j"])): complex(float(g["re"]), float(g["im"]))
+                (int(g["i"]), int(g["j"])): cnum(g, f"generator a_{g['i']},{g['j']}")
                 for g in obj["generators"]
             }
             assignment = Assignment(
-                braid.n,
-                values,
-                complex(float(obj["lambda"]["re"]), float(obj["lambda"]["im"])),
-                complex(float(obj["mu"]["re"]), float(obj["mu"]["im"])),
+                braid.n, values, cnum(obj["lambda"], "lambda"), cnum(obj["mu"], "mu")
             )
             return cls(
                 braid=braid,
                 assignment=assignment,
-                residual_L=float(obj["residual_L"]),
-                residual_R=float(obj["residual_R"]),
-                ideal_residual=float(obj["ideal_residual"]),
+                residual_L=num(obj["residual_L"], "residual_L"),
+                residual_R=num(obj["residual_R"], "residual_R"),
+                ideal_residual=num(obj["ideal_residual"], "ideal_residual"),
                 rank=int(obj["rank"]),
                 seed=int(obj["seed"]),
                 restarts=int(obj["restarts"]),
-                tol=float(obj["tol"]),
+                tol=num(obj["tol"], "tol"),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"not a certificate object (missing {exc})") from exc

@@ -14,8 +14,8 @@ from .action import (
     chain_compose,
     phi,
     phi_left,
+    phi_matrices,
     phi_right,
-    phi_star,
     tau_closed_form,
 )
 from .braids import BraidWord, cable, perm, tau_word
@@ -53,7 +53,8 @@ def check_transpose(n: int, count: int = 200, seed: int = 0, max_len: int = 6) -
     diffs = []
     for idx in range(count):
         b = random_word(rng, n, max_len)
-        if phi_right(b) != phi_left(b).conj_transpose():
+        left, right = phi_matrices(b)
+        if right != left.conj_transpose():
             diffs.append({"word": b.to_text(), "index": idx})
     return CheckReport(
         claim="transpose symmetry between left and right matrices",
@@ -125,7 +126,7 @@ def check_tau_forms(n: int) -> CheckReport:
                     for j in range(i + 1, top + 1):
                         got = tau_closed_form(m, p, i, j, n, star=star)
                         gen = NCPoly.gen(n, i, j, star=star)
-                        want = phi_star(w, gen) if star else phi(w, gen)
+                        want = phi(w, gen)
                         if got != want:
                             diffs.append(
                                 {
@@ -156,7 +157,7 @@ def check_cabled_letter_forms(k: int, p: int) -> CheckReport:
                 for j in range(i + 1, top + 1):
                     got = cabled_generator_closed_form(n_gen, p, k, i, j, star=star)
                     gen = NCPoly.gen(kp, i, j, star=star)
-                    want = phi_star(cab, gen) if star else phi(cab, gen)
+                    want = phi(cab, gen)
                     if got != want:
                         diffs.append(
                             {

@@ -45,8 +45,10 @@ def set_term_budget(budget: int | None) -> None:
     _budget_override = budget
 
 
-def _check_budget(size: int) -> None:
-    budget = term_budget()
+def _check_budget(size: int, budget: int | None = None) -> None:
+    """Raise if size exceeds the budget; callers in a loop read the budget once."""
+    if budget is None:
+        budget = term_budget()
     if size > budget:
         raise TermBudgetError(
             f"symbolic result reached {size} monomials, over the budget of "
@@ -153,7 +155,8 @@ class NCPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other) -> "NCPoly":
+    def _combine(self, other, sign: int) -> "NCPoly":
+        # self + sign * other in one pass
         if isinstance(other, int):
             other = NCPoly.const(self.n, other, star=self.star)
         if not isinstance(other, NCPoly):
@@ -161,7 +164,7 @@ class NCPoly:
         self._require_compatible(other)
         terms = dict(self._terms)
         for mon, c in other._terms.items():
-            acc = terms.get(mon, 0) + c
+            acc = terms.get(mon, 0) + sign * c
             if acc:
                 terms[mon] = acc
             else:
@@ -169,17 +172,16 @@ class NCPoly:
         _check_budget(len(terms))
         return NCPoly._raw(self.n, self.star, terms)
 
+    def __add__(self, other) -> "NCPoly":
+        return self._combine(other, 1)
+
     __radd__ = __add__
 
     def __neg__(self) -> "NCPoly":
         return NCPoly._raw(self.n, self.star, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "NCPoly":
-        if isinstance(other, int):
-            other = NCPoly.const(self.n, other, star=self.star)
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other) -> "NCPoly":
         return (-self) + other
@@ -192,10 +194,11 @@ class NCPoly:
         if not isinstance(other, NCPoly):
             return NotImplemented
         self._require_compatible(other)
+        budget = term_budget()
         terms: dict[Mon, int] = {}
         for m1, c1 in self._terms.items():
             # abort before the term map grows far past the budget
-            _check_budget(len(terms))
+            _check_budget(len(terms), budget)
             for m2, c2 in other._terms.items():
                 mon = m1 + m2
                 acc = terms.get(mon, 0) + c1 * c2
@@ -203,7 +206,7 @@ class NCPoly:
                     terms[mon] = acc
                 else:
                     terms.pop(mon, None)
-        _check_budget(len(terms))
+        _check_budget(len(terms), budget)
         return NCPoly._raw(self.n, self.star, terms)
 
     def __rmul__(self, other) -> "NCPoly":

@@ -17,45 +17,26 @@ exactly and report per-entry differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
 from .action import (
-    phi_left,
-    phi_right,
-    phi_star,
+    phi,
+    phi_matrices,
     star_decompose,
     sum_asc,
     sum_crossing,
     sum_desc,
 )
 from .braids import BraidWord, cable
-from .freealg import Mon, NCPoly, _check_budget, mon_key
+from .freealg import Mon, NCPoly, _check_budget, mon_key, term_budget
 from .reporting import CheckReport
 
 
-@dataclass(frozen=True)
-class IndexSplit:
-    """A strand index i in 1..kp with its block q and offset r: i = (q-1)p + r."""
-
-    i: int
-    q: int
-    r: int
-
-
 def split_index(i: int, p: int) -> tuple[int, int]:
+    """Block q and offset r of a strand index i in 1..kp: i = (q-1)p + r."""
     q, r = divmod(i - 1, p)
     return q + 1, r + 1
-
-
-def join_index(q: int, r: int, p: int) -> int:
-    return (q - 1) * p + r
-
-
-def index_split(i: int, p: int) -> IndexSplit:
-    q, r = split_index(i, p)
-    return IndexSplit(i, q, r)
 
 
 TensorMon = tuple[Mon, Mon]
@@ -128,13 +109,14 @@ class TensorPoly:
         if self.k != other.k or self.p != other.p:
             raise ValueError("tensor shape mismatch")
 
-    def __add__(self, other) -> "TensorPoly":
+    def _combine(self, other, sign: int) -> "TensorPoly":
+        # self + sign * other in one pass
         if not isinstance(other, TensorPoly):
             return NotImplemented
         self._require_compatible(other)
         terms = dict(self._terms)
         for t, c in other._terms.items():
-            acc = terms.get(t, 0) + c
+            acc = terms.get(t, 0) + sign * c
             if acc:
                 terms[t] = acc
             else:
@@ -142,13 +124,14 @@ class TensorPoly:
         _check_budget(len(terms))
         return TensorPoly._raw(self.k, self.p, terms)
 
+    def __add__(self, other) -> "TensorPoly":
+        return self._combine(other, 1)
+
     def __neg__(self) -> "TensorPoly":
         return TensorPoly._raw(self.k, self.p, {t: -c for t, c in self._terms.items()})
 
     def __sub__(self, other) -> "TensorPoly":
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __mul__(self, other) -> "TensorPoly":
         if isinstance(other, int):
@@ -158,9 +141,10 @@ class TensorPoly:
         if not isinstance(other, TensorPoly):
             return NotImplemented
         self._require_compatible(other)
+        budget = term_budget()
         terms: dict[TensorMon, int] = {}
         for (a1, b1), c1 in self._terms.items():
-            _check_budget(len(terms))
+            _check_budget(len(terms), budget)
             for (a2, b2), c2 in other._terms.items():
                 key = (a1 + a2, b1 + b2)
                 acc = terms.get(key, 0) + c1 * c2
@@ -168,7 +152,7 @@ class TensorPoly:
                     terms[key] = acc
                 else:
                     terms.pop(key, None)
-        _check_budget(len(terms))
+        _check_budget(len(terms), budget)
         return TensorPoly._raw(self.k, self.p, terms)
 
     def __rmul__(self, other) -> "TensorPoly":
@@ -310,9 +294,7 @@ def verify_cable_matrix_split(alpha: BraidWord, p: int) -> CheckReport:
     kp = k * p
     cabled = cable(alpha, p)
     diffs: list[dict] = []
-    for side, big_fn, small_fn in (("L", phi_left, phi_left), ("R", phi_right, phi_right)):
-        big = big_fn(cabled)
-        small = small_fn(alpha)
+    for side, big, small in zip("LR", phi_matrices(cabled), phi_matrices(alpha)):
         for i in range(1, kp + 1):
             qi, ri = split_index(i, p)
             for j in range(1, kp + 1):
@@ -343,8 +325,8 @@ def verify_commutes(n_gen: int, k: int, p: int) -> CheckReport:
     diffs: list[dict] = []
     for i in range(1, kp + 1):
         qi, ri = split_index(i, p)
-        lhs = psi_star(phi_star(cabled, NCPoly.gen(kp, i, kp + 1, star=True)), k, p)
-        small = phi_star(sigma, NCPoly.gen(k, qi, k + 1, star=True))
+        lhs = psi_star(phi(cabled, NCPoly.gen(kp, i, kp + 1, star=True)), k, p)
+        small = phi(sigma, NCPoly.gen(k, qi, k + 1, star=True))
         rhs: dict[tuple[int, int], TensorPoly] = {}
         for l, coeff in star_decompose(small).items():
             emb = tensor_embed_left(coeff, p)

@@ -8,14 +8,12 @@ from augrank.action import (
     cabled_generator_closed_form,
     chain_compose,
     kappa_closed_form,
-    letter_matrix,
     phi,
     phi_left,
     phi_left_direct,
     phi_letter,
     phi_right,
     phi_right_direct,
-    phi_star,
     star_decompose,
     star_decompose_right,
     sum_asc,
@@ -92,18 +90,14 @@ class TestWordAction:
 class TestStarAction:
     def test_star_basis_examples(self):
         s1 = BraidWord(2, (1,))
-        assert phi_star(s1, a(2, 1, 3, star=True)) == a(2, 2, 3, star=True) - a(
+        assert phi(s1, a(2, 1, 3, star=True)) == a(2, 2, 3, star=True) - a(
             2, 2, 1, star=True
         ) * a(2, 1, 3, star=True)
-        assert phi_star(s1, a(2, 2, 3, star=True)) == a(2, 1, 3, star=True)
+        assert phi(s1, a(2, 2, 3, star=True)) == a(2, 1, 3, star=True)
 
     def test_identity(self):
         x = a(2, 1, 3, star=True)
-        assert phi_star(BraidWord(2, ()), x) == x
-
-    def test_requires_star(self):
-        with pytest.raises(ValueError):
-            phi_star(BraidWord(2, (1,)), a(2, 1, 2))
+        assert phi(BraidWord(2, ()), x) == x
 
     def test_star_decompose_validates(self):
         with pytest.raises(StarDecompositionError):
@@ -151,9 +145,12 @@ class TestMatrices:
     def test_transpose_symmetry(self, b):
         assert phi_right(b) == phi_left(b).conj_transpose()
 
-    def test_letter_matrix_inverse_block(self):
-        m = letter_matrix(2, -1, "L")
-        assert m.render_entries() == [["0", "1"], ["1", "-a12"]]
+    def test_one_letter_matrices(self):
+        s1, s1_inv = BraidWord(2, (1,)), BraidWord(2, (-1,))
+        assert phi_left(s1).render_entries() == [["-a21", "1"], ["1", "0"]]
+        assert phi_right(s1).render_entries() == [["-a12", "1"], ["1", "0"]]
+        assert phi_left(s1_inv).render_entries() == [["0", "1"], ["1", "-a12"]]
+        assert phi_right(s1_inv).render_entries() == [["0", "1"], ["1", "-a21"]]
 
     def test_monomial_structure(self):
         assert check_monomial_structure(3, count=40, seed=2).ok
@@ -224,7 +221,7 @@ class TestClosedForms:
                         for j in range(i + 1, top + 1):
                             got = tau_closed_form(m, p, i, j, n, star=star)
                             gen = a(n, i, j, star=star)
-                            want = phi_star(w, gen) if star else phi(w, gen)
+                            want = phi(w, gen)
                             assert got == want, (n, m, p, i, j, star)
 
     def test_tau_rejects_bad_input(self):
@@ -243,7 +240,7 @@ class TestClosedForms:
                         star = j == n + 1
                         got = kappa_closed_form(m, l, p, i, j, n, star=star)
                         gen = a(n, i, j, star=star)
-                        want = phi_star(w, gen) if star else phi(w, gen)
+                        want = phi(w, gen)
                         assert got == want, (n, p, l, m, i, j)
 
     def test_cabled_form_block_cases(self):
@@ -262,7 +259,7 @@ class TestClosedForms:
                     star = j == kp + 1
                     got = cabled_generator_closed_form(n_gen, p, k, i, j, star=star)
                     gen = a(kp, i, j, star=star)
-                    want = phi_star(cab, gen) if star else phi(cab, gen)
+                    want = phi(cab, gen)
                     assert got == want
 
     @pytest.mark.parametrize("k,p", [(2, 2), (3, 2), (2, 3)])
@@ -288,7 +285,9 @@ class TestClosedForms:
 
 class TestBudget:
     def test_matrix_computation_respects_budget(self):
-        set_term_budget(4)
+        # the (1,1) entry of the result has 4 monomials, so any correct
+        # computation must exceed a budget of 3
+        set_term_budget(3)
         try:
             with pytest.raises(TermBudgetError):
                 phi_left(BraidWord(3, (1, 2, 1, 2, 1, 2)))

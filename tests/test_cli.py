@@ -145,6 +145,22 @@ class TestSearchVerifyConstruct:
         assert code == 2
         assert "NOT accepted" in out
 
+    def test_verify_rejects_non_finite_fields(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        run(capsys, "ar-search", "--n", "2", "--word", "1 1 1", "--output", str(path))
+        good = jsonio.load_file(str(path))
+        loose = json.loads(json.dumps(good))
+        loose["generators"][0]["re"] += 1e-3
+        loose["tol"] = float("inf")
+        nan_gen = json.loads(json.dumps(good))
+        nan_gen["generators"][0]["re"] = float("nan")
+        for obj, field in ((loose, "tol"), (nan_gen, "generator")):
+            path.write_text(json.dumps(obj))  # the stdlib writes Infinity / NaN
+            code, out, err = run(capsys, "verify", "--cert", str(path))
+            assert code == 1
+            assert "accepted" not in out
+            assert "not finite" in err and field in err
+
     def test_construct_from_files(self, capsys, tmp_path):
         a_path, g_path, out_path = (
             tmp_path / "a.json",

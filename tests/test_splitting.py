@@ -2,14 +2,11 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from augrank.action import phi, phi_star
+from augrank.action import phi
 from augrank.braids import BraidWord, cable, perm
 from augrank.freealg import NCPoly
 from augrank.splitting import (
-    IndexSplit,
     TensorPoly,
-    index_split,
-    join_index,
     psi,
     psi_gen,
     psi_star,
@@ -34,10 +31,7 @@ class TestIndexSplit:
         i = (i - 1) % (k * p) + 1
         q, r = split_index(i, p)
         assert 1 <= q <= k and 1 <= r <= p
-        assert join_index(q, r, p) == i
-        s = index_split(i, p)
-        assert isinstance(s, IndexSplit)
-        assert s.i == (s.q - 1) * p + s.r
+        assert (q - 1) * p + r == i
 
 
 class TestPsiGenerators:
@@ -121,8 +115,8 @@ class TestCableSplitting:
         kp = k * p
         for i in range(1, kp + 1):
             x = a(kp, i, kp + 1, star=True)
-            assert phi_star(cable(BraidWord(k, ()), p), x) == x
-            assert psi_star(x, k, p) == psi_star(phi_star(cable(BraidWord(k, ()), p), x), k, p)
+            assert phi(cable(BraidWord(k, ()), p), x) == x
+            assert psi_star(x, k, p) == psi_star(phi(cable(BraidWord(k, ()), p), x), k, p)
 
     @pytest.mark.parametrize("k,p", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_window_sums_collapse(self, k, p):
