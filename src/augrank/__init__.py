@@ -3,7 +3,8 @@
 Library layout:
 
 - :mod:`augrank.braids` - braid words, permutations, cables, satellites
-- :mod:`augrank.freealg` - exact arithmetic in the free generator algebra
+- :mod:`augrank.freealg` - exact arithmetic in the free generator algebra, on a
+  sparse-polynomial core shared with the tensor products of the splitting map
 - :mod:`augrank.action` - the braid action and its left/right matrices
 - :mod:`augrank.splitting` - the cable-to-tensor splitting homomorphism
 - :mod:`augrank.augment` - residuals, rank, the certificate search, and the
@@ -57,7 +58,6 @@ from .augment import (
     ACCEPT_TOL,
     Certificate,
     ConstructionError,
-    EvidenceReport,
     MuOneError,
     NotFound,
     SolveOptions,

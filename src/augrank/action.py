@@ -119,7 +119,7 @@ def phi_letter(e: int, x: NCPoly) -> NCPoly:
             else:
                 out.pop(m, None)
     _check_budget(len(out), budget)
-    return NCPoly._raw(x.n, x.star, out)
+    return NCPoly._raw(x._amb, out)
 
 
 def phi(beta: BraidWord, x: NCPoly) -> NCPoly:
@@ -140,52 +140,38 @@ class StarDecompositionError(ValueError):
     """A starred polynomial is not a clean module element."""
 
 
-def star_decompose(x: NCPoly) -> dict[int, NCPoly]:
-    """Write a left-module element as {j: coefficient of a_{j,*}}.
+def star_decompose(x: NCPoly, side: str) -> dict[int, NCPoly]:
+    """Write a starred module element as {j: coefficient} over its star generators.
 
-    Every monomial must contain exactly one starred generator, in final
-    position, with the star as its second index; anything else is an internal
-    indexing error and raises.
+    On side "L" (the left module) every monomial must end with a_{j,*} and
+    the coefficient is what stands to its left; on side "R" (the right
+    module) every monomial must start with a_{*,j} and the coefficient is
+    what stands to its right.  A monomial with no star slot, or with a second
+    one, is an internal indexing error and raises.
     """
+    if side not in ("L", "R"):
+        raise ValueError(f"side must be 'L' or 'R', got {side!r}")
     if not x.star:
         raise StarDecompositionError("expected a starred polynomial")
     s = x.n + 1
-    rows: dict[int, dict[Mon, int]] = {}
+    parts: dict[int, dict[Mon, int]] = {}
     for mon, c in x.terms.items():
         if not mon:
             raise StarDecompositionError(f"constant term {c} has no star slot")
-        head, last = mon[:-1], mon[-1]
-        if last[1] != s or last[0] == s:
-            raise StarDecompositionError(f"monomial does not end with a_{{j,*}}: {mon}")
-        if any(s in g for g in head):
+        if side == "L":
+            rest, (j, slot) = mon[:-1], mon[-1]
+        else:
+            (slot, j), rest = mon[0], mon[1:]
+        if slot != s or j == s:
+            shape = "end with a_{j,*}" if side == "L" else "start with a_{*,j}"
+            raise StarDecompositionError(f"monomial does not {shape}: {mon}")
+        if any(s in g for g in rest):
             raise StarDecompositionError(f"extra star inside monomial: {mon}")
-        row = rows.setdefault(last[0], {})
-        row[head] = row.get(head, 0) + c
+        part = parts.setdefault(j, {})
+        part[rest] = part.get(rest, 0) + c
     return {
-        j: NCPoly._raw(x.n, False, {m: c for m, c in terms.items() if c})
-        for j, terms in rows.items()
-    }
-
-
-def star_decompose_right(x: NCPoly) -> dict[int, NCPoly]:
-    """Write a right-module element as {j: coefficient right of a_{*,j}}."""
-    if not x.star:
-        raise StarDecompositionError("expected a starred polynomial")
-    s = x.n + 1
-    cols: dict[int, dict[Mon, int]] = {}
-    for mon, c in x.terms.items():
-        if not mon:
-            raise StarDecompositionError(f"constant term {c} has no star slot")
-        first, tail = mon[0], mon[1:]
-        if first[0] != s or first[1] == s:
-            raise StarDecompositionError(f"monomial does not start with a_{{*,j}}: {mon}")
-        if any(s in g for g in tail):
-            raise StarDecompositionError(f"extra star inside monomial: {mon}")
-        col = cols.setdefault(first[1], {})
-        col[tail] = col.get(tail, 0) + c
-    return {
-        j: NCPoly._raw(x.n, False, {m: c for m, c in terms.items() if c})
-        for j, terms in cols.items()
+        j: NCPoly._raw((x.n, False), {m: c for m, c in terms.items() if c})
+        for j, terms in parts.items()
     }
 
 
@@ -359,7 +345,7 @@ def phi_left_direct(beta: BraidWord) -> PhiMatrix:
     rows = []
     for i in range(1, n + 1):
         img = phi(beta, NCPoly.gen(n, i, n + 1, star=True))
-        coeffs = star_decompose(img)
+        coeffs = star_decompose(img, "L")
         rows.append(tuple(coeffs.get(j, zero) for j in range(1, n + 1)))
     return PhiMatrix(n, "L", tuple(rows))
 
@@ -371,7 +357,7 @@ def phi_right_direct(beta: BraidWord) -> PhiMatrix:
     grid = [[zero] * n for _ in range(n)]
     for i in range(1, n + 1):
         img = phi(beta, NCPoly.gen(n, n + 1, i, star=True))
-        for j, coeff in star_decompose_right(img).items():
+        for j, coeff in star_decompose(img, "R").items():
             grid[j - 1][i - 1] = coeff
     return PhiMatrix(n, "R", tuple(tuple(row) for row in grid))
 

@@ -19,8 +19,10 @@ points at once (every restart of a chunk and its finite differences).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -31,6 +33,7 @@ from .braids import cable, include_bar
 from .action import _letter_step, phi_left
 from .freealg import Assignment, Gen, NCPoly
 from .reporting import CheckReport
+from .splitting import split_gen
 from . import jsonio
 
 ACCEPT_TOL = 1e-9
@@ -55,11 +58,6 @@ def values_to_array(values: Mapping[Gen, complex], n: int) -> np.ndarray:
     for (i, j), val in values.items():
         v[i - 1, j - 1] = val
     return v
-
-
-def array_to_values(v: np.ndarray) -> dict[Gen, complex]:
-    n = v.shape[-1]
-    return {(i, j): complex(v[i - 1, j - 1]) for i, j in gen_order(n)}
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +360,12 @@ def _lm_chunk(
 # ---------------------------------------------------------------------------
 
 
+def _search_obj(record: "Certificate | NotFound", fields: dict) -> dict:
+    """JSON object of a search outcome: the braid, its own fields, then the run settings."""
+    braid = {"n": record.braid.n, "word": list(record.braid.letters)}
+    return {"braid": braid, **fields, "seed": record.seed, "restarts": record.restarts, "tol": record.tol}
+
+
 @dataclass(frozen=True)
 class Certificate:
     """A numeric witness for a maximal-rank augmentation of a braid closure."""
@@ -376,6 +380,8 @@ class Certificate:
     restarts: int
     tol: float
 
+    found = True
+
     @property
     def accepted(self) -> bool:
         return self.residual_L <= self.tol and self.residual_R <= self.tol
@@ -385,19 +391,18 @@ class Certificate:
             {"i": i, "j": j, "re": self.assignment.value(i, j).real, "im": self.assignment.value(i, j).imag}
             for i, j in gen_order(self.braid.n)
         ]
-        return {
-            "braid": {"n": self.braid.n, "word": list(self.braid.letters)},
-            "lambda": {"re": self.assignment.lam.real, "im": self.assignment.lam.imag},
-            "mu": {"re": self.assignment.mu.real, "im": self.assignment.mu.imag},
-            "generators": gens,
-            "residual_L": self.residual_L,
-            "residual_R": self.residual_R,
-            "ideal_residual": self.ideal_residual,
-            "rank": self.rank,
-            "seed": self.seed,
-            "restarts": self.restarts,
-            "tol": self.tol,
-        }
+        return _search_obj(
+            self,
+            {
+                "lambda": {"re": self.assignment.lam.real, "im": self.assignment.lam.imag},
+                "mu": {"re": self.assignment.mu.real, "im": self.assignment.mu.imag},
+                "generators": gens,
+                "residual_L": self.residual_L,
+                "residual_R": self.residual_R,
+                "ideal_residual": self.ideal_residual,
+                "rank": self.rank,
+            },
+        )
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Certificate":
@@ -451,7 +456,11 @@ def _finite_or_none(x: float) -> float | None:
 
 @dataclass(frozen=True)
 class NotFound:
-    """Search outcome when no acceptable point was reached; carries evidence."""
+    """Search outcome when no acceptable point was reached.
+
+    It is statistical evidence of nonexistence, never proof; its JSON says so
+    with ``"label": "evidence-only"``.
+    """
 
     braid: BraidWord
     best_residual: float
@@ -460,16 +469,18 @@ class NotFound:
     tol: float
     residual_summary: dict
 
+    found = False
+
     def to_obj(self) -> dict:
-        return {
-            "braid": {"n": self.braid.n, "word": list(self.braid.letters)},
-            "found": False,
-            "best_residual": _finite_or_none(self.best_residual),
-            "residual_summary": dict(self.residual_summary),
-            "seed": self.seed,
-            "restarts": self.restarts,
-            "tol": self.tol,
-        }
+        return _search_obj(
+            self,
+            {
+                "found": self.found,
+                "label": "evidence-only",
+                "best_residual": _finite_or_none(self.best_residual),
+                "residual_summary": dict(self.residual_summary),
+            },
+        )
 
 
 @dataclass(frozen=True)
@@ -634,17 +645,13 @@ def construct_satellite_aug(
 
     values: dict[Gen, complex] = {}
     for i, j in gen_order(k * p):
-        qi, ri = divmod(i - 1, p)
-        qj, rj = divmod(j - 1, p)
-        qi, ri, qj, rj = qi + 1, ri + 1, qj + 1, rj + 1
-        if qi == qj:
-            values[(i, j)] = delta_val(ri, rj)
-        elif ri == rj:
-            values[(i, j)] = cert_alpha.assignment.value(qi, qj)
-        elif (qi - qj) * (ri - rj) < 0:
+        image = split_gen(i, j, p)
+        if image is None:
             values[(i, j)] = 0j
         else:
-            values[(i, j)] = cert_alpha.assignment.value(qi, qj) * delta_val(ri, rj)
+            factors = [cert_alpha.assignment.value(*g) for g in image[0]]
+            factors += [delta_val(*g) for g in image[1]]
+            values[(i, j)] = functools.reduce(operator.mul, factors)
 
     braid = satellite_braid(alpha, gamma)
     rng = np.random.default_rng(np.random.SeedSequence(0))
@@ -701,60 +708,12 @@ def check_block_structure(n: int, p: int) -> CheckReport:
     )
 
 
-@dataclass(frozen=True)
-class EvidenceReport:
-    """Outcome of a large-budget search, labeled as evidence (never proof)."""
-
-    braid: BraidWord
-    found: bool
-    certificate: Certificate | None
-    best_residual: float
-    residual_summary: dict
-    seed: int
-    restarts: int
-    tol: float
-
-    def to_obj(self) -> dict:
-        obj = {
-            "label": "evidence-only",
-            "braid": {"n": self.braid.n, "word": list(self.braid.letters)},
-            "found": self.found,
-            "best_residual": _finite_or_none(self.best_residual),
-            "residual_summary": dict(self.residual_summary),
-            "seed": self.seed,
-            "restarts": self.restarts,
-            "tol": self.tol,
-        }
-        if self.certificate is not None:
-            obj["certificate"] = self.certificate.to_obj()
-        return obj
-
-
-def nonexistence_search(beta: BraidWord, options: SolveOptions = SolveOptions(restarts=4096)) -> EvidenceReport:
-    """Exhaust a restart budget looking for a certificate; report what happened.
+def nonexistence_search(
+    beta: BraidWord, options: SolveOptions = SolveOptions(restarts=4096)
+) -> Certificate | NotFound:
+    """solve_full_rank with a large default restart budget.
 
     A NotFound outcome is statistical evidence of nonexistence, nothing more;
     a found certificate refutes nonexistence outright.
     """
-    out = solve_full_rank(beta, options)
-    if isinstance(out, Certificate):
-        return EvidenceReport(
-            braid=beta,
-            found=True,
-            certificate=out,
-            best_residual=max(out.residual_L, out.residual_R),
-            residual_summary={},
-            seed=options.seed,
-            restarts=options.restarts,
-            tol=options.tol,
-        )
-    return EvidenceReport(
-        braid=beta,
-        found=False,
-        certificate=None,
-        best_residual=out.best_residual,
-        residual_summary=out.residual_summary,
-        seed=options.seed,
-        restarts=options.restarts,
-        tol=options.tol,
-    )
+    return solve_full_rank(beta, options)

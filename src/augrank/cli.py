@@ -157,6 +157,7 @@ def cmd_ar_search(args) -> int:
             _config_line(cfg),
             f"no certificate found after {args.restarts} restarts",
             f"best residual: {out.best_residual:.6e}",
+            "stops: " + " ".join(f"{k}={v}" for k, v in out.residual_summary["stops"].items()),
         ],
     )
     return 2

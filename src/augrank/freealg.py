@@ -10,10 +10,15 @@ Coefficients are Python ints, so all arithmetic is exact at any size.
 Symbolic products abort with :class:`TermBudgetError` once a result exceeds
 the monomial budget (default 10^6, overridable via the ``KCH_TERM_BUDGET``
 environment variable or :func:`set_term_budget`).
+
+The ring arithmetic is written once, in :class:`SparsePoly`; :class:`NCPoly`
+supplies the free algebra's monomials (words of generators), and
+:class:`augrank.splitting.TensorPoly` supplies pairs of words.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import re
 from dataclasses import dataclass
@@ -61,105 +66,105 @@ def mon_key(mon: Mon) -> tuple:
     return (len(mon), tuple(x for g in mon for x in g))
 
 
-class NCPoly:
-    """An element of the free algebra: a finite int combination of monomials."""
+def check_word(mon, top: int, where: str) -> Mon:
+    """A monomial as a tuple of int pairs; each a_ij needs i != j, both in 1..top."""
+    mon = tuple((int(i), int(j)) for i, j in mon)
+    for i, j in mon:
+        if i == j or not (1 <= i <= top) or not (1 <= j <= top):
+            raise ValueError(f"generator a_{i},{j} invalid {where}")
+    return mon
 
-    __slots__ = ("n", "star", "_terms")
 
-    def __init__(self, n: int, terms: Mapping[Mon, int] | None = None, *, star: bool = False):
-        if n < 1:
-            raise ValueError(f"ambient size must be >= 1, got {n}")
-        clean: dict[Mon, int] = {}
-        if terms:
-            top = n + 1 if star else n
-            for mon, c in terms.items():
-                if c == 0:
-                    continue
-                mon = tuple((int(i), int(j)) for i, j in mon)
-                for i, j in mon:
-                    if i == j or not (1 <= i <= top) or not (1 <= j <= top):
-                        raise ValueError(
-                            f"generator a_{i},{j} invalid in ambient {n}"
-                            f"{'+star' if star else ''}"
-                        )
-                clean[mon] = clean.get(mon, 0) + int(c)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "star", star)
+def conj_word(mon: Mon) -> Mon:
+    """Reverse the word and swap each a_ij to a_ji."""
+    return tuple((j, i) for i, j in reversed(mon))
+
+
+def word_text(mon: Mon, star: int = 0) -> str:
+    """Generators joined by '*': a12, or a10,11 past one digit; index ``star`` prints as s."""
+
+    def part(t: int) -> str:
+        return "s" if t == star else str(t)
+
+    gens = []
+    for i, j in mon:
+        si, sj = part(i), part(j)
+        gens.append(f"a{si}{sj}" if len(si) == 1 and len(sj) == 1 else f"a{si},{sj}")
+    return "*".join(gens)
+
+
+class SparsePoly:
+    """A finite integer combination of monomials: the ring core of NCPoly and TensorPoly.
+
+    A value is immutable and carries an ambient ``_amb`` (a tuple); operands
+    of a sum or product must share it.  Terms live in a dict from monomial to
+    nonzero coefficient.  A subclass supplies what depends on its monomials:
+    ``_unit`` (the empty monomial), ``_check_mon`` (validate and normalise a
+    monomial for an ambient), ``_cat`` (the monomial product), ``_conj_mon``
+    (conjugation), and ``_mon_key``/``_mon_text`` (render order and text).
+    """
+
+    __slots__ = ("_amb", "_terms")
+    _unit: tuple = ()
+
+    def _init(self, amb: tuple, terms: Mapping | None) -> None:
+        clean: dict = {}
+        for mon, c in (terms or {}).items():
+            if c == 0:
+                continue
+            mon = self._check_mon(amb, mon)
+            clean[mon] = clean.get(mon, 0) + int(c)
+        object.__setattr__(self, "_amb", amb)
         object.__setattr__(self, "_terms", {m: c for m, c in clean.items() if c != 0})
 
     @classmethod
-    def _raw(cls, n: int, star: bool, terms: dict[Mon, int]) -> "NCPoly":
+    def _raw(cls, amb: tuple, terms: dict):
         # Internal fast path: terms are assumed validated and zero-free.
         self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "star", star)
+        object.__setattr__(self, "_amb", amb)
         object.__setattr__(self, "_terms", terms)
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("NCPoly is immutable")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int, *, star: bool = False) -> "NCPoly":
-        return cls._raw(n, star, {})
-
-    @classmethod
-    def one(cls, n: int, *, star: bool = False) -> "NCPoly":
-        return cls._raw(n, star, {(): 1})
-
-    @classmethod
-    def const(cls, n: int, c: int, *, star: bool = False) -> "NCPoly":
-        return cls._raw(n, star, {(): int(c)} if c else {})
-
-    @classmethod
-    def gen(cls, n: int, i: int, j: int, *, star: bool = False) -> "NCPoly":
-        return cls(n, {((i, j),): 1}, star=star)
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- structure ---------------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[Mon, int]:
+    def terms(self) -> Mapping:
         return MappingProxyType(self._terms)
 
-    def sorted_terms(self) -> list[tuple[Mon, int]]:
-        return sorted(self._terms.items(), key=lambda mc: mon_key(mc[0]))
+    def sorted_terms(self) -> list:
+        key = self._mon_key
+        return sorted(self._terms.items(), key=lambda mc: key(mc[0]))
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {(): 1}
+        return self._terms == {self._unit: 1}
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, NCPoly):
+        if type(other) is not type(self):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.star == other.star
-            and self._terms == other._terms
-        )
+        return self._amb == other._amb and self._terms == other._terms
 
     __hash__ = None  # mutable-dict backed; not hashable
 
-    def _require_compatible(self, other: "NCPoly") -> None:
-        if self.n != other.n or self.star != other.star:
-            raise ValueError(
-                f"ambient mismatch: {self.n}{'+star' if self.star else ''} vs "
-                f"{other.n}{'+star' if other.star else ''}"
-            )
+    def _require_compatible(self, other: "SparsePoly") -> None:
+        if self._amb != other._amb:
+            raise ValueError(f"ambient mismatch: {self._amb} vs {other._amb}")
 
     # -- ring operations ---------------------------------------------------
 
-    def _combine(self, other, sign: int) -> "NCPoly":
+    def _combine(self, other, sign: int):
         # self + sign * other in one pass
         if isinstance(other, int):
-            other = NCPoly.const(self.n, other, star=self.star)
-        if not isinstance(other, NCPoly):
+            other = self._raw(self._amb, {self._unit: other} if other else {})
+        if type(other) is not type(self):
             return NotImplemented
         self._require_compatible(other)
         terms = dict(self._terms)
@@ -170,58 +175,134 @@ class NCPoly:
             else:
                 terms.pop(mon, None)
         _check_budget(len(terms))
-        return NCPoly._raw(self.n, self.star, terms)
+        return self._raw(self._amb, terms)
 
-    def __add__(self, other) -> "NCPoly":
+    def __add__(self, other):
         return self._combine(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "NCPoly":
-        return NCPoly._raw(self.n, self.star, {m: -c for m, c in self._terms.items()})
+    def __neg__(self):
+        return self._raw(self._amb, {m: -c for m, c in self._terms.items()})
 
-    def __sub__(self, other) -> "NCPoly":
+    def __sub__(self, other):
         return self._combine(other, -1)
 
-    def __rsub__(self, other) -> "NCPoly":
+    def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other) -> "NCPoly":
+    def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return NCPoly.zero(self.n, star=self.star)
-            return NCPoly._raw(self.n, self.star, {m: c * other for m, c in self._terms.items()})
-        if not isinstance(other, NCPoly):
+            terms = {m: c * other for m, c in self._terms.items()} if other else {}
+            return self._raw(self._amb, terms)
+        if type(other) is not type(self):
             return NotImplemented
         self._require_compatible(other)
+        cat = self._cat
         budget = term_budget()
-        terms: dict[Mon, int] = {}
+        terms: dict = {}
         for m1, c1 in self._terms.items():
             # abort before the term map grows far past the budget
             _check_budget(len(terms), budget)
             for m2, c2 in other._terms.items():
-                mon = m1 + m2
+                mon = cat(m1, m2)
                 acc = terms.get(mon, 0) + c1 * c2
                 if acc:
                     terms[mon] = acc
                 else:
                     terms.pop(mon, None)
         _check_budget(len(terms), budget)
-        return NCPoly._raw(self.n, self.star, terms)
+        return self._raw(self._amb, terms)
 
-    def __rmul__(self, other) -> "NCPoly":
+    def __rmul__(self, other):
         if isinstance(other, int):
             return self * other
         return NotImplemented
 
-    # -- conjugation and evaluation -----------------------------------------
-
-    def conjugate(self) -> "NCPoly":
+    def conjugate(self):
         """The Z-linear anti-automorphism: reverse each word, swap each a_ij to a_ji."""
-        terms = {
-            tuple((j, i) for i, j in reversed(mon)): c for mon, c in self._terms.items()
-        }
-        return NCPoly._raw(self.n, self.star, terms)
+        conj = self._conj_mon
+        return self._raw(self._amb, {conj(mon): c for mon, c in self._terms.items()})
+
+    # -- text form -----------------------------------------------------------
+
+    def render(self) -> str:
+        if not self._terms:
+            return "0"
+        out = ""
+        for mon, c in self.sorted_terms():
+            body = self._mon_text(mon)
+            mag = abs(c)
+            if not body:
+                text = str(mag)
+            elif mag == 1:
+                text = body
+            else:
+                text = f"{mag}*{body}"
+            if out:
+                out += (" - " if c < 0 else " + ") + text
+            else:
+                out = ("-" if c < 0 else "") + text
+        return out
+
+    def __str__(self) -> str:
+        return self.render()
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self.render()}>"
+
+
+class NCPoly(SparsePoly):
+    """An element of the free algebra: a finite int combination of monomials."""
+
+    __slots__ = ()
+    _cat = staticmethod(operator.add)
+    _conj_mon = staticmethod(conj_word)
+    _mon_key = staticmethod(mon_key)
+
+    def __init__(self, n: int, terms: Mapping[Mon, int] | None = None, *, star: bool = False):
+        if n < 1:
+            raise ValueError(f"ambient size must be >= 1, got {n}")
+        self._init((n, star), terms)
+
+    @staticmethod
+    def _check_mon(amb: tuple[int, bool], mon) -> Mon:
+        n, star = amb
+        return check_word(mon, n + 1 if star else n, f"in ambient {n}{'+star' if star else ''}")
+
+    def _mon_text(self, mon: Mon) -> str:
+        return word_text(mon, self.n + 1 if self.star else 0)
+
+    # NCPoly's sum and product are bound in its own namespace, apart from
+    # TensorPoly's: perfbench/layers.py wraps them through vars(NCPoly).
+    __add__ = __radd__ = SparsePoly.__add__
+    __mul__ = SparsePoly.__mul__
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def zero(cls, n: int, *, star: bool = False) -> "NCPoly":
+        return cls._raw((n, star), {})
+
+    @classmethod
+    def one(cls, n: int, *, star: bool = False) -> "NCPoly":
+        return cls._raw((n, star), {(): 1})
+
+    @classmethod
+    def const(cls, n: int, c: int, *, star: bool = False) -> "NCPoly":
+        return cls._raw((n, star), {(): int(c)} if c else {})
+
+    @classmethod
+    def gen(cls, n: int, i: int, j: int, *, star: bool = False) -> "NCPoly":
+        return cls(n, {((i, j),): 1}, star=star)
+
+    @property
+    def n(self) -> int:
+        return self._amb[0]
+
+    @property
+    def star(self) -> bool:
+        return self._amb[1]
 
     def evaluate(self, values: Mapping[Gen, complex]) -> complex:
         """Substitute complex values for the generators and multiply out."""
@@ -235,44 +316,6 @@ class NCPoly:
                     raise ValueError(f"no value assigned to generator a_{g[0]},{g[1]}") from None
             total += prod
         return total
-
-    # -- text form -----------------------------------------------------------
-
-    def _gen_str(self, g: Gen) -> str:
-        def part(t: int) -> str:
-            if self.star and t == self.n + 1:
-                return "s"
-            return str(t)
-
-        si, sj = part(g[0]), part(g[1])
-        if len(si) == 1 and len(sj) == 1:
-            return f"a{si}{sj}"
-        return f"a{si},{sj}"
-
-    def render(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for mon, c in self.sorted_terms():
-            body = "*".join(self._gen_str(g) for g in mon)
-            mag = abs(c)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            pieces.append((c < 0, text))
-        out = ("-" if pieces[0][0] else "") + pieces[0][1]
-        for negative, text in pieces[1:]:
-            out += (" - " if negative else " + ") + text
-        return out
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"<NCPoly {self.render()}>"
 
 
 _GEN_RE = re.compile(r"a(?:([0-9s])([0-9s])|([0-9]+|s),([0-9]+|s))$")

@@ -17,7 +17,6 @@ exactly and report per-entry differences.
 
 from __future__ import annotations
 
-from types import MappingProxyType
 from typing import Mapping
 
 from .action import (
@@ -29,7 +28,7 @@ from .action import (
     sum_desc,
 )
 from .braids import BraidWord, cable
-from .freealg import Mon, NCPoly, _check_budget, mon_key, term_budget
+from .freealg import Mon, NCPoly, SparsePoly, check_word, conj_word, mon_key, word_text
 from .reporting import CheckReport
 
 
@@ -42,159 +41,50 @@ def split_index(i: int, p: int) -> tuple[int, int]:
 TensorMon = tuple[Mon, Mon]
 
 
-class TensorPoly:
-    """An element of (algebra on k) tensor (algebra on p), over the integers."""
+class TensorPoly(SparsePoly):
+    """An element of (algebra on k) tensor (algebra on p), over the integers.
 
-    __slots__ = ("k", "p", "_terms")
+    A monomial is a pair of words, one per tensor factor; the ring arithmetic
+    is :class:`augrank.freealg.SparsePoly`'s, applied factorwise.
+    """
+
+    __slots__ = ()
+    _unit = ((), ())
+    _cat = staticmethod(lambda m1, m2: (m1[0] + m2[0], m1[1] + m2[1]))
+    _conj_mon = staticmethod(lambda mon: (conj_word(mon[0]), conj_word(mon[1])))
+    _mon_key = staticmethod(lambda mon: (mon_key(mon[0]), mon_key(mon[1])))
 
     def __init__(self, k: int, p: int, terms: Mapping[TensorMon, int] | None = None):
         if k < 1 or p < 1:
             raise ValueError("tensor factor sizes must be >= 1")
-        clean: dict[TensorMon, int] = {}
-        if terms:
-            for (ma, mb), c in terms.items():
-                if c == 0:
-                    continue
-                ma = tuple((int(i), int(j)) for i, j in ma)
-                mb = tuple((int(i), int(j)) for i, j in mb)
-                for i, j in ma:
-                    if i == j or not (1 <= i <= k) or not (1 <= j <= k):
-                        raise ValueError(f"left factor a_{i},{j} invalid for size {k}")
-                for i, j in mb:
-                    if i == j or not (1 <= i <= p) or not (1 <= j <= p):
-                        raise ValueError(f"right factor a_{i},{j} invalid for size {p}")
-                key = (ma, mb)
-                clean[key] = clean.get(key, 0) + int(c)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_terms", {t: c for t, c in clean.items() if c != 0})
+        self._init((k, p), terms)
 
-    @classmethod
-    def _raw(cls, k: int, p: int, terms: dict[TensorMon, int]) -> "TensorPoly":
-        self = object.__new__(cls)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_terms", terms)
-        return self
+    @staticmethod
+    def _check_mon(amb: tuple[int, int], mon) -> TensorMon:
+        (k, p), (ma, mb) = amb, mon
+        return (
+            check_word(ma, k, f"in the left factor of size {k}"),
+            check_word(mb, p, f"in the right factor of size {p}"),
+        )
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("TensorPoly is immutable")
+    def _mon_text(self, mon: TensorMon) -> str:
+        return f"{word_text(mon[0]) or '1'}(x){word_text(mon[1]) or '1'}"
 
     @classmethod
     def zero(cls, k: int, p: int) -> "TensorPoly":
-        return cls._raw(k, p, {})
+        return cls._raw((k, p), {})
 
     @classmethod
     def one(cls, k: int, p: int) -> "TensorPoly":
-        return cls._raw(k, p, {((), ()): 1})
+        return cls._raw((k, p), {((), ()): 1})
 
     @property
-    def terms(self) -> Mapping[TensorMon, int]:
-        return MappingProxyType(self._terms)
+    def k(self) -> int:
+        return self._amb[0]
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        return self.k == other.k and self.p == other.p and self._terms == other._terms
-
-    __hash__ = None
-
-    def _require_compatible(self, other: "TensorPoly") -> None:
-        if self.k != other.k or self.p != other.p:
-            raise ValueError("tensor shape mismatch")
-
-    def _combine(self, other, sign: int) -> "TensorPoly":
-        # self + sign * other in one pass
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        self._require_compatible(other)
-        terms = dict(self._terms)
-        for t, c in other._terms.items():
-            acc = terms.get(t, 0) + sign * c
-            if acc:
-                terms[t] = acc
-            else:
-                terms.pop(t, None)
-        _check_budget(len(terms))
-        return TensorPoly._raw(self.k, self.p, terms)
-
-    def __add__(self, other) -> "TensorPoly":
-        return self._combine(other, 1)
-
-    def __neg__(self) -> "TensorPoly":
-        return TensorPoly._raw(self.k, self.p, {t: -c for t, c in self._terms.items()})
-
-    def __sub__(self, other) -> "TensorPoly":
-        return self._combine(other, -1)
-
-    def __mul__(self, other) -> "TensorPoly":
-        if isinstance(other, int):
-            if other == 0:
-                return TensorPoly.zero(self.k, self.p)
-            return TensorPoly._raw(self.k, self.p, {t: c * other for t, c in self._terms.items()})
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        self._require_compatible(other)
-        budget = term_budget()
-        terms: dict[TensorMon, int] = {}
-        for (a1, b1), c1 in self._terms.items():
-            _check_budget(len(terms), budget)
-            for (a2, b2), c2 in other._terms.items():
-                key = (a1 + a2, b1 + b2)
-                acc = terms.get(key, 0) + c1 * c2
-                if acc:
-                    terms[key] = acc
-                else:
-                    terms.pop(key, None)
-        _check_budget(len(terms), budget)
-        return TensorPoly._raw(self.k, self.p, terms)
-
-    def __rmul__(self, other) -> "TensorPoly":
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def conjugate(self) -> "TensorPoly":
-        """Conjugation applied to each tensor factor."""
-        conj = lambda mon: tuple((j, i) for i, j in reversed(mon))
-        return TensorPoly._raw(
-            self.k, self.p, {(conj(a), conj(b)): c for (a, b), c in self._terms.items()}
-        )
-
-    def render(self) -> str:
-        if not self._terms:
-            return "0"
-
-        def side(mon: Mon, size: int) -> str:
-            if not mon:
-                return "1"
-            return "*".join(
-                f"a{i}{j}" if i <= 9 and j <= 9 else f"a{i},{j}" for i, j in mon
-            )
-
-        items = sorted(self._terms.items(), key=lambda tc: (mon_key(tc[0][0]), mon_key(tc[0][1])))
-        pieces = []
-        for (ma, mb), c in items:
-            body = f"{side(ma, self.k)}(x){side(mb, self.p)}"
-            mag = abs(c)
-            text = body if mag == 1 else f"{mag}*{body}"
-            pieces.append((c < 0, text))
-        out = ("-" if pieces[0][0] else "") + pieces[0][1]
-        for negative, text in pieces[1:]:
-            out += (" - " if negative else " + ") + text
-        return out
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"<TensorPoly {self.render()}>"
+    @property
+    def p(self) -> int:
+        return self._amb[1]
 
 
 def tensor_embed_left(x: NCPoly, p: int) -> TensorPoly:
@@ -211,19 +101,23 @@ def tensor_embed_right(x: NCPoly, k: int) -> TensorPoly:
     return TensorPoly(k, x.n, {((), mon): c for mon, c in x.terms.items()})
 
 
-def psi_gen(i: int, j: int, k: int, p: int) -> TensorPoly:
-    """Image of the generator a_ij of the kp-strand algebra."""
-    if i == j or not (1 <= i <= k * p) or not (1 <= j <= k * p):
-        raise ValueError(f"a_{i},{j} is not a generator for kp = {k * p}")
+def split_gen(i: int, j: int, p: int) -> TensorMon | None:
+    """The image of a_ij as (block word, offset word), or None where it is 0.
+
+    Each word has at most one generator: the block part a_{q_i q_j} unless
+    i and j share a block, the offset part a_{r_i r_j} unless they share an
+    offset.
+    """
     qi, ri = split_index(i, p)
     qj, rj = split_index(j, p)
-    if qi == qj:
-        return TensorPoly(k, p, {((), ((ri, rj),)): 1})
-    if ri == rj:
-        return TensorPoly(k, p, {((((qi, qj),)), ()): 1})
     if (qi - qj) * (ri - rj) < 0:
-        return TensorPoly.zero(k, p)
-    return TensorPoly(k, p, {(((qi, qj),), ((ri, rj),)): 1})
+        return None
+    return (((qi, qj),) if qi != qj else (), ((ri, rj),) if ri != rj else ())
+
+
+def psi_gen(i: int, j: int, k: int, p: int) -> TensorPoly:
+    """Image of the generator a_ij of the kp-strand algebra."""
+    return psi(NCPoly.gen(k * p, i, j), k, p)
 
 
 def psi(x: NCPoly, k: int, p: int) -> TensorPoly:
@@ -234,31 +128,21 @@ def psi(x: NCPoly, k: int, p: int) -> TensorPoly:
         raise ValueError(f"ambient {x.n} is not kp = {k * p}")
     terms: dict[TensorMon, int] = {}
     for mon, c in x.terms.items():
-        ma: list[tuple[int, int]] = []
-        mb: list[tuple[int, int]] = []
-        dead = False
+        ma: Mon = ()
+        mb: Mon = ()
         for i, j in mon:
-            qi, ri = split_index(i, p)
-            qj, rj = split_index(j, p)
-            if qi == qj:
-                mb.append((ri, rj))
-            elif ri == rj:
-                ma.append((qi, qj))
-            elif (qi - qj) * (ri - rj) < 0:
-                dead = True
+            image = split_gen(i, j, p)
+            if image is None:
                 break
-            else:
-                ma.append((qi, qj))
-                mb.append((ri, rj))
-        if dead:
-            continue
-        key = (tuple(ma), tuple(mb))
-        acc = terms.get(key, 0) + c
-        if acc:
-            terms[key] = acc
+            ma, mb = ma + image[0], mb + image[1]
         else:
-            terms.pop(key, None)
-    return TensorPoly._raw(k, p, terms)
+            key = (ma, mb)
+            acc = terms.get(key, 0) + c
+            if acc:
+                terms[key] = acc
+            else:
+                terms.pop(key, None)
+    return TensorPoly._raw((k, p), terms)
 
 
 def psi_star(x: NCPoly, k: int, p: int) -> dict[tuple[int, int], TensorPoly]:
@@ -271,7 +155,7 @@ def psi_star(x: NCPoly, k: int, p: int) -> dict[tuple[int, int], TensorPoly]:
     if x.n != k * p:
         raise ValueError(f"ambient {x.n} is not kp = {k * p}")
     out: dict[tuple[int, int], TensorPoly] = {}
-    for i, coeff in star_decompose(x).items():
+    for i, coeff in star_decompose(x, "L").items():
         key = split_index(i, p)
         image = psi(coeff, k, p)
         if key in out:
@@ -328,7 +212,7 @@ def verify_commutes(n_gen: int, k: int, p: int) -> CheckReport:
         lhs = psi_star(phi(cabled, NCPoly.gen(kp, i, kp + 1, star=True)), k, p)
         small = phi(sigma, NCPoly.gen(k, qi, k + 1, star=True))
         rhs: dict[tuple[int, int], TensorPoly] = {}
-        for l, coeff in star_decompose(small).items():
+        for l, coeff in star_decompose(small, "L").items():
             emb = tensor_embed_left(coeff, p)
             if not emb.is_zero():
                 rhs[(l, ri)] = emb

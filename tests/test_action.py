@@ -15,7 +15,6 @@ from augrank.action import (
     phi_right,
     phi_right_direct,
     star_decompose,
-    star_decompose_right,
     sum_asc,
     sum_crossing,
     sum_desc,
@@ -101,18 +100,28 @@ class TestStarAction:
 
     def test_star_decompose_validates(self):
         with pytest.raises(StarDecompositionError):
-            star_decompose(NCPoly.one(2, star=True))
+            star_decompose(NCPoly.one(2, star=True), "L")
         with pytest.raises(StarDecompositionError):
-            star_decompose(a(2, 1, 2, star=True))  # no star slot at the end
+            star_decompose(a(2, 1, 2, star=True), "L")  # no star slot at the end
         bad = a(2, 1, 3, star=True) * a(2, 3, 2, star=True)  # star not final
         with pytest.raises(StarDecompositionError):
-            star_decompose(bad)
+            star_decompose(bad, "L")
         with pytest.raises(StarDecompositionError):
-            star_decompose_right(a(2, 1, 3, star=True))
+            star_decompose(a(2, 1, 3, star=True), "R")
+        with pytest.raises(StarDecompositionError):
+            star_decompose(NCPoly.one(2, star=True), "R")
+        with pytest.raises(StarDecompositionError):
+            star_decompose(a(2, 1, 2, star=True), "R")  # no star slot at the start
+        bad = a(2, 3, 1, star=True) * a(2, 2, 3, star=True)  # second star inside
+        with pytest.raises(StarDecompositionError):
+            star_decompose(bad, "R")
+        for side in "LR":
+            with pytest.raises(StarDecompositionError):
+                star_decompose(a(2, 1, 2), side)  # not starred
 
     def test_star_decompose_reads_rows(self):
         x = a(2, 2, 1, star=True) * a(2, 1, 3, star=True) - 2 * a(2, 2, 3, star=True)
-        coeffs = star_decompose(x)
+        coeffs = star_decompose(x, "L")
         assert coeffs[1] == a(2, 2, 1)
         assert coeffs[2] == NCPoly.const(2, -2)
 

@@ -402,14 +402,13 @@ class TestNonexistenceSearch:
     def test_control_finds_certificate(self):
         report = nonexistence_search(TREFOIL, SolveOptions(restarts=16, seed=0))
         assert report.found
-        assert report.certificate is not None
-        assert report.to_obj()["label"] == "evidence-only"
+        assert isinstance(report, Certificate)
 
     def test_control_rank4_satellite_found(self):
         beta = satellite_braid(BraidWord(2, (1,) * 5), BraidWord(2, (1,)))
         report = nonexistence_search(beta, SolveOptions(restarts=64, seed=0))
         assert report.found
-        assert report.certificate.rank == 4
+        assert report.rank == 4
 
     def test_blocked_satellite_reports_evidence(self):
         beta = satellite_braid(TREFOIL, BraidWord(2, (1,)))

@@ -126,6 +126,38 @@ class TestSearchVerifyConstruct:
         assert obj["best_residual"] > 1e-3
         assert jsonio.load_file(str(path))["found"] is False
 
+    def test_readme_evidence_pipeline(self, capsys):
+        code, out, _ = run(
+            capsys, "satellite", "--iterated-torus", "--p", "2,2", "--q", "3,1", "--format", "json"
+        )
+        assert code == 0
+        braid = json.loads(out)["braid"]
+        word = " ".join(str(e) for e in braid["word"])
+        assert word == "2 1 3 2 2 1 3 2 2 1 3 2 1"
+        code, out, _ = run(
+            capsys,
+            "ar-search", "--n", str(braid["n"]), "--word", word,
+            "--restarts", "8", "--format", "json",
+        )
+        assert code == 2
+        obj = json.loads(out)
+        assert obj["found"] is False
+        assert obj["label"] == "evidence-only"
+        assert obj["residual_summary"]["count"] == 8
+
+    def test_not_found_text_names_stop_reasons(self, capsys):
+        # T(2,601) has a maximal-rank augmentation; the plain residual overflows
+        # from some starts, and the text must not read as a bare residual floor
+        code, out, _ = run(
+            capsys, "ar-search", "--n", "2", "--word", " ".join(["1"] * 601), "--restarts", "4"
+        )
+        assert code == 2
+        line = next(line for line in out.splitlines() if line.startswith("stops: "))
+        stops = dict(item.split("=") for item in line.split()[1:])
+        assert set(stops) == {"floor", "no_descent", "damping_overflow", "max_iter", "non_finite"}
+        assert sum(int(v) for v in stops.values()) == 4
+        assert int(stops["non_finite"]) >= 1
+
     def test_verify_accepts_good_certificate(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
         run(capsys, "ar-search", "--n", "2", "--word", "1 1 1", "--output", str(path))

@@ -10,6 +10,7 @@ from augrank.freealg import (
     set_term_budget,
     term_budget,
 )
+from augrank.splitting import TensorPoly
 
 from strategies import nc_polys
 
@@ -44,6 +45,13 @@ class TestRing:
         with pytest.raises(ValueError):
             NCPoly.gen(2, 1, 1)
         assert NCPoly.gen(2, 1, 3, star=True)  # star slot legal when flagged
+        with pytest.raises(ValueError):
+            TensorPoly(2, 3, {(((1, 3),), ()): 1})  # left factor has 2 strands
+        with pytest.raises(ValueError):
+            TensorPoly(3, 2, {((), ((1, 3),)): 1})  # right factor has 2 strands
+        with pytest.raises(ValueError):
+            TensorPoly(2, 2, {(((1, 1),), ((1, 2),)): 1})
+        assert TensorPoly(2, 3, {(((1, 2),), ((1, 3),)): 1})
 
     @given(nc_polys(n=3), nc_polys(n=3), nc_polys(n=3))
     def test_ring_axioms(self, x, y, z):
@@ -171,9 +179,12 @@ class TestTermBudget:
     def test_budget_error(self):
         set_term_budget(3)
         try:
-            x = a(2, 1, 2) + a(2, 2, 1) + 1
-            with pytest.raises(TermBudgetError, match="budget"):
-                x * x
+            for x in (
+                a(2, 1, 2) + a(2, 2, 1) + 1,
+                TensorPoly(2, 2, {(((1, 2),), ()): 1, ((), ((2, 1),)): 1, ((), ()): 1}),
+            ):
+                with pytest.raises(TermBudgetError, match="budget"):
+                    x * x
         finally:
             set_term_budget(None)
 
