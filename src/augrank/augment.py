@@ -362,8 +362,8 @@ def _lm_chunk(
 
 def _search_obj(record: "Certificate | NotFound", fields: dict) -> dict:
     """JSON object of a search outcome: the braid, its own fields, then the run settings."""
-    braid = {"n": record.braid.n, "word": list(record.braid.letters)}
-    return {"braid": braid, **fields, "seed": record.seed, "restarts": record.restarts, "tol": record.tol}
+    settings = {"seed": record.seed, "restarts": record.restarts, "tol": record.tol}
+    return {"braid": record.braid.to_obj(), **fields, **settings}
 
 
 @dataclass(frozen=True)
@@ -385,6 +385,27 @@ class Certificate:
     @property
     def accepted(self) -> bool:
         return self.residual_L <= self.tol and self.residual_R <= self.tol
+
+    @classmethod
+    def measure(
+        cls, beta: BraidWord, eps: Assignment, seed: int, restarts: int, tol: float
+    ) -> "Certificate":
+        """The certificate of eps for beta, its residuals and rank computed from one fold."""
+        if eps.n != beta.n:
+            raise ValueError("assignment ambient mismatch")
+        ml, mr = eval_phi_matrices(beta, values_to_array(eps.values, beta.n))
+        res_l, res_r = _sign_errors(beta, ml, mr)
+        return cls(
+            braid=beta,
+            assignment=eps,
+            residual_L=res_l,
+            residual_R=res_r,
+            ideal_residual=_relation_error(beta, eps, ml, mr),
+            rank=aug_rank(eps, beta.n),
+            seed=seed,
+            restarts=restarts,
+            tol=tol,
+        )
 
     def to_obj(self) -> dict:
         gens = [
@@ -416,7 +437,7 @@ class Certificate:
             return complex(num(x["re"], f"{field}.re"), num(x["im"], f"{field}.im"))
 
         try:
-            braid = BraidWord(int(obj["braid"]["n"]), tuple(int(e) for e in obj["braid"]["word"]))
+            braid = BraidWord.from_obj(obj["braid"])
             values = {
                 (int(g["i"]), int(g["j"])): cnum(g, f"generator a_{g['i']},{g['j']}")
                 for g in obj["generators"]
@@ -521,7 +542,7 @@ def _certificate_from_values(
     restarts: int,
     tol: float,
 ) -> Certificate:
-    """Complete generator values to a certificate, folding the word once.
+    """Complete generator values to a measured certificate.
 
     Every nonzero mu != 1 extends a solution of the sign-matrix equations:
     lambda = (-1)^w mu^-w zeroes both relation families, with mu drawn from rng.
@@ -529,19 +550,7 @@ def _certificate_from_values(
     w = writhe(beta)
     mu = _sample_mu(rng)
     eps = Assignment(beta.n, values, (-1) ** (w % 2) * mu ** (-w), mu)
-    ml, mr = eval_phi_matrices(beta, values_to_array(values, beta.n))
-    res_l, res_r = _sign_errors(beta, ml, mr)
-    return Certificate(
-        braid=beta,
-        assignment=eps,
-        residual_L=res_l,
-        residual_R=res_r,
-        ideal_residual=_relation_error(beta, eps, ml, mr),
-        rank=aug_rank(eps, beta.n),
-        seed=seed,
-        restarts=restarts,
-        tol=tol,
-    )
+    return Certificate.measure(beta, eps, seed, restarts, tol)
 
 
 def solve_full_rank(beta: BraidWord, options: SolveOptions = SolveOptions()) -> Certificate | NotFound:
@@ -623,17 +632,23 @@ def construct_satellite_aug(
 
     The generator values are read off through the splitting homomorphism: the
     companion certificate feeds the block part, the pattern certificate (sign
-    twisted when the companion writhe is odd) feeds the offset part.  The
-    result is verified against the sign-matrix equations and must pass; a
-    failure indicates an internal convention bug, not bad input.
+    twisted when the companion writhe is odd) feeds the offset part.  Each
+    factor is measured afresh against tol, whatever residuals and tol it
+    stores, and a factor that fails is bad input (ValueError).  The result is
+    verified the same way and must pass; a failure there indicates an internal
+    convention bug.
     """
     alpha, gamma = cert_alpha.braid, cert_gamma.braid
     k, p = alpha.n, gamma.n
     for name, cert in (("companion", cert_alpha), ("pattern", cert_gamma)):
-        if not cert.accepted:
-            raise ValueError(f"{name} certificate is not accepted")
         if component_count(cert.braid) != 1:
             raise ValueError(f"{name} closure is not a knot")
+        rec = Certificate.measure(cert.braid, cert.assignment, cert.seed, cert.restarts, tol)
+        if not rec.accepted:
+            raise ValueError(
+                f"{name} certificate is not accepted: recomputed residuals "
+                f"({rec.residual_L:.3e}, {rec.residual_R:.3e}) over {tol:g}"
+            )
 
     if writhe(alpha) % 2 == 0:
         g = {i: 1 for i in range(1, p + 1)}
@@ -681,31 +696,27 @@ def check_block_structure(n: int, p: int) -> CheckReport:
     if n < 2 or p < 1:
         raise ValueError("need n >= 2 and p >= 1")
     np_total = n * p
-    diffs: list[dict] = []
+    report = CheckReport(
+        claim="cabled ascending-word block structure and pattern row",
+        parameters={"n": n, "p": p},
+    )
     big = phi_left(cable(tau_word(1, n - 1, n), p))
-
-    def expect(claim: str, i: int, j: int, got: NCPoly, want: NCPoly) -> None:
-        if got != want:
-            diffs.append({"claim": claim, "i": i, "j": j, "lhs": got.render(), "rhs": want.render()})
-
     one, zero = NCPoly.one(np_total), NCPoly.zero(np_total)
     for i in range(1, (n - 1) * p + 1):
         for j in range(p + 1, np_total + 1):
-            expect("a", i, j, big.at(i, j), one if j - p == i else zero)
+            report.compare(big.at(i, j), one if j - p == i else zero, claim="a", i=i, j=j)
     for s in range(1, p + 1):
         for t in range(1, p + 1):
-            expect("b", (n - 1) * p + s, t, big.at((n - 1) * p + s, t), one if s == t else zero)
+            i = (n - 1) * p + s
+            report.compare(big.at(i, t), one if s == t else zero, claim="b", i=i, j=t)
     for s in range(1, p + 1):
         for j in range(p + 1, np_total + 1):
-            expect("c", (n - 1) * p + s, j, big.at((n - 1) * p + s, j), zero)
+            i = (n - 1) * p + s
+            report.compare(big.at(i, j), zero, claim="c", i=i, j=j)
     pattern = phi_left(include_bar(tau_word(1, p - 1, p), np_total))
     for j in range(1, np_total + 1):
-        expect("d", p, j, pattern.at(p, j), one if j == 1 else zero)
-    return CheckReport(
-        claim="cabled ascending-word block structure and pattern row",
-        parameters={"n": n, "p": p},
-        diffs=diffs,
-    )
+        report.compare(pattern.at(p, j), one if j == 1 else zero, claim="d", i=p, j=j)
+    return report
 
 
 def nonexistence_search(

@@ -39,6 +39,14 @@ class BraidWord:
     def to_text(self) -> str:
         return " ".join(str(e) for e in self.letters)
 
+    def to_obj(self) -> dict:
+        """The JSON form ``{"n": n, "word": [letters]}`` used by every record."""
+        return {"n": self.n, "word": list(self.letters)}
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> "BraidWord":
+        return cls(int(obj["n"]), tuple(int(e) for e in obj["word"]))
+
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if not isinstance(other, BraidWord):
             return NotImplemented

@@ -116,7 +116,7 @@ def check_braid_relations(n: int) -> CheckReport:
 
 def check_tau_forms(n: int) -> CheckReport:
     """The ascending band word closed form matches the direct action."""
-    diffs = []
+    report = CheckReport(claim="ascending band word closed form", parameters={"n": n})
     for m in range(1, n):
         for p in range(1, n - m + 1):
             w = tau_word(m, p, n)
@@ -125,30 +125,16 @@ def check_tau_forms(n: int) -> CheckReport:
                 for i in range(1, top + 1):
                     for j in range(i + 1, top + 1):
                         got = tau_closed_form(m, p, i, j, n, star=star)
-                        gen = NCPoly.gen(n, i, j, star=star)
-                        want = phi(w, gen)
-                        if got != want:
-                            diffs.append(
-                                {
-                                    "m": m,
-                                    "p": p,
-                                    "i": i,
-                                    "j": "star" if star and j == n + 1 else j,
-                                    "lhs": got.render(),
-                                    "rhs": want.render(),
-                                }
-                            )
-    return CheckReport(
-        claim="ascending band word closed form",
-        parameters={"n": n},
-        diffs=diffs,
-    )
+                        want = phi(w, NCPoly.gen(n, i, j, star=star))
+                        j_key = "star" if star and j == n + 1 else j
+                        report.compare(got, want, m=m, p=p, i=i, j=j_key)
+    return report
 
 
 def check_cabled_letter_forms(k: int, p: int) -> CheckReport:
     """The cabled-generator closed form matches the direct action, star slot included."""
     kp = k * p
-    diffs = []
+    report = CheckReport(claim="cabled generator closed form", parameters={"k": k, "p": p})
     for n_gen in range(1, k):
         cab = cable(BraidWord(k, (n_gen,)), p)
         for star in (False, True):
@@ -156,20 +142,7 @@ def check_cabled_letter_forms(k: int, p: int) -> CheckReport:
             for i in range(1, top + 1):
                 for j in range(i + 1, top + 1):
                     got = cabled_generator_closed_form(n_gen, p, k, i, j, star=star)
-                    gen = NCPoly.gen(kp, i, j, star=star)
-                    want = phi(cab, gen)
-                    if got != want:
-                        diffs.append(
-                            {
-                                "n_gen": n_gen,
-                                "i": i,
-                                "j": "star" if star and j == kp + 1 else j,
-                                "lhs": got.render(),
-                                "rhs": want.render(),
-                            }
-                        )
-    return CheckReport(
-        claim="cabled generator closed form",
-        parameters={"k": k, "p": p},
-        diffs=diffs,
-    )
+                    want = phi(cab, NCPoly.gen(kp, i, j, star=star))
+                    j_key = "star" if star and j == kp + 1 else j
+                    report.compare(got, want, n_gen=n_gen, i=i, j=j_key)
+    return report

@@ -18,11 +18,8 @@ from .augment import (
     Certificate,
     ConstructionError,
     SolveOptions,
-    aug_rank,
     check_block_structure,
     construct_satellite_aug,
-    full_rank_residual,
-    ideal_residual,
     solve_full_rank,
 )
 from .braids import BraidWord, component_count, iterated_torus_braid, satellite_braid, torus_braid
@@ -41,44 +38,31 @@ MINIMALITY_NOTE = (
 )
 
 
-def _emit(args, obj: dict, text_lines: list[str]) -> None:
+def _config(args) -> dict:
+    """The run's configuration: every parsed option, in parser order, after the command."""
+    return {key: val for key, val in vars(args).items() if key != "func"}
+
+
+def _emit(args, fields: dict, text_lines: list[str]) -> None:
+    """Print the configuration, then the fields (JSON) or the text lines."""
+    config = _config(args)
     if args.format == "json":
-        print(jsonio.dumps(obj))
+        print(jsonio.dumps({"config": config, **fields}))
     else:
-        print("\n".join(text_lines))
-
-
-def _config(args, command: str, keys: list[str]) -> dict:
-    cfg = {"command": command}
-    for key in keys:
-        cfg[key] = getattr(args, key.replace("-", "_"))
-    return cfg
-
-
-def _config_line(cfg: dict) -> str:
-    return "config: " + " ".join(f"{k}={v}" for k, v in cfg.items())
-
-
-def _braid_obj(braid: BraidWord) -> dict:
-    return {"n": braid.n, "word": list(braid.letters)}
+        line = "config: " + " ".join(f"{k}={v}" for k, v in config.items())
+        print("\n".join([line, *text_lines]))
 
 
 def cmd_phi(args) -> int:
-    cfg = _config(args, "phi", ["n", "word", "side", "format"])
     braid = BraidWord.from_text(args.n, args.word)
     m = phi_matrix(braid, args.side)
     rows = m.render_entries()
     text_matrix = "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
-    _emit(args, {"config": cfg, "matrix": m.to_obj()}, [_config_line(cfg), text_matrix])
+    _emit(args, {"matrix": m.to_obj()}, [text_matrix])
     return 0
 
 
 def cmd_satellite(args) -> int:
-    cfg = _config(
-        args,
-        "satellite",
-        ["alpha", "k", "gamma", "p", "q", "iterated_torus", "format"],
-    )
     if args.iterated_torus:
         ps = [int(t) for t in args.p.split(",")]
         qs = [int(t) for t in (args.q or "").split(",") if t.strip()]
@@ -89,17 +73,11 @@ def cmd_satellite(args) -> int:
         alpha = BraidWord.from_text(args.k, args.alpha)
         gamma = BraidWord.from_text(int(args.p), args.gamma or "")
         braid = satellite_braid(alpha, gamma)
-    obj = {
-        "config": cfg,
-        "braid": _braid_obj(braid),
-        "components": component_count(braid),
-        "note": MINIMALITY_NOTE,
-    }
+    obj = {"braid": braid.to_obj(), "components": component_count(braid), "note": MINIMALITY_NOTE}
     _emit(
         args,
         obj,
         [
-            _config_line(cfg),
             f"n: {braid.n}",
             f"word: {braid.to_text()}",
             f"components: {component_count(braid)}",
@@ -110,51 +88,42 @@ def cmd_satellite(args) -> int:
 
 
 def cmd_torus(args) -> int:
-    cfg = _config(args, "torus", ["p", "q", "format"])
     braid = torus_braid(args.p, args.q)
-    obj = {"config": cfg, "braid": _braid_obj(braid), "components": component_count(braid)}
+    obj = {"braid": braid.to_obj(), "components": component_count(braid)}
+    _emit(args, obj, [f"n: {braid.n}", f"word: {braid.to_text()}"])
+    return 0
+
+
+def _emit_certificate(args, cert: Certificate) -> int:
+    """Write cert to --output if given and print it; the exit code of a found certificate."""
+    if args.output:
+        cert.save(args.output)
     _emit(
         args,
-        obj,
-        [_config_line(cfg), f"n: {braid.n}", f"word: {braid.to_text()}"],
+        {"found": True, "certificate": cert.to_obj()},
+        [
+            f"accepted certificate for closure of a {cert.braid.n}-strand word",
+            f"residual_L: {cert.residual_L:.3e}  residual_R: {cert.residual_R:.3e}",
+            f"ideal_residual: {cert.ideal_residual:.3e}",
+            f"rank: {cert.rank}",
+        ]
+        + ([f"written: {args.output}"] if args.output else []),
     )
     return 0
 
 
-def _certificate_summary(cert: Certificate) -> list[str]:
-    return [
-        f"accepted certificate for closure of a {cert.braid.n}-strand word",
-        f"residual_L: {cert.residual_L:.3e}  residual_R: {cert.residual_R:.3e}",
-        f"ideal_residual: {cert.ideal_residual:.3e}",
-        f"rank: {cert.rank}",
-    ]
-
-
 def cmd_ar_search(args) -> int:
-    cfg = _config(args, "ar-search", ["n", "word", "seed", "restarts", "tol", "output", "format"])
     braid = BraidWord.from_text(args.n, args.word)
     options = SolveOptions(restarts=args.restarts, seed=args.seed, tol=args.tol)
     out = solve_full_rank(braid, options)
     if isinstance(out, Certificate):
-        obj = {"config": cfg, "found": True, "certificate": out.to_obj()}
-        if args.output:
-            out.save(args.output)
-        _emit(
-            args,
-            obj,
-            [_config_line(cfg)]
-            + _certificate_summary(out)
-            + ([f"written: {args.output}"] if args.output else []),
-        )
-        return 0
-    obj = {"config": cfg, **out.to_obj()}
+        return _emit_certificate(args, out)
     if args.output:
-        jsonio.dump_file(args.output, obj)
+        jsonio.dump_file(args.output, {"config": _config(args), **out.to_obj()})
     _emit(
         args,
-        obj,
+        out.to_obj(),
         [
-            _config_line(cfg),
             f"no certificate found after {args.restarts} restarts",
             f"best residual: {out.best_residual:.6e}",
             "stops: " + " ".join(f"{k}={v}" for k, v in out.residual_summary["stops"].items()),
@@ -164,57 +133,27 @@ def cmd_ar_search(args) -> int:
 
 
 def cmd_construct_aug(args) -> int:
-    cfg = _config(args, "construct-aug", ["alpha_cert", "gamma_cert", "tol", "output", "format"])
     cert_alpha = Certificate.load(args.alpha_cert)
     cert_gamma = Certificate.load(args.gamma_cert)
-    cert = construct_satellite_aug(cert_alpha, cert_gamma, tol=args.tol)
-    if args.output:
-        cert.save(args.output)
-    obj = {"config": cfg, "found": True, "certificate": cert.to_obj()}
-    _emit(
-        args,
-        obj,
-        [_config_line(cfg)]
-        + _certificate_summary(cert)
-        + ([f"written: {args.output}"] if args.output else []),
-    )
-    return 0
+    return _emit_certificate(args, construct_satellite_aug(cert_alpha, cert_gamma, tol=args.tol))
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args, "verify", ["cert", "format"])
     cert = Certificate.load(args.cert)
-    res_l, res_r = full_rank_residual(cert.braid, cert.assignment)
-    ideal = ideal_residual(cert.braid, cert.assignment)
-    rank = aug_rank(cert.assignment, cert.braid.n)
-    accepted = res_l <= cert.tol and res_r <= cert.tol
-    obj = {
-        "config": cfg,
-        "stored": {
-            "residual_L": cert.residual_L,
-            "residual_R": cert.residual_R,
-            "ideal_residual": cert.ideal_residual,
-            "rank": cert.rank,
-        },
-        "recomputed": {
-            "residual_L": res_l,
-            "residual_R": res_r,
-            "ideal_residual": ideal,
-            "rank": rank,
-        },
-        "accepted": accepted,
-    }
+    rec = Certificate.measure(cert.braid, cert.assignment, cert.seed, cert.restarts, cert.tol)
+    keys = ("residual_L", "residual_R", "ideal_residual", "rank")
+    numbers = lambda c: {key: getattr(c, key) for key in keys}
+    obj = {"stored": numbers(cert), "recomputed": numbers(rec), "accepted": rec.accepted}
     _emit(
         args,
         obj,
         [
-            _config_line(cfg),
-            f"recomputed residual_L: {res_l:.3e}  residual_R: {res_r:.3e}",
-            f"recomputed ideal_residual: {ideal:.3e}  rank: {rank}",
-            "accepted" if accepted else "NOT accepted",
+            f"recomputed residual_L: {rec.residual_L:.3e}  residual_R: {rec.residual_R:.3e}",
+            f"recomputed ideal_residual: {rec.ideal_residual:.3e}  rank: {rec.rank}",
+            "accepted" if rec.accepted else "NOT accepted",
         ],
     )
-    return 0 if accepted else 2
+    return 0 if rec.accepted else 2
 
 
 _PSI_SUITE_WORDS = [
@@ -227,7 +166,6 @@ _PSI_SUITE_WORDS = [
 
 
 def cmd_check(args) -> int:
-    cfg = _config(args, "check", ["suite", "n", "k", "p", "seed", "count", "format"])
     reports = []
     if args.suite == "chainrule":
         reports.append(check_chain_rule(args.n, count=args.count, seed=args.seed))
@@ -251,12 +189,8 @@ def cmd_check(args) -> int:
     else:  # pragma: no cover - argparse enforces choices
         raise ValueError(f"unknown suite {args.suite!r}")
     ok = all(r.ok for r in reports)
-    obj = {
-        "config": cfg,
-        "status": "pass" if ok else "fail",
-        "reports": [r.to_obj() for r in reports],
-    }
-    lines = [_config_line(cfg)]
+    obj = {"status": "pass" if ok else "fail", "reports": [r.to_obj() for r in reports]}
+    lines = []
     for r in reports:
         lines.append(f"{r.status}: {r.claim} {r.parameters}")
         for diff in r.diffs[:10]:
@@ -343,10 +277,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TermBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ConstructionError, OSError) as exc:
+    except (TermBudgetError, ValueError, ConstructionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

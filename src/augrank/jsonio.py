@@ -1,68 +1,19 @@
 """Deterministic JSON output.
 
-Floats are written with 17 significant digits, which round-trips IEEE
-doubles bit-exactly; dict keys keep insertion order.  Identical inputs always
-produce identical bytes, so reruns with the same configuration diff clean.
+Floats are written in Python's shortest round-trip form (``repr``), which
+brings IEEE doubles back bit-exactly; NaN and infinities raise ``ValueError``;
+dict keys keep insertion order.  Identical inputs always produce identical
+bytes, so reruns with the same configuration diff clean.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from typing import Any
 
 
-def fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"cannot serialize non-finite float {x!r}")
-    out = format(float(x), ".17g")
-    if "e" not in out and "." not in out and "inf" not in out:
-        out += ".0"
-    return out
-
-
-def _write(obj: Any, indent: int, level: int, out: list[str]) -> None:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
-    if obj is None or isinstance(obj, bool):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(fmt_float(obj))
-    elif isinstance(obj, complex):
-        _write({"re": obj.real, "im": obj.imag}, indent, level, out)
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for idx, (key, val) in enumerate(obj.items()):
-            out.append(f"{inner}{json.dumps(str(key))}: ")
-            _write(val, indent, level + 1, out)
-            out.append(",\n" if idx < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for idx, val in enumerate(seq):
-            out.append(inner)
-            _write(val, indent, level + 1, out)
-            out.append(",\n" if idx < len(seq) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def dumps(obj: Any, indent: int = 2) -> str:
-    out: list[str] = []
-    _write(obj, indent, 0, out)
-    return "".join(out)
+    return json.dumps(obj, indent=indent, allow_nan=False)
 
 
 def dump_file(path: str, obj: Any) -> None:

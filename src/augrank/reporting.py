@@ -21,6 +21,11 @@ class CheckReport:
     def status(self) -> str:
         return "pass" if self.ok else "fail"
 
+    def compare(self, lhs, rhs, **where) -> None:
+        """Record ``{**where, "lhs": ..., "rhs": ...}`` (rendered) when lhs != rhs."""
+        if lhs != rhs:
+            self.diffs.append({**where, "lhs": lhs.render(), "rhs": rhs.render()})
+
     def to_obj(self) -> dict:
         return {
             "claim": self.claim,

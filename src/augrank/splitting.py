@@ -177,7 +177,10 @@ def verify_cable_matrix_split(alpha: BraidWord, p: int) -> CheckReport:
     k = alpha.n
     kp = k * p
     cabled = cable(alpha, p)
-    diffs: list[dict] = []
+    report = CheckReport(
+        claim="cable action matrix splits as the small matrix tensor identity",
+        parameters={"alpha": alpha.to_text(), "k": k, "p": p},
+    )
     for side, big, small in zip("LR", phi_matrices(cabled), phi_matrices(alpha)):
         for i in range(1, kp + 1):
             qi, ri = split_index(i, p)
@@ -188,15 +191,8 @@ def verify_cable_matrix_split(alpha: BraidWord, p: int) -> CheckReport:
                     rhs = tensor_embed_left(small.at(qi, qj), p)
                 else:
                     rhs = TensorPoly.zero(k, p)
-                if lhs != rhs:
-                    diffs.append(
-                        {"side": side, "i": i, "j": j, "lhs": lhs.render(), "rhs": rhs.render()}
-                    )
-    return CheckReport(
-        claim="cable action matrix splits as the small matrix tensor identity",
-        parameters={"alpha": alpha.to_text(), "k": k, "p": p},
-        diffs=diffs,
-    )
+                report.compare(lhs, rhs, side=side, i=i, j=j)
+    return report
 
 
 def verify_commutes(n_gen: int, k: int, p: int) -> CheckReport:
@@ -206,7 +202,10 @@ def verify_commutes(n_gen: int, k: int, p: int) -> CheckReport:
     kp = k * p
     sigma = BraidWord(k, (n_gen,))
     cabled = cable(sigma, p)
-    diffs: list[dict] = []
+    report = CheckReport(
+        claim="splitting map commutes with the cabled letter action",
+        parameters={"n_gen": n_gen, "k": k, "p": p},
+    )
     for i in range(1, kp + 1):
         qi, ri = split_index(i, p)
         lhs = psi_star(phi(cabled, NCPoly.gen(kp, i, kp + 1, star=True)), k, p)
@@ -219,20 +218,8 @@ def verify_commutes(n_gen: int, k: int, p: int) -> CheckReport:
         for key in sorted(set(lhs) | set(rhs)):
             lval = lhs.get(key, TensorPoly.zero(k, p))
             rval = rhs.get(key, TensorPoly.zero(k, p))
-            if lval != rval:
-                diffs.append(
-                    {
-                        "basis": i,
-                        "target": list(key),
-                        "lhs": lval.render(),
-                        "rhs": rval.render(),
-                    }
-                )
-    return CheckReport(
-        claim="splitting map commutes with the cabled letter action",
-        parameters={"n_gen": n_gen, "k": k, "p": p},
-        diffs=diffs,
-    )
+            report.compare(lval, rval, basis=i, target=list(key))
+    return report
 
 
 def verify_sum_collapse(n_gen: int, k: int, p: int) -> CheckReport:
@@ -243,12 +230,10 @@ def verify_sum_collapse(n_gen: int, k: int, p: int) -> CheckReport:
     m = (n_gen - 1) * p + 1
     first = range(m, m + p)
     second = range(m + p, m + 2 * p)
-    diffs: list[dict] = []
-
-    def record(case: str, i: int, j: int, lhs, rhs) -> None:
-        if lhs != rhs:
-            diffs.append({"case": case, "i": i, "j": j, "lhs": lhs.render(), "rhs": rhs.render()})
-
+    report = CheckReport(
+        claim="alternating window sums collapse to two terms under splitting",
+        parameters={"n_gen": n_gen, "k": k, "p": p},
+    )
     g = lambda a, b, star=False: NCPoly.gen(kp, a, b, star=star)
     for i in range(1, kp + 2):
         for j in range(i + 1, kp + 2):
@@ -258,7 +243,7 @@ def verify_sum_collapse(n_gen: int, k: int, p: int) -> CheckReport:
                 anchor = (n_gen - 1) * p + ri
                 lhs = psi(sum_asc(kp, i, j + p, m, p), k, p)
                 rhs = psi(g(i, j + p) - g(i, anchor) * g(anchor, j + p), k, p)
-                record("ascending", i, j, lhs, rhs)
+                report.compare(lhs, rhs, case="ascending", i=i, j=j)
             elif i in first and j > (n_gen + 1) * p:
                 starred = j == kp + 1
                 lhs_poly = sum_desc(kp, i + p, j, m, p, star=starred)
@@ -268,7 +253,7 @@ def verify_sum_collapse(n_gen: int, k: int, p: int) -> CheckReport:
                 if starred:
                     lhs, rhs = psi_star(lhs_poly, k, p), psi_star(rhs_poly, k, p)
                     if lhs != rhs:
-                        diffs.append(
+                        report.diffs.append(
                             {
                                 "case": "descending",
                                 "i": i,
@@ -278,16 +263,13 @@ def verify_sum_collapse(n_gen: int, k: int, p: int) -> CheckReport:
                             }
                         )
                 else:
-                    record("descending", i, j, psi(lhs_poly, k, p), psi(rhs_poly, k, p))
+                    lhs, rhs = psi(lhs_poly, k, p), psi(rhs_poly, k, p)
+                    report.compare(lhs, rhs, case="descending", i=i, j=j)
             elif i in first and j in second:
                 delta = 0 if i == j - p else (1 if i > j - p else -1)
                 lhs = psi(sum_crossing(kp, i + p, j - p, m, p), k, p)
                 rhs_poly = -g(i + p, j - p)
                 if delta:
                     rhs_poly = rhs_poly + delta * (g(i + p, i) * g(i, j - p))
-                record("crossing", i, j, lhs, psi(rhs_poly, k, p))
-    return CheckReport(
-        claim="alternating window sums collapse to two terms under splitting",
-        parameters={"n_gen": n_gen, "k": k, "p": p},
-        diffs=diffs,
-    )
+                report.compare(lhs, psi(rhs_poly, k, p), case="crossing", i=i, j=j)
+    return report

@@ -41,6 +41,13 @@ class TestBraidWord:
         assert BraidWord.from_text(4, b.to_text()) == b
         assert BraidWord.from_text(5, "") == BraidWord.identity(5)
 
+    @given(braid_words(min_n=2, max_n=5))
+    def test_obj_round_trip(self, b):
+        obj = b.to_obj()
+        assert list(obj) == ["n", "word"] and obj["n"] == b.n and obj["word"] == list(b.letters)
+        assert BraidWord.from_obj(obj) == b
+        assert BraidWord.from_obj({"n": 1, "word": []}) == BraidWord.identity(1)
+
     def test_concat_and_inverse(self):
         b = BraidWord(3, (1, -2))
         assert (b * b.inverse()).letters == (1, -2, 2, -1)

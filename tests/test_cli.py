@@ -3,7 +3,7 @@ import json
 import pytest
 
 from augrank.cli import main
-from augrank import jsonio
+from augrank import augment, jsonio
 from augrank.action import phi_left
 from augrank.braids import BraidWord
 
@@ -192,6 +192,46 @@ class TestSearchVerifyConstruct:
             assert code == 1
             assert "accepted" not in out
             assert "not finite" in err and field in err
+
+    def test_verify_folds_the_word_once(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "cert.json"
+        run(capsys, "ar-search", "--n", "2", "--word", "1 1 1", "--output", str(path))
+        calls = []
+        fold = augment.eval_phi_matrices
+
+        def counted(beta, values):
+            calls.append(beta)
+            return fold(beta, values)
+
+        monkeypatch.setattr(augment, "eval_phi_matrices", counted)
+        code, _, _ = run(capsys, "verify", "--cert", str(path))
+        assert code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("role", ["alpha", "gamma"])
+    @pytest.mark.parametrize("tol", [None, 10.0])
+    def test_construct_reports_tampered_factor_as_bad_input(self, capsys, tmp_path, role, tol):
+        # a factor is measured afresh against construct-aug's own bound,
+        # whatever residuals and tol the file stores
+        paths = {"alpha": tmp_path / "a.json", "gamma": tmp_path / "g.json"}
+        run(capsys, "ar-search", "--n", "2", "--word", "1 1 1", "--output", str(paths["alpha"]))
+        run(capsys, "ar-search", "--n", "2", "--word", "1 1 1 1 1", "--output", str(paths["gamma"]))
+        obj = jsonio.load_file(str(paths[role]))
+        obj["generators"][0]["re"] += 1e-3
+        if tol is not None:
+            obj["tol"] = tol
+        jsonio.dump_file(str(paths[role]), obj)
+        code, out, err = run(
+            capsys,
+            "construct-aug",
+            "--alpha-cert", str(paths["alpha"]), "--gamma-cert", str(paths["gamma"]),
+        )
+        assert code == 1
+        assert out == ""
+        name = {"alpha": "companion", "gamma": "pattern"}[role]
+        assert f"{name} certificate is not accepted: recomputed residuals" in err
+        assert "over 1e-09" in err
+        assert "failed verification" not in err
 
     def test_construct_from_files(self, capsys, tmp_path):
         a_path, g_path, out_path = (

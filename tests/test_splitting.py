@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 
 from augrank.action import phi
 from augrank.braids import BraidWord, cable, perm
+from augrank import splitting
 from augrank.freealg import NCPoly
 from augrank.splitting import (
     TensorPoly,
@@ -124,13 +125,22 @@ class TestCableSplitting:
             report = verify_sum_collapse(n_gen, k, p)
             assert report.ok, report.to_obj()
 
-    def test_reports_carry_structure(self):
+    def test_reports_carry_structure(self, monkeypatch):
         report = verify_cable_matrix_split(BraidWord(2, (1,)), 2)
         obj = report.to_obj()
         assert obj["status"] == "pass"
         assert obj["claim"]
         assert obj["parameters"]["p"] == 2
         assert obj["diffs"] == []
+        # a psi that loses every entry: the first diff is the (1, 1) entry of
+        # the left matrix, whose small-matrix side is -a21 (x) 1
+        monkeypatch.setattr(splitting, "psi", lambda x, k, p: TensorPoly.zero(k, p))
+        obj = verify_cable_matrix_split(BraidWord(2, (1,)), 2).to_obj()
+        assert obj["status"] == "fail"
+        want = tensor_embed_left(-a(2, 2, 1), 2)
+        assert obj["diffs"][0] == {"side": "L", "i": 1, "j": 1, "lhs": "0", "rhs": want.render()}
+        assert list(obj["diffs"][0]) == ["side", "i", "j", "lhs", "rhs"]
+        assert {d["side"] for d in obj["diffs"]} == {"L", "R"}
 
 
 @given(braid_words(min_n=2, max_n=3, max_len=4), st.integers(2, 3))
