@@ -28,7 +28,7 @@ from .braids import (
     torus_braid,
     writhe,
 )
-from .freealg import Assignment, NCPoly, TermBudgetError, parse_poly, set_term_budget
+from .freealg import Assignment, NCPoly, TermBudgetError
 from .action import (
     PhiMatrix,
     cabled_generator_closed_form,
@@ -39,7 +39,6 @@ from .action import (
     phi_left_direct,
     phi_letter,
     phi_matrices,
-    phi_matrix,
     phi_right,
     phi_right_direct,
     tau_closed_form,
@@ -47,7 +46,6 @@ from .action import (
 from .splitting import (
     TensorPoly,
     psi,
-    psi_gen,
     psi_star,
     split_index,
     verify_cable_matrix_split,
@@ -69,7 +67,6 @@ from .augment import (
     ideal_residual,
     matrix_a,
     matrix_delta,
-    matrix_lambda,
     nonexistence_search,
     numerical_rank,
     sign_vector,

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -209,15 +209,11 @@ class PhiMatrix:
         """1-based entry access."""
         return self.entries[i - 1][j - 1]
 
-    def map_entries(self, fn: Callable[[NCPoly], NCPoly]) -> "PhiMatrix":
-        return PhiMatrix(self.n, self.side, tuple(tuple(fn(x) for x in row) for row in self.entries))
-
-    def conj_transpose(self, side: str | None = None) -> "PhiMatrix":
+    def conj_transpose(self) -> "PhiMatrix":
         """Transpose of the entrywise conjugate, tagged with the opposite side."""
-        new_side = side or ("R" if self.side == "L" else "L")
         return PhiMatrix(
             self.n,
-            new_side,
+            "R" if self.side == "L" else "L",
             tuple(
                 tuple(self.entries[j][i].conjugate() for j in range(self.n))
                 for i in range(self.n)
@@ -315,21 +311,13 @@ def phi_right(beta: BraidWord) -> PhiMatrix:
     return phi_matrices(beta)[1]
 
 
-def phi_matrix(beta: BraidWord, side: str) -> PhiMatrix:
-    if side == "L":
-        return phi_left(beta)
-    if side == "R":
-        return phi_right(beta)
-    raise ValueError(f"side must be 'L' or 'R', got {side!r}")
-
-
 def chain_compose(m1: PhiMatrix, m2: PhiMatrix, beta1: BraidWord) -> PhiMatrix:
     """Compose action matrices: m1 for beta1, m2 for beta2, result for beta1*beta2."""
     if m1.side != m2.side or m1.n != m2.n:
         raise ValueError("matrix mismatch")
     if beta1.n != m1.n:
         raise ValueError("braid ambient does not match matrices")
-    moved = m2.map_entries(lambda x: phi(beta1, x))
+    moved = PhiMatrix(m2.n, m2.side, tuple(tuple(phi(beta1, x) for x in row) for row in m2.entries))
     if m1.side == "L":
         return mat_mul(moved, m1)
     return mat_mul(m1, moved)

@@ -94,34 +94,8 @@ def matrix_delta(beta: BraidWord) -> np.ndarray:
     return np.diag(delta_diag(beta))
 
 
-def matrix_lambda(beta: BraidWord, lam: complex, mu: complex) -> np.ndarray:
-    """diag[lambda mu^writhe, 1, ..., 1]."""
-    if lam == 0 or mu == 0:
-        raise ValueError("lambda and mu must be nonzero")
-    d = np.ones(beta.n, dtype=complex)
-    d[0] = lam * mu ** writhe(beta)
-    return np.diag(d)
-
-
-def matrix_a(n: int, eps: Assignment | None = None):
-    """The n x n matrix with a_ij above, -mu a_ij below, 1-mu on the diagonal.
-
-    With an assignment the matrix is numeric; without one it is returned as a
-    grid of canonical strings.
-    """
-    if eps is None:
-        rows = []
-        for i in range(1, n + 1):
-            row = []
-            for j in range(1, n + 1):
-                if i == j:
-                    row.append("1 - mu")
-                elif i < j:
-                    row.append(NCPoly.gen(n, i, j).render())
-                else:
-                    row.append(f"-mu*{NCPoly.gen(n, i, j).render()}")
-            rows.append(row)
-        return rows
+def matrix_a(n: int, eps: Assignment) -> np.ndarray:
+    """The n x n matrix with a_ij above, -mu a_ij below, 1-mu on the diagonal, at eps."""
     if eps.n != n:
         raise ValueError("assignment ambient mismatch")
     out = np.empty((n, n), dtype=complex)
@@ -164,11 +138,11 @@ def ideal_residual(beta: BraidWord, eps: Assignment) -> float:
     return _relation_error(beta, eps, *eval_phi_matrices(beta, values_to_array(eps.values, beta.n)))
 
 
-def numerical_rank(m: np.ndarray, rel_threshold: float = RANK_REL_THRESHOLD) -> int:
+def numerical_rank(m: np.ndarray) -> int:
     s = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
     if s.size == 0:
         return 0
-    cutoff = rel_threshold * max(1.0, float(s[0]))
+    cutoff = RANK_REL_THRESHOLD * max(1.0, float(s[0]))
     return int(np.count_nonzero(s > cutoff))
 
 
@@ -187,6 +161,7 @@ FD_STEP = 1e-7
 FLOOR = 1e-14  # a restart whose max-abs residual falls below this stops
 POLISH_BELOW = 1e-6  # stopped restarts below this get up to two plain Gauss-Newton steps
 TRIALS = 10  # damping increases tried per iteration before a restart gives up
+MAX_ITER = 120  # Levenberg-Marquardt iterations per restart
 LAM_START, LAM_MIN, LAM_MAX = 1e-3, 1e-14, 1e12
 # Restarts run in chunks of 1, 8, 64, 64, ...: successful searches mostly
 # accept restart 0, while a nonexistence search spends its budget 64 at a time.
@@ -290,7 +265,7 @@ def _polish(resid: Callable[[np.ndarray], np.ndarray], z, c, ma, rows: np.ndarra
 
 
 def _lm_chunk(
-    resid: Callable[[np.ndarray], np.ndarray], z0: np.ndarray, max_iter: int, tol: float
+    resid: Callable[[np.ndarray], np.ndarray], z0: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimize 0.5 |c(z)|^2 from every row of z0, the rows in lockstep.
 
@@ -308,7 +283,7 @@ def _lm_chunk(
         cost, ma = _cost(c), np.abs(c).max(axis=1)
         lam = np.full(b, LAM_START)
         stop = np.full(b, "", dtype=object)
-        for it in range(max_iter + 1):
+        for it in range(MAX_ITER + 1):
             running = stop == ""
             live = np.flatnonzero(running)
             bad = ~np.isfinite(cost[live])
@@ -317,7 +292,7 @@ def _lm_chunk(
             low = ma[live] < FLOOR
             stop[live[low]] = "floor"
             live = live[~low]
-            if it == max_iter:
+            if it == MAX_ITER:
                 stop[live] = "max_iter"
             elif live.size:
                 grad, jtj = _normal_equations(_jacobian(resid, z[live], c[live]), c[live])
@@ -438,10 +413,12 @@ class Certificate:
 
         try:
             braid = BraidWord.from_obj(obj["braid"])
-            values = {
-                (int(g["i"]), int(g["j"])): cnum(g, f"generator a_{g['i']},{g['j']}")
-                for g in obj["generators"]
-            }
+            values: dict[Gen, complex] = {}
+            for g in obj["generators"]:
+                key = (jsonio.integer(g["i"], "generator i"), jsonio.integer(g["j"], "generator j"))
+                if key in values:
+                    raise ValueError(f"certificate repeats generator a_{key[0]},{key[1]}")
+                values[key] = cnum(g, f"generator a_{key[0]},{key[1]}")
             assignment = Assignment(
                 braid.n, values, cnum(obj["lambda"], "lambda"), cnum(obj["mu"], "mu")
             )
@@ -451,9 +428,9 @@ class Certificate:
                 residual_L=num(obj["residual_L"], "residual_L"),
                 residual_R=num(obj["residual_R"], "residual_R"),
                 ideal_residual=num(obj["ideal_residual"], "ideal_residual"),
-                rank=int(obj["rank"]),
-                seed=int(obj["seed"]),
-                restarts=int(obj["restarts"]),
+                rank=jsonio.integer(obj["rank"], "rank"),
+                seed=jsonio.integer(obj["seed"], "seed"),
+                restarts=jsonio.integer(obj["restarts"], "restarts"),
                 tol=num(obj["tol"], "tol"),
             )
         except (KeyError, TypeError) as exc:
@@ -504,12 +481,22 @@ class NotFound:
         )
 
 
+def _check_tol(tol: float) -> None:
+    """An acceptance bound is a finite positive number."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     restarts: int = 256
     seed: int = 0
     tol: float = ACCEPT_TOL
-    max_iter: int = 120
+
+    def __post_init__(self) -> None:
+        _check_tol(self.tol)
+        if self.restarts < 0:
+            raise ValueError(f"restarts must be >= 0, got {self.restarts}")
 
 
 def _summary(finals: list[float], stops: list[str]) -> dict:
@@ -559,7 +546,7 @@ def solve_full_rank(beta: BraidWord, options: SolveOptions = SolveOptions()) -> 
     Restart t starts from the t-th substream spawned from the seed.  Restarts
     run in chunks (see LEAD_CHUNKS) and the lowest-index accepted restart wins,
     the one a restart-by-restart search would return first; so the outcome
-    is a deterministic function of (seed, restarts, tol, max_iter).
+    is a deterministic function of (seed, restarts, tol).
     """
     if component_count(beta) != 1:
         raise ValueError("closure must be a knot")
@@ -578,7 +565,7 @@ def solve_full_rank(beta: BraidWord, options: SolveOptions = SolveOptions()) -> 
         # spawning continues the numbering, so chunk by chunk gives the same substreams
         rngs = [np.random.default_rng(child) for child in seeds.spawn(size)]
         x0 = np.array([rng.standard_normal(2 * m) for rng in rngs])
-        z, ma, stop = _lm_chunk(resid, x0[:, :m] + 1j * x0[:, m:], options.max_iter, options.tol)
+        z, ma, stop = _lm_chunk(resid, x0[:, :m] + 1j * x0[:, m:], options.tol)
         won = np.flatnonzero(_accepted(ma, stop, options.tol))
         if won.size:
             k = won[0]
@@ -638,6 +625,7 @@ def construct_satellite_aug(
     verified the same way and must pass; a failure there indicates an internal
     convention bug.
     """
+    _check_tol(tol)
     alpha, gamma = cert_alpha.braid, cert_gamma.braid
     k, p = alpha.n, gamma.n
     for name, cert in (("companion", cert_alpha), ("pattern", cert_gamma)):

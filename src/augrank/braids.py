@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import jsonio
+
 
 @dataclass(frozen=True)
 class BraidWord:
@@ -45,7 +47,8 @@ class BraidWord:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "BraidWord":
-        return cls(int(obj["n"]), tuple(int(e) for e in obj["word"]))
+        letters = tuple(jsonio.integer(e, "braid letter") for e in obj["word"])
+        return cls(jsonio.integer(obj["n"], "braid n"), letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if not isinstance(other, BraidWord):

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import jsonio
-from .action import phi_matrix
+from .action import phi_matrices
 from .augment import (
     ACCEPT_TOL,
     Certificate,
@@ -55,7 +55,7 @@ def _emit(args, fields: dict, text_lines: list[str]) -> None:
 
 def cmd_phi(args) -> int:
     braid = BraidWord.from_text(args.n, args.word)
-    m = phi_matrix(braid, args.side)
+    m = phi_matrices(braid)["LR".index(args.side)]
     rows = m.render_entries()
     text_matrix = "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
     _emit(args, {"matrix": m.to_obj()}, [text_matrix])
@@ -143,17 +143,18 @@ def cmd_verify(args) -> int:
     rec = Certificate.measure(cert.braid, cert.assignment, cert.seed, cert.restarts, cert.tol)
     keys = ("residual_L", "residual_R", "ideal_residual", "rank")
     numbers = lambda c: {key: getattr(c, key) for key in keys}
-    obj = {"stored": numbers(cert), "recomputed": numbers(rec), "accepted": rec.accepted}
+    accepted = rec.accepted and rec.rank == cert.rank
+    obj = {"stored": numbers(cert), "recomputed": numbers(rec), "accepted": accepted}
     _emit(
         args,
         obj,
         [
             f"recomputed residual_L: {rec.residual_L:.3e}  residual_R: {rec.residual_R:.3e}",
             f"recomputed ideal_residual: {rec.ideal_residual:.3e}  rank: {rec.rank}",
-            "accepted" if rec.accepted else "NOT accepted",
+            "accepted" if accepted else "NOT accepted",
         ],
     )
-    return 0 if rec.accepted else 2
+    return 0 if accepted else 2
 
 
 _PSI_SUITE_WORDS = [
@@ -165,29 +166,24 @@ _PSI_SUITE_WORDS = [
 ]
 
 
+# suite name -> report builder; the parser takes its --suite choices from the keys
+SUITES = {
+    "chainrule": lambda args: [check_chain_rule(args.n, count=args.count, seed=args.seed)],
+    "transpose": lambda args: [check_transpose(args.n, count=args.count, seed=args.seed)],
+    "psi": lambda args: [
+        verify_cable_matrix_split(BraidWord.from_text(args.k, word), args.p)
+        for word, min_k in _PSI_SUITE_WORDS
+        if args.k >= min_k
+    ],
+    "commutes": lambda args: [verify_commutes(n_gen, args.k, args.p) for n_gen in range(1, args.k)],
+    "sigma_n": lambda args: [check_cabled_letter_forms(args.k, args.p)],
+    "tau": lambda args: [check_tau_forms(args.n)],
+    "blocks": lambda args: [check_block_structure(args.n, args.p)],
+}
+
+
 def cmd_check(args) -> int:
-    reports = []
-    if args.suite == "chainrule":
-        reports.append(check_chain_rule(args.n, count=args.count, seed=args.seed))
-    elif args.suite == "transpose":
-        reports.append(check_transpose(args.n, count=args.count, seed=args.seed))
-    elif args.suite == "psi":
-        for word, min_k in _PSI_SUITE_WORDS:
-            if args.k >= min_k:
-                reports.append(
-                    verify_cable_matrix_split(BraidWord.from_text(args.k, word), args.p)
-                )
-    elif args.suite == "commutes":
-        for n_gen in range(1, args.k):
-            reports.append(verify_commutes(n_gen, args.k, args.p))
-    elif args.suite == "sigma_n":
-        reports.append(check_cabled_letter_forms(args.k, args.p))
-    elif args.suite == "tau":
-        reports.append(check_tau_forms(args.n))
-    elif args.suite == "blocks":
-        reports.append(check_block_structure(args.n, args.p))
-    else:  # pragma: no cover - argparse enforces choices
-        raise ValueError(f"unknown suite {args.suite!r}")
+    reports = SUITES[args.suite](args)
     ok = all(r.ok for r in reports)
     obj = {"status": "pass" if ok else "fail", "reports": [r.to_obj() for r in reports]}
     lines = []
@@ -257,11 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("check", help="run an exact identity suite")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=["chainrule", "transpose", "psi", "commutes", "sigma_n", "tau", "blocks"],
-    )
+    p.add_argument("--suite", required=True, choices=list(SUITES))
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--p", type=int, default=2)

@@ -9,7 +9,7 @@ the extension is caught by the ambient checks.
 Coefficients are Python ints, so all arithmetic is exact at any size.
 Symbolic products abort with :class:`TermBudgetError` once a result exceeds
 the monomial budget (default 10^6, overridable via the ``KCH_TERM_BUDGET``
-environment variable or :func:`set_term_budget`).
+environment variable, which must hold a positive integer).
 
 The ring arithmetic is written once, in :class:`SparsePoly`; :class:`NCPoly`
 supplies the free algebra's monomials (words of generators), and
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import operator
 import os
-import re
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -30,7 +29,6 @@ Mon = tuple[Gen, ...]
 
 DEFAULT_TERM_BUDGET = 1_000_000
 TERM_BUDGET_ENV = "KCH_TERM_BUDGET"
-_budget_override: int | None = None
 
 
 class TermBudgetError(RuntimeError):
@@ -38,16 +36,12 @@ class TermBudgetError(RuntimeError):
 
 
 def term_budget() -> int:
-    if _budget_override is not None:
-        return _budget_override
     raw = os.environ.get(TERM_BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_TERM_BUDGET
-
-
-def set_term_budget(budget: int | None) -> None:
-    """Override the monomial budget in-process; None restores env/default."""
-    global _budget_override
-    _budget_override = budget
+    if not raw:
+        return DEFAULT_TERM_BUDGET
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"{TERM_BUDGET_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _check_budget(size: int, budget: int | None = None) -> None:
@@ -318,50 +312,6 @@ class NCPoly(SparsePoly):
         return total
 
 
-_GEN_RE = re.compile(r"a(?:([0-9s])([0-9s])|([0-9]+|s),([0-9]+|s))$")
-
-
-def parse_poly(n: int, text: str, *, star: bool = False) -> NCPoly:
-    """Parse the canonical rendering back into a polynomial."""
-
-    def parse_index(tok: str) -> int:
-        if tok == "s":
-            if not star:
-                raise ValueError("star index in a non-star ambient")
-            return n + 1
-        return int(tok)
-
-    s = text.strip()
-    if not s:
-        raise ValueError("empty polynomial text")
-    s = s.replace("-", "+-")
-    total = NCPoly.zero(n, star=star)
-    for chunk in s.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        sign = 1
-        if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:].strip()
-        coeff = sign
-        mon: list[Gen] = []
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise ValueError(f"malformed term in {text!r}")
-            if factor[0] == "a":
-                m = _GEN_RE.match(factor)
-                if not m:
-                    raise ValueError(f"malformed generator {factor!r}")
-                toks = [t for t in m.groups() if t is not None]
-                mon.append((parse_index(toks[0]), parse_index(toks[1])))
-            else:
-                coeff *= int(factor)
-        total = total + NCPoly(n, {tuple(mon): coeff}, star=star)
-    return total
-
-
 @dataclass(frozen=True)
 class Assignment:
     """Complex values for every generator of the ambient algebra, plus lambda, mu."""
@@ -394,20 +344,3 @@ class Assignment:
         if x.n != self.n or x.star:
             raise ValueError("assignment ambient does not match polynomial ambient")
         return x.evaluate(self.values)
-
-    def swap_conjugate(self) -> "Assignment":
-        """The assignment sending a_ij to the old value of a_ji (lambda, mu kept)."""
-        return Assignment(
-            self.n,
-            {(j, i): v for (i, j), v in self.values.items()},
-            self.lam,
-            self.mu,
-        )
-
-
-def evaluate(x: NCPoly, eps: Assignment) -> complex:
-    return eps.evaluate(x)
-
-
-def conjugate(x: NCPoly) -> NCPoly:
-    return x.conjugate()

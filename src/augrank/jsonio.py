@@ -12,8 +12,8 @@ import json
 from typing import Any
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
-    return json.dumps(obj, indent=indent, allow_nan=False)
+def dumps(obj: Any) -> str:
+    return json.dumps(obj, indent=2, allow_nan=False)
 
 
 def dump_file(path: str, obj: Any) -> None:
@@ -29,3 +29,10 @@ def load_file(path: str) -> Any:
 
 def loads(text: str) -> Any:
     return json.loads(text)
+
+
+def integer(x: Any, field: str) -> int:
+    """A JSON integer field; a float, bool or string raises instead of truncating."""
+    if type(x) is not int:
+        raise ValueError(f"{field} must be an integer, got {x!r}")
+    return x

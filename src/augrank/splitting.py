@@ -115,11 +115,6 @@ def split_gen(i: int, j: int, p: int) -> TensorMon | None:
     return (((qi, qj),) if qi != qj else (), ((ri, rj),) if ri != rj else ())
 
 
-def psi_gen(i: int, j: int, k: int, p: int) -> TensorPoly:
-    """Image of the generator a_ij of the kp-strand algebra."""
-    return psi(NCPoly.gen(k * p, i, j), k, p)
-
-
 def psi(x: NCPoly, k: int, p: int) -> TensorPoly:
     """Apply the splitting homomorphism to a polynomial on kp strands."""
     if x.star:

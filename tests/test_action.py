@@ -22,7 +22,7 @@ from augrank.action import (
 )
 from augrank.braids import BraidWord, cable, kappa_word, perm, tau_word
 from augrank.checks import check_braid_relations, check_monomial_structure
-from augrank.freealg import NCPoly, set_term_budget, TermBudgetError
+from augrank.freealg import NCPoly, TermBudgetError
 
 from strategies import braid_word_pairs, braid_words, nc_polys
 
@@ -293,12 +293,9 @@ class TestClosedForms:
 
 
 class TestBudget:
-    def test_matrix_computation_respects_budget(self):
+    def test_matrix_computation_respects_budget(self, monkeypatch):
         # the (1,1) entry of the result has 4 monomials, so any correct
         # computation must exceed a budget of 3
-        set_term_budget(3)
-        try:
-            with pytest.raises(TermBudgetError):
-                phi_left(BraidWord(3, (1, 2, 1, 2, 1, 2)))
-        finally:
-            set_term_budget(None)
+        monkeypatch.setenv("KCH_TERM_BUDGET", "3")
+        with pytest.raises(TermBudgetError):
+            phi_left(BraidWord(3, (1, 2, 1, 2, 1, 2)))

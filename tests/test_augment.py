@@ -22,7 +22,6 @@ from augrank.augment import (
     ideal_residual,
     matrix_a,
     matrix_delta,
-    matrix_lambda,
     nonexistence_search,
     numerical_rank,
     sign_vector,
@@ -48,24 +47,10 @@ def random_assignment(n, seed, lam=1.0, mu=2.0):
 
 
 class TestMatrices:
-    def test_matrix_a_rank_one_ambient(self):
-        assert matrix_a(1) == [["1 - mu"]]
-
-    def test_matrix_a_symbolic(self):
-        assert matrix_a(2) == [["1 - mu", "a12"], ["-mu*a21", "1 - mu"]]
-
     def test_matrix_a_trefoil_values(self):
         m = matrix_a(2, trefoil_assignment())
         assert np.allclose(m, [[2, 1], [1, 2]])
         assert numerical_rank(m) == 2
-
-    def test_matrix_lambda(self):
-        assert np.allclose(matrix_lambda(BraidWord(2, ()), 3.0, 2.0), np.diag([3.0, 1.0]))
-        assert np.allclose(matrix_lambda(TREFOIL, 1.0, 2.0), np.diag([8.0, 1.0]))
-        lam = matrix_lambda(TREFOIL, 2.0, 3.0)
-        assert np.allclose(lam @ np.linalg.inv(lam), np.eye(2))
-        with pytest.raises(ValueError):
-            matrix_lambda(TREFOIL, 0.0, 1.0)
 
     def test_matrix_delta(self):
         assert np.allclose(matrix_delta(TREFOIL), np.diag([-1.0, 1.0]))
@@ -208,8 +193,8 @@ class TestSolver:
         x0 = np.array([rng.standard_normal(2 * m) for rng in rngs])
         z0 = x0[:, :m] + 1j * x0[:, m:]
         resid = _sign_residual(beta)
-        _, chunk_ma, chunk_stop = _lm_chunk(resid, z0, 120, -np.inf)
-        alone = [_lm_chunk(resid, z0[k : k + 1], 120, -np.inf) for k in range(8)]
+        _, chunk_ma, chunk_stop = _lm_chunk(resid, z0, -np.inf)
+        alone = [_lm_chunk(resid, z0[k : k + 1], -np.inf) for k in range(8)]
         assert np.allclose(chunk_ma, [ma[0] for _, ma, _ in alone], rtol=1e-12, atol=0)
         assert list(chunk_stop) == [stop[0] for _, _, stop in alone]
         accepted = [k for k, (_, ma, _) in enumerate(alone) if ma[0] <= ACCEPT_TOL]

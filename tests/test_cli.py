@@ -252,6 +252,52 @@ class TestSearchVerifyConstruct:
         assert obj["restarts"] == 0
 
 
+TOL_CASES = [("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf")]
+SEARCH = ("ar-search", "--n", "2", "--word", "1 1 1")
+CONSTRUCT = ("construct-aug", "--alpha-cert", "{cert}", "--gamma-cert", "{cert}")
+VERIFY = ("verify", "--cert", "{cert}")
+
+
+def _set_word(word):
+    return lambda obj: obj["braid"].update(word=word)
+
+
+def _repeat_generator(obj):
+    obj["generators"].append(dict(obj["generators"][0]))
+
+
+# (argv, edit applied to a good trefoil certificate, exit code, what stderr says)
+BAD_INPUT_CASES = (
+    [(SEARCH + opt, None, 1, "tol must be finite and > 0") for opt in TOL_CASES]
+    + [(SEARCH + ("--restarts", "-3"), None, 1, "restarts must be >= 0")]
+    + [(CONSTRUCT + opt, None, 1, "tol must be finite and > 0") for opt in TOL_CASES]
+    + [
+        (VERIFY, _set_word([1.9, 1, 1]), 1, "braid letter must be an integer, got 1.9"),
+        (VERIFY, lambda obj: obj["braid"].update(n=2.7), 1, "braid n must be an integer, got 2.7"),
+        (VERIFY, _set_word([True, 1, 1]), 1, "braid letter must be an integer, got True"),
+        (VERIFY, _repeat_generator, 1, "certificate repeats generator a_1,2"),
+        (VERIFY, lambda obj: obj.update(rank=7), 2, ""),
+    ]
+)
+
+
+@pytest.mark.parametrize("argv, edit, code, message", BAD_INPUT_CASES)
+def test_bad_input_is_rejected_up_front(capsys, tmp_path, argv, edit, code, message):
+    path = tmp_path / "cert.json"
+    run(capsys, *SEARCH, "--output", str(path))
+    if edit is not None:
+        obj = jsonio.load_file(str(path))
+        edit(obj)
+        path.write_text(json.dumps(obj))
+    got, out, err = run(capsys, *(arg.format(cert=path) for arg in argv))
+    assert got == code
+    if code == 1:
+        assert out == ""
+        assert message in err
+    else:
+        assert "NOT accepted" in out
+
+
 class TestCheckCommand:
     @pytest.mark.parametrize(
         "argv",

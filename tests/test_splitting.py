@@ -9,7 +9,6 @@ from augrank.freealg import NCPoly
 from augrank.splitting import (
     TensorPoly,
     psi,
-    psi_gen,
     psi_star,
     split_index,
     tensor_embed_left,
@@ -37,21 +36,21 @@ class TestIndexSplit:
 
 class TestPsiGenerators:
     def test_same_block(self):
-        assert psi_gen(1, 2, 2, 2) == tensor_embed_right(a(2, 1, 2), 2)
+        assert psi(a(4, 1, 2), 2, 2) == tensor_embed_right(a(2, 1, 2), 2)
 
     def test_opposite_moves_vanish(self):
-        assert psi_gen(2, 3, 2, 2).is_zero()
+        assert psi(a(4, 2, 3), 2, 2).is_zero()
 
     def test_same_direction_is_pure_tensor(self):
         expected = TensorPoly(2, 2, {((((1, 2),)), ((1, 2),)): 1})
-        assert psi_gen(1, 4, 2, 2) == expected
+        assert psi(a(4, 1, 4), 2, 2) == expected
 
     def test_same_offset(self):
-        assert psi_gen(1, 3, 2, 2) == tensor_embed_left(a(2, 1, 2), 2)
+        assert psi(a(4, 1, 3), 2, 2) == tensor_embed_left(a(2, 1, 2), 2)
 
     def test_rejects_non_generator(self):
         with pytest.raises(ValueError):
-            psi_gen(1, 1, 2, 2)
+            psi(a(4, 1, 1), 2, 2)
 
 
 class TestPsiMap:
