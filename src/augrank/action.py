@@ -40,10 +40,10 @@ of the factors matters: rows of PhiL and the row images are multiplied on the
 left, columns of PhiR and the column images on the right.
 
 The oracles stay independent of the fold: :func:`phi_left_direct` and
-:func:`phi_right_direct` read the matrices off the action on starred
-generators, :func:`chain_compose` composes with :func:`phi` and
-:func:`mat_mul`, and phi_right is the transpose of the entrywise conjugate of
-phi_left.
+:func:`phi_right_direct` read the matrices off the action of beta, included in
+B_{n+1}, on a_{i,n+1} and a_{n+1,i}, :func:`chain_compose` composes with
+:func:`phi` and :func:`mat_mul`, and phi_right is the transpose of the
+entrywise conjugate of phi_left.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .braids import BraidWord
+from .braids import BraidWord, include_bar
 from .freealg import Gen, Mon, NCPoly, _check_budget, term_budget
 
 # ---------------------------------------------------------------------------
@@ -64,27 +64,19 @@ from .freealg import Gen, Mon, NCPoly, _check_budget, term_budget
 _Image = tuple[tuple[int, Mon], ...]
 
 
-def _letter_images(n: int, star: bool, k: int, inverse: bool) -> dict[Gen, _Image]:
+def _letter_images(n: int, k: int, inverse: bool) -> dict[Gen, _Image]:
     """Substitution table for one letter, only for the generators it moves."""
-    top = n + 1 if star else n
-    others = [t for t in range(1, top + 1) if t not in (k, k + 1)]
-    K, K1 = k, k + 1
+    others = [t for t in range(1, n + 1) if t not in (k, k + 1)]
+    K, K1 = (k + 1, k) if inverse else (k, k + 1)  # sigma_k^-1 swaps strands k and k+1
     imgs: dict[Gen, _Image] = {
         (K, K1): ((-1, ((K1, K),)),),
         (K1, K): ((-1, ((K, K1),)),),
     }
-    if not inverse:
-        for i in others:
-            imgs[(K1, i)] = ((1, ((K, i),)),)
-            imgs[(i, K1)] = ((1, ((i, K),)),)
-            imgs[(K, i)] = ((1, ((K1, i),)), (-1, ((K1, K), (K, i))))
-            imgs[(i, K)] = ((1, ((i, K1),)), (-1, ((i, K), (K, K1))))
-    else:
-        for i in others:
-            imgs[(K, i)] = ((1, ((K1, i),)),)
-            imgs[(i, K)] = ((1, ((i, K1),)),)
-            imgs[(K1, i)] = ((1, ((K, i),)), (-1, ((K, K1), (K1, i))))
-            imgs[(i, K1)] = ((1, ((i, K),)), (-1, ((i, K1), (K1, K))))
+    for i in others:
+        imgs[(K1, i)] = ((1, ((K, i),)),)
+        imgs[(i, K1)] = ((1, ((i, K),)),)
+        imgs[(K, i)] = ((1, ((K1, i),)), (-1, ((K1, K), (K, i))))
+        imgs[(i, K)] = ((1, ((i, K1),)), (-1, ((i, K), (K, K1))))
     return imgs
 
 
@@ -93,7 +85,7 @@ def phi_letter(e: int, x: NCPoly) -> NCPoly:
     k = abs(e)
     if not 1 <= k <= x.n - 1:
         raise ValueError(f"letter {e} out of range for ambient {x.n}")
-    imgs = _letter_images(x.n, x.star, k, e < 0)
+    imgs = _letter_images(x.n, k, e < 0)
     budget = term_budget()
     out: dict[Mon, int] = {}
     for mon, coeff in x.terms.items():
@@ -132,28 +124,26 @@ def phi(beta: BraidWord, x: NCPoly) -> NCPoly:
 
 
 # ---------------------------------------------------------------------------
-# Star-slot module decomposition
+# Module decomposition over the top strand
 # ---------------------------------------------------------------------------
 
 
 class StarDecompositionError(ValueError):
-    """A starred polynomial is not a clean module element."""
+    """A polynomial is not a clean module element over its top strand."""
 
 
 def star_decompose(x: NCPoly, side: str) -> dict[int, NCPoly]:
-    """Write a starred module element as {j: coefficient} over its star generators.
+    """Write a module element as {j: coefficient} over the top strand * = x.n.
 
     On side "L" (the left module) every monomial must end with a_{j,*} and
-    the coefficient is what stands to its left; on side "R" (the right
-    module) every monomial must start with a_{*,j} and the coefficient is
-    what stands to its right.  A monomial with no star slot, or with a second
-    one, is an internal indexing error and raises.
+    the coefficient, on x.n - 1 strands, is what stands to its left; on side
+    "R" (the right module) every monomial must start with a_{*,j} and the
+    coefficient is what stands to its right.  A monomial with no star slot,
+    or with a second one, is an internal indexing error and raises.
     """
     if side not in ("L", "R"):
         raise ValueError(f"side must be 'L' or 'R', got {side!r}")
-    if not x.star:
-        raise StarDecompositionError("expected a starred polynomial")
-    s = x.n + 1
+    s = x.n
     parts: dict[int, dict[Mon, int]] = {}
     for mon, c in x.terms.items():
         if not mon:
@@ -167,12 +157,8 @@ def star_decompose(x: NCPoly, side: str) -> dict[int, NCPoly]:
             raise StarDecompositionError(f"monomial does not {shape}: {mon}")
         if any(s in g for g in rest):
             raise StarDecompositionError(f"extra star inside monomial: {mon}")
-        part = parts.setdefault(j, {})
-        part[rest] = part.get(rest, 0) + c
-    return {
-        j: NCPoly._raw((x.n, False), {m: c for m, c in terms.items() if c})
-        for j, terms in parts.items()
-    }
+        parts.setdefault(j, {})[rest] = c  # distinct monomials never merge
+    return {j: NCPoly._raw((s - 1,), terms) for j, terms in parts.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +181,7 @@ class PhiMatrix:
             raise ValueError("entry grid is not n x n")
         for row in self.entries:
             for x in row:
-                if x.n != self.n or x.star:
+                if x.n != self.n:
                     raise ValueError("entry ambient does not match matrix size")
 
     @classmethod
@@ -324,7 +310,7 @@ def chain_compose(m1: PhiMatrix, m2: PhiMatrix, beta1: BraidWord) -> PhiMatrix:
 
 
 def phi_left_direct(beta: BraidWord) -> PhiMatrix:
-    """Left matrix via acting on each starred basis element and decomposing.
+    """Left matrix via acting in B_{n+1} on each a_{i,n+1} and decomposing.
 
     Independent of the chain-rule fold; used to cross-check it.
     """
@@ -332,19 +318,19 @@ def phi_left_direct(beta: BraidWord) -> PhiMatrix:
     zero = NCPoly.zero(n)
     rows = []
     for i in range(1, n + 1):
-        img = phi(beta, NCPoly.gen(n, i, n + 1, star=True))
+        img = phi(include_bar(beta, n + 1), NCPoly.gen(n + 1, i, n + 1))
         coeffs = star_decompose(img, "L")
         rows.append(tuple(coeffs.get(j, zero) for j in range(1, n + 1)))
     return PhiMatrix(n, "L", tuple(rows))
 
 
 def phi_right_direct(beta: BraidWord) -> PhiMatrix:
-    """Right matrix via the starred right-module basis."""
+    """Right matrix via acting in B_{n+1} on each a_{n+1,i} and decomposing."""
     n = beta.n
     zero = NCPoly.zero(n)
     grid = [[zero] * n for _ in range(n)]
     for i in range(1, n + 1):
-        img = phi(beta, NCPoly.gen(n, n + 1, i, star=True))
+        img = phi(include_bar(beta, n + 1), NCPoly.gen(n + 1, n + 1, i))
         for j, coeff in star_decompose(img, "R").items():
             grid[j - 1][i - 1] = coeff
     return PhiMatrix(n, "R", tuple(tuple(row) for row in grid))
@@ -371,23 +357,23 @@ def _subsets(m: int, l: int) -> Iterable[tuple[int, ...]]:
         yield from combinations(window, size)
 
 
-def sum_asc(n_amb: int, i: int, j: int, m: int, l: int, *, star: bool = False) -> NCPoly:
+def sum_asc(n_amb: int, i: int, j: int, m: int, l: int) -> NCPoly:
     """Alternating sum over subsets of the window, indices ascending inside."""
     terms: dict[Mon, int] = {}
     for ys in _subsets(m, l):
         terms[_chain_asc(i, ys, j)] = (-1) ** len(ys)
-    return NCPoly(n_amb, terms, star=star)
+    return NCPoly(n_amb, terms)
 
 
-def sum_desc(n_amb: int, i: int, j: int, m: int, l: int, *, star: bool = False) -> NCPoly:
+def sum_desc(n_amb: int, i: int, j: int, m: int, l: int) -> NCPoly:
     """Alternating sum over subsets of the window, indices descending inside."""
     terms: dict[Mon, int] = {}
     for ys in _subsets(m, l):
         terms[_chain_desc(i, ys, j)] = (-1) ** len(ys)
-    return NCPoly(n_amb, terms, star=star)
+    return NCPoly(n_amb, terms)
 
 
-def sum_crossing(n_amb: int, i: int, j: int, m: int, l: int, *, star: bool = False) -> NCPoly:
+def sum_crossing(n_amb: int, i: int, j: int, m: int, l: int) -> NCPoly:
     """Signed descending sum used when the target lands inside the window.
 
     Subsets whose minimum is j are skipped; the sign is -(-1)^|Y| when the
@@ -403,23 +389,17 @@ def sum_crossing(n_amb: int, i: int, j: int, m: int, l: int, *, star: bool = Fal
         else:
             # min element is < j because subsets with min exactly j are skipped
             c = (-1) ** len(ys)
-        mon = _chain_desc(i, ys, j)
-        acc = terms.get(mon, 0) + c
-        if acc:
-            terms[mon] = acc
-        else:
-            terms.pop(mon, None)
-    return NCPoly(n_amb, terms, star=star)
+        terms[_chain_desc(i, ys, j)] = c  # distinct subsets give distinct monomials
+    return NCPoly(n_amb, terms)
 
 
-def tau_closed_form(m: int, p: int, i: int, j: int, n: int, *, star: bool = False) -> NCPoly:
-    """Image of a_ij (i < j) under the ascending band word of width p at m."""
-    top = n + 1 if star else n
-    if not (1 <= i < j <= top):
-        raise ValueError(f"need 1 <= i < j <= {top}, got ({i}, {j})")
+def tau_closed_form(m: int, p: int, i: int, j: int, n: int) -> NCPoly:
+    """Image of a_ij (i < j) on n strands under the ascending band word of width p at m."""
+    if not (1 <= i < j <= n):
+        raise ValueError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
     if m < 1 or m + p > n:
         raise ValueError(f"window (m={m}, p={p}) does not fit in ambient {n}")
-    g = lambda a, b: NCPoly.gen(n, a, b, star=star)
+    g = lambda a, b: NCPoly.gen(n, a, b)
     if m <= i < j < m + p:
         return g(i + 1, j + 1)
     if m <= i < j == m + p:
@@ -435,19 +415,16 @@ def tau_closed_form(m: int, p: int, i: int, j: int, n: int, *, star: bool = Fals
     return g(i, j)
 
 
-def kappa_closed_form(
-    m: int, l: int, p: int, i: int, j: int, n: int, *, star: bool = False
-) -> NCPoly:
-    """Image of a_ij (i < j) under the descending product of band words.
+def kappa_closed_form(m: int, l: int, p: int, i: int, j: int, n: int) -> NCPoly:
+    """Image of a_ij (i < j) on n strands under the descending product of band words.
 
     Valid for window count l <= p; the l = p case is the cabled generator.
     """
-    top = n + 1 if star else n
-    if not (1 <= i < j <= top):
-        raise ValueError(f"need 1 <= i < j <= {top}, got ({i}, {j})")
+    if not (1 <= i < j <= n):
+        raise ValueError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
     if not (1 <= l <= p) or m < 1 or m + l + p - 1 > n:
         raise ValueError(f"(m={m}, l={l}, p={p}) does not fit in ambient {n}")
-    g = lambda a, b: NCPoly.gen(n, a, b, star=star)
+    g = lambda a, b: NCPoly.gen(n, a, b)
     in_first = lambda t: m <= t < m + p
     in_second = lambda t: m + p <= t < m + p + l
     if in_first(i) and in_first(j):
@@ -455,22 +432,18 @@ def kappa_closed_form(
     if in_second(i) and in_second(j):
         return g(i - p, j - p)
     if in_first(i) and in_second(j):
-        return sum_crossing(n, i + l, j - p, m, l, star=star)
+        return sum_crossing(n, i + l, j - p, m, l)
     if in_second(i) and j >= m + l + p:
         return g(i - p, j)
     if i < m and in_second(j):
         return g(i, j - p)
     if i < m and in_first(j):
-        return sum_asc(n, i, j + l, m, l, star=star)
+        return sum_asc(n, i, j + l, m, l)
     if in_first(i) and j >= m + p + l:
-        return sum_desc(n, i + l, j, m, l, star=star)
+        return sum_desc(n, i + l, j, m, l)
     return g(i, j)
 
 
-def cabled_generator_closed_form(
-    n_gen: int, p: int, k: int, i: int, j: int, *, star: bool = False
-) -> NCPoly:
-    """Image of a_ij (i < j) under the p-cable of sigma_{n_gen} in B_{kp}."""
-    if not 1 <= n_gen <= k - 1:
-        raise ValueError(f"generator index {n_gen} out of range for B_{k}")
-    return kappa_closed_form((n_gen - 1) * p + 1, p, p, i, j, k * p, star=star)
+def cabled_generator_closed_form(n_gen: int, p: int, i: int, j: int, n: int) -> NCPoly:
+    """Image of a_ij (i < j) on n strands under the p-cable of sigma_{n_gen}, n_gen >= 1."""
+    return kappa_closed_form((n_gen - 1) * p + 1, p, p, i, j, n)

@@ -402,14 +402,8 @@ class Certificate:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Certificate":
-        def num(x, field: str) -> float:
-            out = float(x)
-            if not math.isfinite(out):
-                raise ValueError(f"certificate field {field} is not finite: {out!r}")
-            return out
-
         def cnum(x, field: str) -> complex:
-            return complex(num(x["re"], f"{field}.re"), num(x["im"], f"{field}.im"))
+            return complex(*(jsonio.number(x[part], f"{field}.{part}") for part in ("re", "im")))
 
         try:
             braid = BraidWord.from_obj(obj["braid"])
@@ -425,13 +419,13 @@ class Certificate:
             return cls(
                 braid=braid,
                 assignment=assignment,
-                residual_L=num(obj["residual_L"], "residual_L"),
-                residual_R=num(obj["residual_R"], "residual_R"),
-                ideal_residual=num(obj["ideal_residual"], "ideal_residual"),
+                residual_L=jsonio.number(obj["residual_L"], "residual_L"),
+                residual_R=jsonio.number(obj["residual_R"], "residual_R"),
+                ideal_residual=jsonio.number(obj["ideal_residual"], "ideal_residual"),
                 rank=jsonio.integer(obj["rank"], "rank"),
                 seed=jsonio.integer(obj["seed"], "seed"),
                 restarts=jsonio.integer(obj["restarts"], "restarts"),
-                tol=num(obj["tol"], "tol"),
+                tol=jsonio.number(obj["tol"], "tol"),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"not a certificate object (missing {exc})") from exc

@@ -18,7 +18,7 @@ from .action import (
     phi_right,
     tau_closed_form,
 )
-from .braids import BraidWord, cable, perm, tau_word
+from .braids import BraidWord, cable, include_bar, perm, tau_word
 from .freealg import NCPoly
 from .reporting import CheckReport
 
@@ -120,29 +120,27 @@ def check_tau_forms(n: int) -> CheckReport:
     for m in range(1, n):
         for p in range(1, n - m + 1):
             w = tau_word(m, p, n)
-            for star in (False, True):
-                top = n + 1 if star else n
-                for i in range(1, top + 1):
-                    for j in range(i + 1, top + 1):
-                        got = tau_closed_form(m, p, i, j, n, star=star)
-                        want = phi(w, NCPoly.gen(n, i, j, star=star))
-                        j_key = "star" if star and j == n + 1 else j
+            for amb in (n, n + 1):
+                for i in range(1, amb + 1):
+                    for j in range(i + 1, amb + 1):
+                        got = tau_closed_form(m, p, i, j, amb)
+                        want = phi(include_bar(w, amb), NCPoly.gen(amb, i, j))
+                        j_key = "star" if j == n + 1 else j
                         report.compare(got, want, m=m, p=p, i=i, j=j_key)
     return report
 
 
 def check_cabled_letter_forms(k: int, p: int) -> CheckReport:
-    """The cabled-generator closed form matches the direct action, star slot included."""
+    """The cabled-generator closed form matches the direct action, extra strand included."""
     kp = k * p
     report = CheckReport(claim="cabled generator closed form", parameters={"k": k, "p": p})
     for n_gen in range(1, k):
         cab = cable(BraidWord(k, (n_gen,)), p)
-        for star in (False, True):
-            top = kp + 1 if star else kp
-            for i in range(1, top + 1):
-                for j in range(i + 1, top + 1):
-                    got = cabled_generator_closed_form(n_gen, p, k, i, j, star=star)
-                    want = phi(cab, NCPoly.gen(kp, i, j, star=star))
-                    j_key = "star" if star and j == kp + 1 else j
+        for amb in (kp, kp + 1):
+            for i in range(1, amb + 1):
+                for j in range(i + 1, amb + 1):
+                    got = cabled_generator_closed_form(n_gen, p, i, j, amb)
+                    want = phi(include_bar(cab, amb), NCPoly.gen(amb, i, j))
+                    j_key = "star" if j == kp + 1 else j
                     report.compare(got, want, n_gen=n_gen, i=i, j=j_key)
     return report

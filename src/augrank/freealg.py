@@ -1,10 +1,8 @@
 """Exact arithmetic in the free unital Z-algebra on generators a_ij, i != j.
 
-Values carry their ambient strand count ``n``.  A value created with
-``star=True`` lives in the algebra extended by one distinguished slot at
-index n+1 (used for module computations over an extra strand); the slot is
-only ever legal on starred values, so a plain index leaking into or out of
-the extension is caught by the ambient checks.
+Values carry their ambient strand count ``n``.  Module computations over an
+extra strand live on n+1 strands, so an index past the ambient is caught by
+the ambient checks.
 
 Coefficients are Python ints, so all arithmetic is exact at any size.
 Symbolic products abort with :class:`TermBudgetError` once a result exceeds
@@ -74,17 +72,9 @@ def conj_word(mon: Mon) -> Mon:
     return tuple((j, i) for i, j in reversed(mon))
 
 
-def word_text(mon: Mon, star: int = 0) -> str:
-    """Generators joined by '*': a12, or a10,11 past one digit; index ``star`` prints as s."""
-
-    def part(t: int) -> str:
-        return "s" if t == star else str(t)
-
-    gens = []
-    for i, j in mon:
-        si, sj = part(i), part(j)
-        gens.append(f"a{si}{sj}" if len(si) == 1 and len(sj) == 1 else f"a{si},{sj}")
-    return "*".join(gens)
+def word_text(mon: Mon) -> str:
+    """Generators joined by '*': a12, or a10,11 past one digit."""
+    return "*".join(f"a{i}{j}" if i < 10 and j < 10 else f"a{i},{j}" for i, j in mon)
 
 
 class SparsePoly:
@@ -253,19 +243,16 @@ class NCPoly(SparsePoly):
     _cat = staticmethod(operator.add)
     _conj_mon = staticmethod(conj_word)
     _mon_key = staticmethod(mon_key)
+    _mon_text = staticmethod(word_text)
 
-    def __init__(self, n: int, terms: Mapping[Mon, int] | None = None, *, star: bool = False):
+    def __init__(self, n: int, terms: Mapping[Mon, int] | None = None):
         if n < 1:
             raise ValueError(f"ambient size must be >= 1, got {n}")
-        self._init((n, star), terms)
+        self._init((n,), terms)
 
     @staticmethod
-    def _check_mon(amb: tuple[int, bool], mon) -> Mon:
-        n, star = amb
-        return check_word(mon, n + 1 if star else n, f"in ambient {n}{'+star' if star else ''}")
-
-    def _mon_text(self, mon: Mon) -> str:
-        return word_text(mon, self.n + 1 if self.star else 0)
+    def _check_mon(amb: tuple[int], mon) -> Mon:
+        return check_word(mon, amb[0], f"in ambient {amb[0]}")
 
     # NCPoly's sum and product are bound in its own namespace, apart from
     # TensorPoly's: perfbench/layers.py wraps them through vars(NCPoly).
@@ -275,28 +262,24 @@ class NCPoly(SparsePoly):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int, *, star: bool = False) -> "NCPoly":
-        return cls._raw((n, star), {})
+    def zero(cls, n: int) -> "NCPoly":
+        return cls._raw((n,), {})
 
     @classmethod
-    def one(cls, n: int, *, star: bool = False) -> "NCPoly":
-        return cls._raw((n, star), {(): 1})
+    def one(cls, n: int) -> "NCPoly":
+        return cls._raw((n,), {(): 1})
 
     @classmethod
-    def const(cls, n: int, c: int, *, star: bool = False) -> "NCPoly":
-        return cls._raw((n, star), {(): int(c)} if c else {})
+    def const(cls, n: int, c: int) -> "NCPoly":
+        return cls._raw((n,), {(): int(c)} if c else {})
 
     @classmethod
-    def gen(cls, n: int, i: int, j: int, *, star: bool = False) -> "NCPoly":
-        return cls(n, {((i, j),): 1}, star=star)
+    def gen(cls, n: int, i: int, j: int) -> "NCPoly":
+        return cls(n, {((i, j),): 1})
 
     @property
     def n(self) -> int:
         return self._amb[0]
-
-    @property
-    def star(self) -> bool:
-        return self._amb[1]
 
     def evaluate(self, values: Mapping[Gen, complex]) -> complex:
         """Substitute complex values for the generators and multiply out."""
@@ -341,6 +324,6 @@ class Assignment:
         return self.values[(i, j)]
 
     def evaluate(self, x: NCPoly) -> complex:
-        if x.n != self.n or x.star:
+        if x.n != self.n:
             raise ValueError("assignment ambient does not match polynomial ambient")
         return x.evaluate(self.values)

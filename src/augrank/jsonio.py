@@ -9,6 +9,7 @@ bytes, so reruns with the same configuration diff clean.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 
@@ -36,3 +37,16 @@ def integer(x: Any, field: str) -> int:
     if type(x) is not int:
         raise ValueError(f"{field} must be an integer, got {x!r}")
     return x
+
+
+def number(x: Any, field: str) -> float:
+    """A finite JSON number field as a float; a bool, string, NaN or infinity raises."""
+    if type(x) not in (int, float):
+        raise ValueError(f"{field} must be a number, got {x!r}")
+    try:
+        out = float(x)
+    except OverflowError:  # an integer past the largest double
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValueError(f"{field} is not finite: {out!r}")
+    return out

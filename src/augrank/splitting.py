@@ -10,9 +10,9 @@ i = (q-1)p + r.  On generators the map is
 
 extended multiplicatively.  It intertwines cabling with the tensor product:
 the left/right action matrices of a p-cable collapse entrywise to the small
-matrix tensored with the identity, and the diagram with the starred module
-map commutes letter by letter.  The verify_* functions check those facts
-exactly and report per-entry differences.
+matrix tensored with the identity, and the diagram with the module map on
+strand kp+1 commutes letter by letter.  The verify_* functions check those
+facts exactly and report per-entry differences.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .action import (
     sum_crossing,
     sum_desc,
 )
-from .braids import BraidWord, cable
+from .braids import BraidWord, cable, include_bar
 from .freealg import Mon, NCPoly, SparsePoly, check_word, conj_word, mon_key, word_text
 from .reporting import CheckReport
 
@@ -89,15 +89,11 @@ class TensorPoly(SparsePoly):
 
 def tensor_embed_left(x: NCPoly, p: int) -> TensorPoly:
     """x (x) 1."""
-    if x.star:
-        raise ValueError("cannot embed a starred polynomial")
     return TensorPoly(x.n, p, {(mon, ()): c for mon, c in x.terms.items()})
 
 
 def tensor_embed_right(x: NCPoly, k: int) -> TensorPoly:
     """1 (x) x."""
-    if x.star:
-        raise ValueError("cannot embed a starred polynomial")
     return TensorPoly(k, x.n, {((), mon): c for mon, c in x.terms.items()})
 
 
@@ -117,8 +113,6 @@ def split_gen(i: int, j: int, p: int) -> TensorMon | None:
 
 def psi(x: NCPoly, k: int, p: int) -> TensorPoly:
     """Apply the splitting homomorphism to a polynomial on kp strands."""
-    if x.star:
-        raise ValueError("use psi_star for starred module elements")
     if x.n != k * p:
         raise ValueError(f"ambient {x.n} is not kp = {k * p}")
     terms: dict[TensorMon, int] = {}
@@ -141,24 +135,19 @@ def psi(x: NCPoly, k: int, p: int) -> TensorPoly:
 
 
 def psi_star(x: NCPoly, k: int, p: int) -> dict[tuple[int, int], TensorPoly]:
-    """Apply the starred splitting map to a left-module element.
+    """Apply the splitting map to a left-module element on kp+1 strands.
 
     The result is written in the basis indexed by (block, offset): the value
     at (q, r) is the tensor coefficient of the basis vector coming from the
-    strand (q-1)p + r.
+    strand (q-1)p + r.  Zero coefficients are left out.
     """
-    if x.n != k * p:
-        raise ValueError(f"ambient {x.n} is not kp = {k * p}")
+    if x.n != k * p + 1:
+        raise ValueError(f"ambient {x.n} is not kp + 1 = {k * p + 1}")
     out: dict[tuple[int, int], TensorPoly] = {}
     for i, coeff in star_decompose(x, "L").items():
-        key = split_index(i, p)
         image = psi(coeff, k, p)
-        if key in out:
-            image = out[key] + image
-        if image.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = image
+        if not image.is_zero():
+            out[split_index(i, p)] = image  # split_index is injective
     return out
 
 
@@ -196,15 +185,15 @@ def verify_commutes(n_gen: int, k: int, p: int) -> CheckReport:
         raise ValueError(f"generator index {n_gen} out of range for B_{k}")
     kp = k * p
     sigma = BraidWord(k, (n_gen,))
-    cabled = cable(sigma, p)
+    cabled = include_bar(cable(sigma, p), kp + 1)
     report = CheckReport(
         claim="splitting map commutes with the cabled letter action",
         parameters={"n_gen": n_gen, "k": k, "p": p},
     )
     for i in range(1, kp + 1):
         qi, ri = split_index(i, p)
-        lhs = psi_star(phi(cabled, NCPoly.gen(kp, i, kp + 1, star=True)), k, p)
-        small = phi(sigma, NCPoly.gen(k, qi, k + 1, star=True))
+        lhs = psi_star(phi(cabled, NCPoly.gen(kp + 1, i, kp + 1)), k, p)
+        small = phi(include_bar(sigma, k + 1), NCPoly.gen(k + 1, qi, k + 1))
         rhs: dict[tuple[int, int], TensorPoly] = {}
         for l, coeff in star_decompose(small, "L").items():
             emb = tensor_embed_left(coeff, p)
@@ -229,7 +218,7 @@ def verify_sum_collapse(n_gen: int, k: int, p: int) -> CheckReport:
         claim="alternating window sums collapse to two terms under splitting",
         parameters={"n_gen": n_gen, "k": k, "p": p},
     )
-    g = lambda a, b, star=False: NCPoly.gen(kp, a, b, star=star)
+    g = lambda a, b, amb=kp: NCPoly.gen(amb, a, b)
     for i in range(1, kp + 2):
         for j in range(i + 1, kp + 2):
             if i <= (n_gen - 1) * p and j in first:
@@ -240,12 +229,10 @@ def verify_sum_collapse(n_gen: int, k: int, p: int) -> CheckReport:
                 rhs = psi(g(i, j + p) - g(i, anchor) * g(anchor, j + p), k, p)
                 report.compare(lhs, rhs, case="ascending", i=i, j=j)
             elif i in first and j > (n_gen + 1) * p:
-                starred = j == kp + 1
-                lhs_poly = sum_desc(kp, i + p, j, m, p, star=starred)
-                rhs_poly = g(i + p, j, star=starred) - g(i + p, i, star=starred) * g(
-                    i, j, star=starred
-                )
-                if starred:
+                amb = max(j, kp)  # j = kp+1 is the extra strand of the module
+                lhs_poly = sum_desc(amb, i + p, j, m, p)
+                rhs_poly = g(i + p, j, amb) - g(i + p, i, amb) * g(i, j, amb)
+                if amb > kp:
                     lhs, rhs = psi_star(lhs_poly, k, p), psi_star(rhs_poly, k, p)
                     if lhs != rhs:
                         report.diffs.append(

@@ -29,25 +29,24 @@ def braid_word_pairs(draw, min_n=2, max_n=4, max_len=5):
 
 
 @st.composite
-def monomials(draw, n, max_deg=3, star=False):
-    top = n + 1 if star else n
+def monomials(draw, n, max_deg=3):
     deg = draw(st.integers(0, max_deg))
     gens = []
     for _ in range(deg):
-        i = draw(st.integers(1, top))
-        j = draw(st.integers(1, top).filter(lambda x, i=i: x != i))
+        i = draw(st.integers(1, n))
+        j = draw(st.integers(1, n).filter(lambda x, i=i: x != i))
         gens.append((i, j))
     return tuple(gens)
 
 
 @st.composite
-def nc_polys(draw, n=None, min_n=2, max_n=4, max_terms=4, max_deg=3, max_coeff=6, star=False):
+def nc_polys(draw, n=None, min_n=2, max_n=4, max_terms=4, max_deg=3, max_coeff=6):
     if n is None:
         n = draw(st.integers(min_n, max_n))
     count = draw(st.integers(0, max_terms))
     terms = {}
     for _ in range(count):
-        mon = draw(monomials(n, max_deg=max_deg, star=star))
+        mon = draw(monomials(n, max_deg=max_deg))
         coeff = draw(st.integers(-max_coeff, max_coeff))
         terms[mon] = terms.get(mon, 0) + coeff
-    return NCPoly(n, terms, star=star)
+    return NCPoly(n, terms)

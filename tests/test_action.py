@@ -20,15 +20,15 @@ from augrank.action import (
     sum_desc,
     tau_closed_form,
 )
-from augrank.braids import BraidWord, cable, kappa_word, perm, tau_word
+from augrank.braids import BraidWord, cable, include_bar, kappa_word, perm, tau_word
 from augrank.checks import check_braid_relations, check_monomial_structure
 from augrank.freealg import NCPoly, TermBudgetError
 
 from strategies import braid_word_pairs, braid_words, nc_polys
 
 
-def a(n, i, j, star=False):
-    return NCPoly.gen(n, i, j, star=star)
+def a(n, i, j):
+    return NCPoly.gen(n, i, j)
 
 
 class TestLetterAction:
@@ -76,6 +76,9 @@ class TestWordAction:
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):
             phi(BraidWord(3, (1,)), a(2, 1, 2))
+        # a braid acts on the extra strand only once included in B_{n+1}
+        with pytest.raises(ValueError, match="cannot act on ambient 3"):
+            phi(BraidWord(2, (1,)), a(3, 1, 3))
 
     @given(nc_polys(n=3), braid_words(min_n=3, max_n=3, max_len=5))
     def test_commutes_with_conjugation(self, x, b):
@@ -87,40 +90,36 @@ class TestWordAction:
 
 
 class TestStarAction:
+    # the extra strand of B_2 is strand 3 of B_3, with sigma_1 included
     def test_star_basis_examples(self):
-        s1 = BraidWord(2, (1,))
-        assert phi(s1, a(2, 1, 3, star=True)) == a(2, 2, 3, star=True) - a(
-            2, 2, 1, star=True
-        ) * a(2, 1, 3, star=True)
-        assert phi(s1, a(2, 2, 3, star=True)) == a(2, 1, 3, star=True)
+        s1 = include_bar(BraidWord(2, (1,)), 3)
+        assert phi(s1, a(3, 1, 3)) == a(3, 2, 3) - a(3, 2, 1) * a(3, 1, 3)
+        assert phi(s1, a(3, 2, 3)) == a(3, 1, 3)
 
     def test_identity(self):
-        x = a(2, 1, 3, star=True)
-        assert phi(BraidWord(2, ()), x) == x
+        x = a(3, 1, 3)
+        assert phi(BraidWord(3, ()), x) == x
 
     def test_star_decompose_validates(self):
         with pytest.raises(StarDecompositionError):
-            star_decompose(NCPoly.one(2, star=True), "L")
+            star_decompose(NCPoly.one(3), "L")
         with pytest.raises(StarDecompositionError):
-            star_decompose(a(2, 1, 2, star=True), "L")  # no star slot at the end
-        bad = a(2, 1, 3, star=True) * a(2, 3, 2, star=True)  # star not final
+            star_decompose(a(3, 1, 2), "L")  # no star slot at the end
+        bad = a(3, 1, 3) * a(3, 3, 2)  # star not final
         with pytest.raises(StarDecompositionError):
             star_decompose(bad, "L")
         with pytest.raises(StarDecompositionError):
-            star_decompose(a(2, 1, 3, star=True), "R")
+            star_decompose(a(3, 1, 3), "R")
         with pytest.raises(StarDecompositionError):
-            star_decompose(NCPoly.one(2, star=True), "R")
+            star_decompose(NCPoly.one(3), "R")
         with pytest.raises(StarDecompositionError):
-            star_decompose(a(2, 1, 2, star=True), "R")  # no star slot at the start
-        bad = a(2, 3, 1, star=True) * a(2, 2, 3, star=True)  # second star inside
+            star_decompose(a(3, 1, 2), "R")  # no star slot at the start
+        bad = a(3, 3, 1) * a(3, 2, 3)  # second star inside
         with pytest.raises(StarDecompositionError):
             star_decompose(bad, "R")
-        for side in "LR":
-            with pytest.raises(StarDecompositionError):
-                star_decompose(a(2, 1, 2), side)  # not starred
 
     def test_star_decompose_reads_rows(self):
-        x = a(2, 2, 1, star=True) * a(2, 1, 3, star=True) - 2 * a(2, 2, 3, star=True)
+        x = a(3, 2, 1) * a(3, 1, 3) - 2 * a(3, 2, 3)
         coeffs = star_decompose(x, "L")
         assert coeffs[1] == a(2, 2, 1)
         assert coeffs[2] == NCPoly.const(2, -2)
@@ -224,14 +223,13 @@ class TestClosedForms:
         for m in range(1, n):
             for p in range(1, n - m + 1):
                 w = tau_word(m, p, n)
-                for star in (False, True):
-                    top = n + 1 if star else n
-                    for i in range(1, top + 1):
-                        for j in range(i + 1, top + 1):
-                            got = tau_closed_form(m, p, i, j, n, star=star)
-                            gen = a(n, i, j, star=star)
-                            want = phi(w, gen)
-                            assert got == want, (n, m, p, i, j, star)
+                for amb in (n, n + 1):
+                    for i in range(1, amb + 1):
+                        for j in range(i + 1, amb + 1):
+                            got = tau_closed_form(m, p, i, j, amb)
+                            gen = a(amb, i, j)
+                            want = phi(include_bar(w, amb), gen)
+                            assert got == want, (n, m, p, i, j, amb)
 
     def test_tau_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -246,17 +244,27 @@ class TestClosedForms:
                 w = kappa_word(m, l, p, n)
                 for i in range(1, n + 1):
                     for j in range(i + 1, n + 2):
-                        star = j == n + 1
-                        got = kappa_closed_form(m, l, p, i, j, n, star=star)
-                        gen = a(n, i, j, star=star)
-                        want = phi(w, gen)
+                        amb = max(j, n)  # j = n+1 is the extra strand
+                        got = kappa_closed_form(m, l, p, i, j, amb)
+                        gen = a(amb, i, j)
+                        want = phi(include_bar(w, amb), gen)
                         assert got == want, (n, p, l, m, i, j)
 
     def test_cabled_form_block_cases(self):
         # both indices inside the moving block shift by p
-        assert cabled_generator_closed_form(1, 2, 2, 1, 2) == a(4, 3, 4)
+        assert cabled_generator_closed_form(1, 2, 1, 2, 4) == a(4, 3, 4)
         # untouched indices stay put
-        assert cabled_generator_closed_form(1, 2, 3, 5, 6) == a(6, 5, 6)
+        assert cabled_generator_closed_form(1, 2, 5, 6, 6) == a(6, 5, 6)
+
+    def test_cabled_form_rejects_bad_input(self):
+        # sigma_0 would start its window at strand -1
+        with pytest.raises(ValueError, match=r"\(m=-1, l=2, p=2\) does not fit in ambient 4"):
+            cabled_generator_closed_form(0, 2, 1, 2, 4)
+        # the 2-cable of sigma_2 moves strands 3..6, which do not fit in 5
+        with pytest.raises(ValueError, match="does not fit in ambient 5"):
+            cabled_generator_closed_form(2, 2, 1, 2, 5)
+        with pytest.raises(ValueError):
+            cabled_generator_closed_form(1, 2, 2, 1, 4)  # i >= j
 
     def test_cabled_form_matches_action_smoke(self):
         k, p = 3, 2
@@ -265,10 +273,10 @@ class TestClosedForms:
             cab = cable(BraidWord(k, (n_gen,)), p)
             for i in range(1, kp + 1):
                 for j in range(i + 1, kp + 2):
-                    star = j == kp + 1
-                    got = cabled_generator_closed_form(n_gen, p, k, i, j, star=star)
-                    gen = a(kp, i, j, star=star)
-                    want = phi(cab, gen)
+                    amb = max(j, kp)  # j = kp+1 is the extra strand
+                    got = cabled_generator_closed_form(n_gen, p, i, j, amb)
+                    gen = a(amb, i, j)
+                    want = phi(include_bar(cab, amb), gen)
                     assert got == want
 
     @pytest.mark.parametrize("k,p", [(2, 2), (3, 2), (2, 3)])

@@ -266,6 +266,10 @@ def _repeat_generator(obj):
     obj["generators"].append(dict(obj["generators"][0]))
 
 
+def _set_first_re(value):
+    return lambda obj: obj["generators"][0].update(re=value)
+
+
 # (argv, edit applied to a good trefoil certificate, exit code, what stderr says)
 BAD_INPUT_CASES = (
     [(SEARCH + opt, None, 1, "tol must be finite and > 0") for opt in TOL_CASES]
@@ -277,6 +281,9 @@ BAD_INPUT_CASES = (
         (VERIFY, _set_word([True, 1, 1]), 1, "braid letter must be an integer, got True"),
         (VERIFY, _repeat_generator, 1, "certificate repeats generator a_1,2"),
         (VERIFY, lambda obj: obj.update(rank=7), 2, ""),
+        (VERIFY, lambda obj: obj.update(tol="10"), 1, "tol must be a number, got '10'"),
+        (VERIFY, _set_first_re(True), 1, "generator a_1,2.re must be a number, got True"),
+        (VERIFY, _set_first_re("1.0"), 1, "generator a_1,2.re must be a number, got '1.0'"),
     ]
 )
 

@@ -13,8 +13,8 @@ from augrank.splitting import TensorPoly
 from strategies import nc_polys
 
 
-def a(n, i, j, star=False):
-    return NCPoly.gen(n, i, j, star=star)
+def a(n, i, j):
+    return NCPoly.gen(n, i, j)
 
 
 class TestRing:
@@ -35,14 +35,14 @@ class TestRing:
         with pytest.raises(ValueError):
             a(2, 1, 2) + a(3, 1, 2)
         with pytest.raises(ValueError):
-            a(2, 1, 2) * NCPoly.gen(2, 1, 3, star=True)
+            a(2, 1, 2) * a(3, 1, 3)  # the extra strand is a third strand
 
     def test_generator_validation(self):
         with pytest.raises(ValueError):
             NCPoly.gen(2, 1, 3)
         with pytest.raises(ValueError):
             NCPoly.gen(2, 1, 1)
-        assert NCPoly.gen(2, 1, 3, star=True)  # star slot legal when flagged
+        assert NCPoly.gen(3, 1, 3)  # the extra strand of B_2 is strand 3 of 3
         with pytest.raises(ValueError):
             TensorPoly(2, 3, {(((1, 3),), ()): 1})  # left factor has 2 strands
         with pytest.raises(ValueError):
@@ -155,10 +155,6 @@ class TestTextForm:
         assert (NCPoly.one(2) * 3).render() == "3"
         y = -2 * a(2, 2, 1) + a(2, 2, 1) * a(2, 1, 2) * a(2, 2, 1)
         assert y.render() == "-2*a21 + a21*a12*a21"
-
-    def test_star_rendering(self):
-        x = NCPoly.gen(2, 1, 3, star=True)
-        assert x.render() == "a1s"
 
     def test_double_digit_indices(self):
         x = NCPoly.gen(12, 10, 11)

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import pytest
@@ -41,3 +42,14 @@ def test_layout_is_indented_and_ordered(tmp_path):
     jsonio.dump_file(str(path), obj)
     assert path.read_text() == text + "\n"
     assert jsonio.load_file(str(path)) == obj
+
+
+def test_number_takes_json_numbers_only():
+    assert jsonio.number(1, "re") == 1.0 and type(jsonio.number(1, "re")) is float
+    assert jsonio.number(-2.5, "re") == -2.5
+    for bad in (True, False, "1.0", "10", None, [1.0]):
+        with pytest.raises(ValueError, match=re.escape(f"tol must be a number, got {bad!r}")):
+            jsonio.number(bad, "tol")
+    for bad in (math.nan, math.inf, -math.inf, 10**400):
+        with pytest.raises(ValueError, match="tol is not finite"):
+            jsonio.number(bad, "tol")

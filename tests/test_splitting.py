@@ -3,7 +3,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from augrank.action import phi
-from augrank.braids import BraidWord, cable, perm
+from augrank.braids import BraidWord, cable, include_bar, perm
 from augrank import splitting
 from augrank.freealg import NCPoly
 from augrank.splitting import (
@@ -21,8 +21,8 @@ from augrank.splitting import (
 from strategies import braid_words, nc_polys
 
 
-def a(n, i, j, star=False):
-    return NCPoly.gen(n, i, j, star=star)
+def a(n, i, j):
+    return NCPoly.gen(n, i, j)
 
 
 class TestIndexSplit:
@@ -66,7 +66,7 @@ class TestPsiMap:
         with pytest.raises(ValueError):
             psi(a(4, 1, 2), 2, 3)
 
-    @given(nc_polys(n=4, star=True))
+    @given(nc_polys(n=5))  # module elements live on kp+1 strands
     def test_star_rejected_by_plain_map(self, x):
         with pytest.raises(ValueError):
             psi(x, 2, 2)
@@ -74,17 +74,21 @@ class TestPsiMap:
 
 class TestPsiStar:
     def test_first_strand(self):
-        out = psi_star(a(4, 1, 5, star=True), 2, 2)
+        out = psi_star(a(5, 1, 5), 2, 2)
         assert out == {(1, 1): TensorPoly.one(2, 2)}
 
     def test_third_strand_splits(self):
-        out = psi_star(a(4, 3, 5, star=True), 2, 2)
+        out = psi_star(a(5, 3, 5), 2, 2)
         assert out == {(2, 1): TensorPoly.one(2, 2)}
 
     def test_module_map_property(self):
-        x = a(4, 1, 2, star=True) * a(4, 2, 5, star=True)
+        x = a(5, 1, 2) * a(5, 2, 5)
         out = psi_star(x, 2, 2)
         assert out == {(1, 2): psi(a(4, 1, 2), 2, 2)}
+
+    def test_ambient_checked(self):
+        with pytest.raises(ValueError, match="not kp \\+ 1"):
+            psi_star(a(4, 1, 4), 2, 2)
 
 
 class TestCableSplitting:
@@ -110,13 +114,14 @@ class TestCableSplitting:
             assert report.ok, report.to_obj()
 
     def test_identity_braid_diagram_is_trivial(self):
-        # cabling the identity braid leaves the starred map unchanged
+        # cabling the identity braid leaves the module map on strand kp+1 unchanged
         k = p = 2
         kp = k * p
+        lifted = include_bar(cable(BraidWord(k, ()), p), kp + 1)
         for i in range(1, kp + 1):
-            x = a(kp, i, kp + 1, star=True)
-            assert phi(cable(BraidWord(k, ()), p), x) == x
-            assert psi_star(x, k, p) == psi_star(phi(cable(BraidWord(k, ()), p), x), k, p)
+            x = a(kp + 1, i, kp + 1)
+            assert phi(lifted, x) == x
+            assert psi_star(x, k, p) == psi_star(phi(lifted, x), k, p)
 
     @pytest.mark.parametrize("k,p", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_window_sums_collapse(self, k, p):
