@@ -32,12 +32,16 @@ With b1 a prefix P and b2 one letter e, this is a left-to-right fold:
 
 PhiL(e) and PhiR(e) are the identity outside a 2 x 2 block whose only
 non-constant entry is one generator, so the fold only needs the images
-act(P, a_ij) of the generators, carried forward with the matrices.  One
-letter costs O(n) products.  :func:`_letter_step` is that step, written once
-for numpy arrays over any ring: NCPoly objects here, batched complex numbers
-in :func:`augrank.augment.eval_phi_matrices`.  In the free algebra the order
-of the factors matters: rows of PhiL and the row images are multiplied on the
-left, columns of PhiR and the column images on the right.
+v[i-1, j-1] = act(P, a_ij) of the generators, carried forward with the
+matrices.  All three live in one block array [[PhiL(P), v], [0, PhiR(P)]]:
+a letter on strands s, t changes rows s, t of v the way it changes rows s, t
+of PhiL, and columns s, t of v the way it changes columns s, t of PhiR.  So
+one letter is one row operation on rows s, t, one column operation on
+columns n+s, n+t and a 2 x 2 patch of v: O(n) products.  :func:`_letter_step`
+is that step, written once for numpy arrays over any ring: NCPoly objects
+here, batched complex numbers (batch axes last) in
+:func:`augrank.augment.eval_phi_matrices`.  In the free algebra the order of
+the factors matters: rows are multiplied on the left, columns on the right.
 
 The oracles stay independent of the fold: :func:`phi_left_direct` and
 :func:`phi_right_direct` read the matrices off the action of beta, included in
@@ -238,52 +242,50 @@ def mat_mul(a: PhiMatrix, b: PhiMatrix) -> PhiMatrix:
     return PhiMatrix(n, a.side, tuple(rows))
 
 
-def _letter_step(ml: np.ndarray, mr: np.ndarray, v: np.ndarray, e: int) -> np.ndarray:
-    """Advance the fold by one letter; updates ml/mr in place, returns new values.
+def _letter_step(x: np.ndarray, e: int) -> None:
+    """Advance the fold by one letter, in place.
 
-    ml and mr hold PhiL(P) and PhiR(P), v holds act(P, a_ij) at [..., i-1, j-1];
-    leading axes are a batch.  sigma_k^-1 is sigma_k with the roles of
-    strands k and k+1 swapped, so both signs share the update below.
+    x is the block array [[PhiL(P), v], [0, PhiR(P)]] of shape (2n, 2n, ...)
+    with v[i-1, j-1] = act(P, a_ij); trailing axes are a batch, and v's
+    diagonal holds the ring's zero.  sigma_k^-1 is sigma_k with the roles of
+    strands k and k+1 swapped, so both signs share the update below: one row
+    operation on rows s, t (PhiL and the row images), one column operation on
+    columns n+s, n+t (the column images and PhiR), and a 2 x 2 patch of v.
+    The patch's off-diagonal entries are set aside and zeroed while the two
+    operations run, then written back negated and swapped.
     """
-    n = v.shape[-1]
+    n = x.shape[0] // 2
     s, t = abs(e) - 1, abs(e)
     if e < 0:
         s, t = t, s
-    oth = np.array([r for r in range(n) if r not in (s, t)], dtype=int)
-    v_ts, v_st = v[..., t, s, None], v[..., s, t, None]
-    row = ml[..., t, :] - v_ts * ml[..., s, :]
-    ml[..., t, :] = ml[..., s, :]
-    ml[..., s, :] = row
-    col = mr[..., :, t] - mr[..., :, s] * v_st
-    mr[..., :, t] = mr[..., :, s]
-    mr[..., :, s] = col
-    w = v.copy()
-    if oth.size:
-        w[..., t, oth] = v[..., s, oth]
-        w[..., oth, t] = v[..., oth, s]
-        w[..., s, oth] = v[..., t, oth] - v_ts * v[..., s, oth]
-        w[..., oth, s] = v[..., oth, t] - v[..., oth, s] * v_st
-    w[..., s, t] = -v[..., t, s]
-    w[..., t, s] = -v[..., s, t]
-    return w
+    v_ts, v_st = x[t, n + s, ...].copy(), x[s, n + t, ...].copy()
+    x[t, n + s], x[s, n + t] = x[t, n + t], x[s, n + s]  # zeros from v's diagonal
+    xs, xt = x[s], x[t]  # views
+    row = xt - v_ts * xs
+    xt[...] = xs
+    xs[...] = row
+    xs, xt = x[:, n + s], x[:, n + t]
+    col = xt - xs * v_st
+    xt[...] = xs
+    xs[...] = col
+    x[s, n + t], x[t, n + s] = -v_ts, -v_st
 
 
 def phi_matrices(beta: BraidWord) -> tuple[PhiMatrix, PhiMatrix]:
     """Left and right action matrices of beta, from one letter fold."""
     n = beta.n
-    one, zero = NCPoly.one(n), NCPoly.zero(n)
-    ml = np.empty((n, n), dtype=object)
-    v = np.empty((n, n), dtype=object)
+    one = NCPoly.one(n)
+    x = np.full((2 * n, 2 * n), NCPoly.zero(n), dtype=object)
     for i in range(n):
+        x[i, i] = x[n + i, n + i] = one
         for j in range(n):
-            ml[i, j] = one if i == j else zero
-            v[i, j] = zero if i == j else NCPoly.gen(n, i + 1, j + 1)  # diagonal unused
-    mr = ml.copy()
+            if i != j:
+                x[i, n + j] = NCPoly.gen(n, i + 1, j + 1)
     for e in beta.letters:
-        v = _letter_step(ml, mr, v, e)
+        _letter_step(x, e)
     return (
-        PhiMatrix(n, "L", tuple(tuple(row) for row in ml)),
-        PhiMatrix(n, "R", tuple(tuple(row) for row in mr)),
+        PhiMatrix(n, "L", tuple(tuple(row) for row in x[:n, :n])),
+        PhiMatrix(n, "R", tuple(tuple(row) for row in x[n:, n:])),
     )
 
 

@@ -11,10 +11,12 @@ companion and the pattern, with no search.
 Numeric fast path: evaluating the action matrices under an assignment never
 builds symbolic entries.  The word is folded letter by letter with the step
 that also builds the symbolic matrices (:func:`augrank.action._letter_step`),
-run on complex arrays: the current evaluated matrices are kept together with
-the generator values pushed forward through each letter's substitution.  One
-letter costs O(n) scalar operations, and the whole fold is batched over many
-points at once (every restart of a chunk and its finite differences).
+run on one complex block array [[PhiL, v], [0, PhiR]]: the evaluated
+matrices sit beside the generator values v pushed forward through each
+letter's substitution.  One letter is a row operation, a column operation
+and a 2 x 2 patch of v, O(n) scalar operations, and the whole fold is
+batched over many points at once (every restart of a chunk and its finite
+differences) along the array's trailing axes.
 """
 
 from __future__ import annotations
@@ -68,19 +70,24 @@ def values_to_array(values: Mapping[Gen, complex], n: int) -> np.ndarray:
 def eval_phi_matrices(beta: BraidWord, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate both action matrices of beta at the given generator values.
 
-    values has shape (..., n, n); both results share the leading batch shape.
+    values has shape (..., n, n) and its diagonal is ignored; both results
+    share the leading batch shape and are C-contiguous.  The fold itself runs
+    on the block array of :func:`augrank.action._letter_step`, batch axes last.
     """
     n = beta.n
-    v = np.array(values, dtype=complex)
+    v = np.asarray(values, dtype=complex)
     if v.shape[-2:] != (n, n):
         raise ValueError(f"values must have trailing shape ({n}, {n})")
-    batch = v.shape[:-2]
-    eye = np.eye(n, dtype=complex)
-    ml = np.broadcast_to(eye, batch + (n, n)).copy()
-    mr = np.broadcast_to(eye, batch + (n, n)).copy()
+    k = v.ndim - 2
+    x = np.zeros((2 * n, 2 * n) + v.shape[:k], dtype=complex)
+    x[:n, n:] = v.transpose(k, k + 1, *range(k))
+    for i in range(n):
+        x[i, i] = x[n + i, n + i] = 1
+        x[i, n + i] = 0
     for e in beta.letters:
-        v = _letter_step(ml, mr, v, e)
-    return ml, mr
+        _letter_step(x, e)
+    batch_first = lambda block: np.ascontiguousarray(block.transpose(*range(2, k + 2), 0, 1))
+    return batch_first(x[:n, :n]), batch_first(x[n:, n:])
 
 
 def delta_diag(beta: BraidWord) -> np.ndarray:

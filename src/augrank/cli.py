@@ -9,6 +9,7 @@ accepted certificate, 2 no certificate found / verification not accepted,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import jsonio
@@ -196,6 +197,7 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache  # built once per process; parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="augrank",

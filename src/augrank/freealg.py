@@ -16,6 +16,7 @@ supplies the free algebra's monomials (words of generators), and
 
 from __future__ import annotations
 
+import itertools
 import operator
 import os
 from dataclasses import dataclass
@@ -151,6 +152,8 @@ class SparsePoly:
         if type(other) is not type(self):
             return NotImplemented
         self._require_compatible(other)
+        if not other._terms:
+            return self
         terms = dict(self._terms)
         for mon, c in other._terms.items():
             acc = terms.get(mon, 0) + sign * c
@@ -182,6 +185,8 @@ class SparsePoly:
         if type(other) is not type(self):
             return NotImplemented
         self._require_compatible(other)
+        if not (self._terms and other._terms):
+            return self._raw(self._amb, {})
         cat = self._cat
         budget = term_budget()
         terms: dict = {}
@@ -307,14 +312,17 @@ class Assignment:
     def __post_init__(self) -> None:
         if self.lam == 0 or self.mu == 0:
             raise ValueError("lambda and mu must be nonzero")
-        wanted = {(i, j) for i in range(1, self.n + 1) for j in range(1, self.n + 1) if i != j}
+        n, wanted = self.n, self.n * (self.n - 1)
         values = {tuple(k): complex(v) for k, v in dict(self.values).items()}
-        if set(values) != wanted:
-            missing = wanted - set(values)
-            extra = set(values) - wanted
+        extra = sorted(g for g in values if not (g[0] != g[1] and 1 <= min(g) and max(g) <= n))
+        if extra or len(values) != wanted:
+            # name a few generators only: n comes from input and n^2 can be huge
+            gens = ((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
+            missing = list(itertools.islice((g for g in gens if g not in values), 3))
             raise ValueError(
-                f"assignment must cover exactly the {len(wanted)} generators of the "
-                f"ambient algebra (missing {sorted(missing)}, extra {sorted(extra)})"
+                f"assignment must cover exactly the {wanted} generators of the ambient "
+                f"algebra, got {len(values)} (missing {wanted - len(values) + len(extra)} "
+                f"{missing}, extra {len(extra)} {extra[:3]})"
             )
         object.__setattr__(self, "values", MappingProxyType(values))
         object.__setattr__(self, "lam", complex(self.lam))

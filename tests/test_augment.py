@@ -29,9 +29,10 @@ from augrank.augment import (
     values_to_array,
 )
 from augrank.braids import BraidWord, perm, satellite_braid, torus_braid, writhe
-from augrank.freealg import Assignment
+from augrank.freealg import Assignment, NCPoly
+from augrank.splitting import TensorPoly
 
-from strategies import braid_words
+from strategies import braid_words, nc_polys
 
 TREFOIL = BraidWord(2, (1, 1, 1))
 
@@ -106,6 +107,46 @@ class TestResiduals:
                     want = eps.evaluate(sym.at(i, j))
                     got = num[i - 1, j - 1]
                     assert abs(want - got) <= 1e-10 * max(1.0, abs(want))
+
+
+class TestFold:
+    def test_batched_output_is_c_contiguous(self):
+        # the solver's cost sums each residual row in memory order, so a
+        # non-contiguous result would change the search's last bits
+        b = satellite_braid(TREFOIL, BraidWord(2, (1,)))
+        rng = np.random.default_rng(0)
+        for batch in ((), (7,), (3, 4)):
+            values = rng.standard_normal(batch + (4, 4)) + 1j * rng.standard_normal(batch + (4, 4))
+            for m in eval_phi_matrices(b, values):
+                assert m.shape == batch + (4, 4)
+                assert m.flags.c_contiguous
+
+    def test_overflowing_row_leaves_the_others_alone(self):
+        b = satellite_braid(TREFOIL, BraidWord(2, (1,)))
+        rng = np.random.default_rng(1)
+        batch = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+        batch[2] *= 1e120
+        with np.errstate(over="ignore", invalid="ignore"):
+            ml, mr = eval_phi_matrices(b, batch)
+            assert not np.isfinite(ml[2]).all()
+            for t in (0, 1, 3, 4):
+                ml_t, mr_t = eval_phi_matrices(b, batch[t])
+                assert np.allclose(ml[t], ml_t, atol=0, rtol=1e-14)
+                assert np.allclose(mr[t], mr_t, atol=0, rtol=1e-14)
+
+    @given(nc_polys(n=3, max_terms=6))
+    def test_zero_operand_fast_path(self, x):
+        # the fold multiplies by the zeroed entries of v; those products and
+        # sums return at once and must equal what the general loops give
+        tensor = TensorPoly(3, 2, {(m, ((1, 2),)): c for m, c in x.terms.items()})
+        for y, zero in ((x, NCPoly.zero(3)), (tensor, TensorPoly.zero(3, 2))):
+            for got in (y * zero, zero * y, y * 0, 0 * y):
+                assert got == zero
+            for got in (y - zero, y + zero, y - 0):
+                assert got == y
+                assert list(got.terms.items()) == list(y.terms.items())
+            with pytest.raises(ValueError, match="ambient"):
+                y * type(zero).zero(*(a + 1 for a in zero._amb))
 
 
 class TestRank:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from augrank.cli import main
+from augrank.cli import build_parser, main
 from augrank import augment, jsonio
 from augrank.action import phi_left
 from augrank.braids import BraidWord
@@ -303,6 +303,51 @@ def test_bad_input_is_rejected_up_front(capsys, tmp_path, argv, edit, code, mess
         assert message in err
     else:
         assert "NOT accepted" in out
+
+
+def test_huge_n_names_a_few_generators(capsys, tmp_path):
+    # a trefoil certificate claiming 300 strands lacks 89698 generators;
+    # the error counts them and names only the first few
+    path = tmp_path / "cert.json"
+    run(capsys, *SEARCH, "--output", str(path))
+    obj = jsonio.load_file(str(path))
+    obj["braid"]["n"] = 300
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert code == 1
+    assert out == ""
+    assert "89700 generators" in err and "missing 89698" in err
+    assert len(err.encode()) < 1024
+
+
+def test_successive_calls_behave_like_separate_runs(capsys, tmp_path):
+    # the parser is built once per process; reusing it must not carry state
+    # from one call into the next
+    assert build_parser() is build_parser()
+    path = tmp_path / "cert.json"
+    run(capsys, *SEARCH, "--output", str(path))
+    calls = [
+        ("check", "--suite", "nope"),
+        ("verify", "--cert", str(path)),
+        ("ar-search", "--n", "2", "--word", "1 1 1 1 1", "--seed", "3", "--format", "json"),
+    ]
+
+    def outcome(argv):
+        try:
+            return run(capsys, *argv)
+        except SystemExit as exc:  # argparse's usage error
+            captured = capsys.readouterr()
+            return exc.code, captured.out, captured.err
+
+    in_sequence = [outcome(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert in_sequence == fresh
+    assert [code for code, _, _ in in_sequence] == [2, 0, 0]
+    assert "invalid choice" in in_sequence[0][2]
+    assert json.loads(in_sequence[2][1])["config"]["restarts"] == 256
 
 
 class TestCheckCommand:
