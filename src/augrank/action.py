@@ -37,11 +37,18 @@ matrices.  All three live in one block array [[PhiL(P), v], [0, PhiR(P)]]:
 a letter on strands s, t changes rows s, t of v the way it changes rows s, t
 of PhiL, and columns s, t of v the way it changes columns s, t of PhiR.  So
 one letter is one row operation on rows s, t, one column operation on
-columns n+s, n+t and a 2 x 2 patch of v: O(n) products.  :func:`_letter_step`
-is that step, written once for numpy arrays over any ring: NCPoly objects
-here, batched complex numbers (batch axes last) in
-:func:`augrank.augment.eval_phi_matrices`.  In the free algebra the order of
-the factors matters: rows are multiplied on the left, columns on the right.
+columns n+s, n+t and a 2 x 2 patch of v: O(n) updates of the form y - a*b.
+After the last letter nothing reads v, so that letter's row operation covers
+PhiL's columns only, its column operation PhiR's rows only, and v is not
+updated; this keeps the fold from building images far larger than any
+matrix entry.  :func:`_letter_step` is that step, written once for numpy
+arrays over any ring, and :func:`fold_letters` runs it with the ring's
+y - a*b chosen once per fold: NCPoly objects here, updated elementwise by
+the fused :meth:`augrank.freealg.SparsePoly.sub_product` (one term map per
+update, one budget read per fold), and batched complex numbers (batch axes
+last) in :func:`augrank.augment.eval_phi_matrices`.  In the free algebra the
+order of the factors matters: rows are multiplied on the left, columns on
+the right.
 
 The oracles stay independent of the fold: :func:`phi_left_direct` and
 :func:`phi_right_direct` read the matrices off the action of beta, included in
@@ -242,33 +249,52 @@ def mat_mul(a: PhiMatrix, b: PhiMatrix) -> PhiMatrix:
     return PhiMatrix(n, a.side, tuple(rows))
 
 
-def _letter_step(x: np.ndarray, e: int) -> None:
+def _letter_step(x: np.ndarray, e: int, sub_mul, last: bool = False) -> None:
     """Advance the fold by one letter, in place.
 
     x is the block array [[PhiL(P), v], [0, PhiR(P)]] of shape (2n, 2n, ...)
     with v[i-1, j-1] = act(P, a_ij); trailing axes are a batch, and v's
-    diagonal holds the ring's zero.  sigma_k^-1 is sigma_k with the roles of
-    strands k and k+1 swapped, so both signs share the update below: one row
-    operation on rows s, t (PhiL and the row images), one column operation on
-    columns n+s, n+t (the column images and PhiR), and a 2 x 2 patch of v.
-    The patch's off-diagonal entries are set aside and zeroed while the two
-    operations run, then written back negated and swapped.
+    diagonal holds the ring's zero.  sub_mul(y, a, b) is the ring's y - a*b
+    with a or b broadcast over y, picked once per fold by the caller of
+    :func:`fold_letters`.  sigma_k^-1 is sigma_k with the roles of strands k
+    and k+1 swapped, so both signs share the update below: one row operation
+    on rows s, t (PhiL and the row images; the new row s is
+    row_t - v_ts row_s, multiplied on the left, the new row t the old row s),
+    one column operation on columns n+s, n+t (the column images and PhiR;
+    likewise col_t - col_s v_st, multiplied on the right), and a 2 x 2 patch
+    of v.  The patch's off-diagonal entries are set aside and zeroed while
+    the two operations run, then written back negated and swapped.  With
+    last set, nothing reads v again: the row operation covers PhiL's columns
+    only, the column operation PhiR's rows only, and v is left as it is.
     """
     n = x.shape[0] // 2
     s, t = abs(e) - 1, abs(e)
     if e < 0:
         s, t = t, s
     v_ts, v_st = x[t, n + s, ...].copy(), x[s, n + t, ...].copy()
-    x[t, n + s], x[s, n + t] = x[t, n + t], x[s, n + s]  # zeros from v's diagonal
-    xs, xt = x[s], x[t]  # views
-    row = xt - v_ts * xs
+    if last:
+        rows, cols = slice(0, n), slice(n, 2 * n)
+    else:
+        rows = cols = slice(None)
+        x[t, n + s], x[s, n + t] = x[t, n + t], x[s, n + s]  # zeros from v's diagonal
+    xs, xt = x[s, rows], x[t, rows]  # views
+    row = sub_mul(xt, v_ts, xs)
     xt[...] = xs
     xs[...] = row
-    xs, xt = x[:, n + s], x[:, n + t]
-    col = xt - xs * v_st
+    xs, xt = x[cols, n + s], x[cols, n + t]
+    col = sub_mul(xt, xs, v_st)
     xt[...] = xs
     xs[...] = col
-    x[s, n + t], x[t, n + s] = -v_ts, -v_st
+    if not last:
+        x[s, n + t], x[t, n + s] = -v_ts, -v_st
+
+
+def fold_letters(x: np.ndarray, letters: tuple[int, ...], sub_mul) -> None:
+    """Run :func:`_letter_step` over the letters in place, trimming the last."""
+    for e in letters[:-1]:
+        _letter_step(x, e, sub_mul)
+    if letters:
+        _letter_step(x, letters[-1], sub_mul, last=True)
 
 
 def phi_matrices(beta: BraidWord) -> tuple[PhiMatrix, PhiMatrix]:
@@ -281,8 +307,8 @@ def phi_matrices(beta: BraidWord) -> tuple[PhiMatrix, PhiMatrix]:
         for j in range(n):
             if i != j:
                 x[i, n + j] = NCPoly.gen(n, i + 1, j + 1)
-    for e in beta.letters:
-        _letter_step(x, e)
+    budget = term_budget()  # read once per fold, not once per update
+    fold_letters(x, beta.letters, np.frompyfunc(lambda y, a, b: y.sub_product(a, b, budget), 3, 1))
     return (
         PhiMatrix(n, "L", tuple(tuple(row) for row in x[:n, :n])),
         PhiMatrix(n, "R", tuple(tuple(row) for row in x[n:, n:])),

@@ -14,9 +14,9 @@ that also builds the symbolic matrices (:func:`augrank.action._letter_step`),
 run on one complex block array [[PhiL, v], [0, PhiR]]: the evaluated
 matrices sit beside the generator values v pushed forward through each
 letter's substitution.  One letter is a row operation, a column operation
-and a 2 x 2 patch of v, O(n) scalar operations, and the whole fold is
-batched over many points at once (every restart of a chunk and its finite
-differences) along the array's trailing axes.
+and a 2 x 2 patch of v (the last letter skips v), O(n) scalar operations,
+and the whole fold is batched over many points at once (every restart of a
+chunk and its finite differences) along the array's trailing axes.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .braids import BraidWord, Perm, component_count, perm, satellite_braid, tau_word, writhe
 from .braids import cable, include_bar
-from .action import _letter_step, phi_left
+from .action import fold_letters, phi_left
 from .freealg import Assignment, Gen, NCPoly
 from .reporting import CheckReport
 from .splitting import split_gen
@@ -84,8 +84,7 @@ def eval_phi_matrices(beta: BraidWord, values: np.ndarray) -> tuple[np.ndarray, 
     for i in range(n):
         x[i, i] = x[n + i, n + i] = 1
         x[i, n + i] = 0
-    for e in beta.letters:
-        _letter_step(x, e)
+    fold_letters(x, beta.letters, lambda y, a, b: y - a * b)
     batch_first = lambda block: np.ascontiguousarray(block.transpose(*range(2, k + 2), 0, 1))
     return batch_first(x[:n, :n]), batch_first(x[n:, n:])
 

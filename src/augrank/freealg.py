@@ -7,7 +7,11 @@ the ambient checks.
 Coefficients are Python ints, so all arithmetic is exact at any size.
 Symbolic products abort with :class:`TermBudgetError` once a result exceeds
 the monomial budget (default 10^6, overridable via the ``KCH_TERM_BUDGET``
-environment variable, which must hold a positive integer).
+environment variable, which must hold a positive integer).  The fused
+:meth:`SparsePoly.sub_product` (y - a*b, the symbolic letter fold's update)
+checks the budget the way products do: on the growing term map before each
+term of a and once at the end; a loop of them reads the budget once and
+passes it down.
 
 The ring arithmetic is written once, in :class:`SparsePoly`; :class:`NCPoly`
 supplies the free algebra's monomials (words of generators), and
@@ -187,21 +191,42 @@ class SparsePoly:
         self._require_compatible(other)
         if not (self._terms and other._terms):
             return self._raw(self._amb, {})
-        cat = self._cat
-        budget = term_budget()
-        terms: dict = {}
-        for m1, c1 in self._terms.items():
+        return self._raw(self._amb, self._add_product({}, self, other, 1, term_budget()))
+
+    def sub_product(self, a, b, budget: int | None = None):
+        """self - a*b, accumulated into one copy of self's terms.
+
+        Checks operands and the budget as ``-`` and ``*`` do; a zero a or b
+        returns self.  budget defaults to :func:`term_budget`.
+        """
+        for other in (a, b):
+            if type(other) is not type(self):
+                raise TypeError(
+                    f"sub_product needs {type(self).__name__} operands, got {type(other).__name__}"
+                )
+            self._require_compatible(other)
+        if not (a._terms and b._terms):
+            return self
+        if budget is None:
+            budget = term_budget()
+        return self._raw(self._amb, self._add_product(dict(self._terms), a, b, -1, budget))
+
+    def _add_product(self, terms: dict, a, b, sign: int, budget: int) -> dict:
+        # terms += sign * a * b in place, checking the budget as the map grows
+        cat, get, pairs = self._cat, terms.get, b._terms.items()
+        for m1, c1 in a._terms.items():
             # abort before the term map grows far past the budget
             _check_budget(len(terms), budget)
-            for m2, c2 in other._terms.items():
+            c1 *= sign
+            for m2, c2 in pairs:
                 mon = cat(m1, m2)
-                acc = terms.get(mon, 0) + c1 * c2
+                acc = get(mon, 0) + c1 * c2
                 if acc:
                     terms[mon] = acc
                 else:
-                    terms.pop(mon, None)
+                    del terms[mon]  # c1 * c2 != 0, so mon was present
         _check_budget(len(terms), budget)
-        return self._raw(self._amb, terms)
+        return terms
 
     def __rmul__(self, other):
         if isinstance(other, int):

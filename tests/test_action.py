@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 import hypothesis.strategies as st
 
 from augrank.action import (
@@ -190,6 +190,7 @@ class TestChainCompose:
         assert m == phi_left(BraidWord(2, (1, 1)))
 
     @given(braid_word_pairs(min_n=3, max_n=3, max_len=4))
+    @example((BraidWord(3, (-2, -2, -2, 1)), BraidWord(3, (1, -2, -2, 1))))
     def test_matches_product_word(self, pair):
         b1, b2 = pair
         try:
@@ -201,6 +202,14 @@ class TestChainCompose:
             assume(False)
         assert left == phi_left(b1 * b2)
         assert right == phi_right(b1 * b2)
+
+    def test_last_letter_builds_no_images(self):
+        # act(P, a_13) after 7 letters has 3708 terms, so updating the images
+        # on the last letter would build a 1.29M-term product; the matrices'
+        # largest entry has 2796
+        b1, b2 = BraidWord(3, (-2, -2, -2, 1)), BraidWord(3, (1, -2, -2, 1))
+        assert phi_left(b1 * b2) == chain_compose(phi_left(b1), phi_left(b2), b1)
+        assert phi_right(b1 * b2) == chain_compose(phi_right(b1), phi_right(b2), b1)
 
     def test_side_mismatch(self):
         with pytest.raises(ValueError):

@@ -161,6 +161,56 @@ class TestTextForm:
         assert x.render() == "a10,11"
 
 
+class TestSubProduct:
+    @given(nc_polys(n=3), nc_polys(n=3), nc_polys(n=3))
+    def test_matches_sub_of_product(self, y, x, z):
+        assert y.sub_product(x, z) == y - x * z
+        assert y.sub_product(x, z, budget=10**6) == y - x * z
+
+    def test_tensor_poly(self):
+        t = lambda terms: TensorPoly(2, 3, terms)
+        y = t({(((1, 2),), ((1, 3),)): 2, ((), ()): -1})
+        x = t({(((1, 2),), ()): 1, ((), ((3, 1),)): 3})
+        z = t({((), ((1, 3),)): 2, (((2, 1),), ()): -1})
+        assert y.sub_product(x, z) == y - x * z
+        assert y.sub_product(x, z) != y
+
+    def test_zero_operands(self):
+        y, x = a(3, 1, 2) - 2, a(3, 2, 3) * a(3, 3, 1)
+        zero = NCPoly.zero(3)
+        assert y.sub_product(zero, x) is y
+        assert y.sub_product(x, zero) is y
+        assert zero.sub_product(x, y) == -(x * y)
+        assert (x * y).sub_product(x, y).is_zero()
+
+    def test_ambient_mismatch(self):
+        y, x = a(2, 1, 2), a(3, 1, 3)
+        for args in ((x, y), (y, x), (NCPoly.zero(3), y), (y, NCPoly.zero(3))):
+            with pytest.raises(ValueError, match="ambient mismatch"):
+                y.sub_product(*args)
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            NCPoly.zero(3).sub_product(y, y)
+
+    def test_type_mismatch(self):
+        y = a(2, 1, 2)
+        with pytest.raises(TypeError):
+            y.sub_product(y, TensorPoly.one(1, 1))
+        with pytest.raises(TypeError):
+            y.sub_product(2, y)
+
+    def test_budget(self, monkeypatch):
+        y = a(2, 1, 2) + 1
+        x = a(2, 1, 2) + a(2, 2, 1)
+        # y - x*x has 6 monomials; y.sub_product(x, x) must hold them all
+        monkeypatch.setenv("KCH_TERM_BUDGET", "5")
+        with pytest.raises(TermBudgetError, match="over the budget of 5"):
+            y.sub_product(x, x)
+        with pytest.raises(TermBudgetError, match="over the budget of 3"):
+            y.sub_product(x, x, budget=3)
+        monkeypatch.setenv("KCH_TERM_BUDGET", "6")
+        assert y.sub_product(x, x) == y - x * x
+
+
 class TestTermBudget:
     def test_budget_error(self, monkeypatch):
         monkeypatch.setenv("KCH_TERM_BUDGET", "3")
