@@ -481,20 +481,12 @@ class NotFound:
         )
 
 
-def _check_tol(tol: float) -> None:
-    """An acceptance bound is a finite positive number."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-
-
 @dataclass(frozen=True)
 class SolveOptions:
     restarts: int = 256
     seed: int = 0
-    tol: float = ACCEPT_TOL
 
     def __post_init__(self) -> None:
-        _check_tol(self.tol)
         if self.restarts < 0:
             raise ValueError(f"restarts must be >= 0, got {self.restarts}")
 
@@ -527,9 +519,8 @@ def _certificate_from_values(
     rng: np.random.Generator,
     seed: int,
     restarts: int,
-    tol: float,
 ) -> Certificate:
-    """Complete generator values to a measured certificate.
+    """Complete generator values to a certificate measured against ACCEPT_TOL.
 
     Every nonzero mu != 1 extends a solution of the sign-matrix equations:
     lambda = (-1)^w mu^-w zeroes both relation families, with mu drawn from rng.
@@ -537,7 +528,7 @@ def _certificate_from_values(
     w = writhe(beta)
     mu = _sample_mu(rng)
     eps = Assignment(beta.n, values, (-1) ** (w % 2) * mu ** (-w), mu)
-    return Certificate.measure(beta, eps, seed, restarts, tol)
+    return Certificate.measure(beta, eps, seed, restarts, ACCEPT_TOL)
 
 
 def solve_full_rank(beta: BraidWord, options: SolveOptions = SolveOptions()) -> Certificate | NotFound:
@@ -546,7 +537,8 @@ def solve_full_rank(beta: BraidWord, options: SolveOptions = SolveOptions()) -> 
     Restart t starts from the t-th substream spawned from the seed.  Restarts
     run in chunks (see LEAD_CHUNKS) and the lowest-index accepted restart wins,
     the one a restart-by-restart search would return first; so the outcome
-    is a deterministic function of (seed, restarts, tol).
+    is a deterministic function of (seed, restarts).  A restart is accepted
+    once its max-abs residual is at most ACCEPT_TOL.
     """
     if component_count(beta) != 1:
         raise ValueError("closure must be a knot")
@@ -555,7 +547,7 @@ def solve_full_rank(beta: BraidWord, options: SolveOptions = SolveOptions()) -> 
 
     if m == 0:
         rng = np.random.default_rng(np.random.SeedSequence(options.seed))
-        return _certificate_from_values(beta, {}, rng, options.seed, options.restarts, options.tol)
+        return _certificate_from_values(beta, {}, rng, options.seed, options.restarts)
 
     resid = _sign_residual(beta)
     seeds = np.random.SeedSequence(options.seed)
@@ -565,12 +557,12 @@ def solve_full_rank(beta: BraidWord, options: SolveOptions = SolveOptions()) -> 
         # spawning continues the numbering, so chunk by chunk gives the same substreams
         rngs = [np.random.default_rng(child) for child in seeds.spawn(size)]
         x0 = np.array([rng.standard_normal(2 * m) for rng in rngs])
-        z, ma, stop = _lm_chunk(resid, x0[:, :m] + 1j * x0[:, m:], options.tol)
-        won = np.flatnonzero(_accepted(ma, stop, options.tol))
+        z, ma, stop = _lm_chunk(resid, x0[:, :m] + 1j * x0[:, m:], ACCEPT_TOL)
+        won = np.flatnonzero(_accepted(ma, stop, ACCEPT_TOL))
         if won.size:
             k = won[0]
             values = {g: complex(val) for g, val in zip(gen_order(n), z[k])}
-            return _certificate_from_values(beta, values, rngs[k], options.seed, options.restarts, options.tol)
+            return _certificate_from_values(beta, values, rngs[k], options.seed, options.restarts)
         finals.extend(ma.tolist())
         stops.extend(stop.tolist())
     summary = _summary(finals, stops)
@@ -579,7 +571,7 @@ def solve_full_rank(beta: BraidWord, options: SolveOptions = SolveOptions()) -> 
         best_residual=summary.get("min", math.inf),
         seed=options.seed,
         restarts=options.restarts,
-        tol=options.tol,
+        tol=ACCEPT_TOL,
         residual_summary=summary,
     )
 
@@ -610,32 +602,27 @@ def sign_vector(pattern_perm: Perm, p: int) -> dict[int, int]:
     return g
 
 
-def construct_satellite_aug(
-    cert_alpha: Certificate,
-    cert_gamma: Certificate,
-    tol: float = ACCEPT_TOL,
-) -> Certificate:
+def construct_satellite_aug(cert_alpha: Certificate, cert_gamma: Certificate) -> Certificate:
     """Build a maximal-rank certificate for the satellite from its two factors.
 
     The generator values are read off through the splitting homomorphism: the
     companion certificate feeds the block part, the pattern certificate (sign
     twisted when the companion writhe is odd) feeds the offset part.  Each
-    factor is measured afresh against tol, whatever residuals and tol it
-    stores, and a factor that fails is bad input (ValueError).  The result is
-    verified the same way and must pass; a failure there indicates an internal
-    convention bug.
+    factor is measured afresh against ACCEPT_TOL, whatever residuals and tol
+    it stores, and a factor that fails is bad input (ValueError).  The result
+    is verified the same way and must pass; a failure there indicates an
+    internal convention bug.
     """
-    _check_tol(tol)
     alpha, gamma = cert_alpha.braid, cert_gamma.braid
     k, p = alpha.n, gamma.n
     for name, cert in (("companion", cert_alpha), ("pattern", cert_gamma)):
         if component_count(cert.braid) != 1:
             raise ValueError(f"{name} closure is not a knot")
-        rec = Certificate.measure(cert.braid, cert.assignment, cert.seed, cert.restarts, tol)
+        rec = Certificate.measure(cert.braid, cert.assignment, cert.seed, cert.restarts, ACCEPT_TOL)
         if not rec.accepted:
             raise ValueError(
                 f"{name} certificate is not accepted: recomputed residuals "
-                f"({rec.residual_L:.3e}, {rec.residual_R:.3e}) over {tol:g}"
+                f"({rec.residual_L:.3e}, {rec.residual_R:.3e}) over {ACCEPT_TOL:g}"
             )
 
     if writhe(alpha) % 2 == 0:
@@ -658,7 +645,7 @@ def construct_satellite_aug(
 
     braid = satellite_braid(alpha, gamma)
     rng = np.random.default_rng(np.random.SeedSequence(0))
-    cert = _certificate_from_values(braid, values, rng, seed=0, restarts=0, tol=tol)
+    cert = _certificate_from_values(braid, values, rng, seed=0, restarts=0)
     if not cert.accepted:
         raise ConstructionError(
             f"constructed satellite assignment failed verification: "

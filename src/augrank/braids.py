@@ -57,11 +57,6 @@ class BraidWord:
             raise ValueError(f"cannot concatenate words in B_{self.n} and B_{other.n}")
         return BraidWord(self.n, self.letters + other.letters)
 
-    def __pow__(self, m: int) -> "BraidWord":
-        if m < 0:
-            return (self ** (-m)).inverse()
-        return BraidWord(self.n, self.letters * m)
-
     def inverse(self) -> "BraidWord":
         return BraidWord(self.n, tuple(-e for e in reversed(self.letters)))
 
@@ -79,10 +74,6 @@ class Perm:
         object.__setattr__(self, "images", tuple(self.images))
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"not a bijection on 1..{len(self.images)}: {self.images}")
-
-    @classmethod
-    def identity(cls, n: int) -> "Perm":
-        return cls(tuple(range(1, n + 1)))
 
     @property
     def n(self) -> int:

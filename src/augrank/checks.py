@@ -15,7 +15,6 @@ from .action import (
     phi,
     phi_left,
     phi_matrices,
-    phi_right,
     tau_closed_form,
 )
 from .braids import BraidWord, cable, include_bar, perm, tau_word
@@ -35,11 +34,9 @@ def check_chain_rule(n: int, count: int = 200, seed: int = 0, max_len: int = 5) 
     diffs = []
     for idx in range(count):
         b1, b2 = random_word(rng, n, max_len), random_word(rng, n, max_len)
-        prod = b1 * b2
-        if chain_compose(phi_left(b1), phi_left(b2), b1) != phi_left(prod):
-            diffs.append({"pair": idx, "side": "L", "beta1": b1.to_text(), "beta2": b2.to_text()})
-        if chain_compose(phi_right(b1), phi_right(b2), b1) != phi_right(prod):
-            diffs.append({"pair": idx, "side": "R", "beta1": b1.to_text(), "beta2": b2.to_text()})
+        for side, m1, m2, m12 in zip("LR", phi_matrices(b1), phi_matrices(b2), phi_matrices(b1 * b2)):
+            if chain_compose(m1, m2, b1) != m12:
+                diffs.append({"pair": idx, "side": side, "beta1": b1.to_text(), "beta2": b2.to_text()})
     return CheckReport(
         claim="chain rule for action matrices",
         parameters={"n": n, "count": count, "seed": seed, "max_len": max_len},

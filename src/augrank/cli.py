@@ -3,7 +3,7 @@
 Every run echoes its full configuration; JSON output is byte-stable for a
 fixed configuration, so reruns can be diffed.  Exit codes: 0 success or
 accepted certificate, 2 no certificate found / verification not accepted,
-1 error.
+1 error, a usage error (unknown or missing option, bad option value) included.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import sys
 from . import jsonio
 from .action import phi_matrices
 from .augment import (
-    ACCEPT_TOL,
     Certificate,
     ConstructionError,
     SolveOptions,
@@ -115,7 +114,7 @@ def _emit_certificate(args, cert: Certificate) -> int:
 
 def cmd_ar_search(args) -> int:
     braid = BraidWord.from_text(args.n, args.word)
-    options = SolveOptions(restarts=args.restarts, seed=args.seed, tol=args.tol)
+    options = SolveOptions(restarts=args.restarts, seed=args.seed)
     out = solve_full_rank(braid, options)
     if isinstance(out, Certificate):
         return _emit_certificate(args, out)
@@ -136,7 +135,7 @@ def cmd_ar_search(args) -> int:
 def cmd_construct_aug(args) -> int:
     cert_alpha = Certificate.load(args.alpha_cert)
     cert_gamma = Certificate.load(args.gamma_cert)
-    return _emit_certificate(args, construct_satellite_aug(cert_alpha, cert_gamma, tol=args.tol))
+    return _emit_certificate(args, construct_satellite_aug(cert_alpha, cert_gamma))
 
 
 def cmd_verify(args) -> int:
@@ -236,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", default="")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=256)
-    p.add_argument("--tol", type=float, default=ACCEPT_TOL)
     p.add_argument("--output")
     add_format(p)
     p.set_defaults(func=cmd_ar_search)
@@ -244,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct-aug", help="combine two certificates into a satellite one")
     p.add_argument("--alpha-cert", required=True)
     p.add_argument("--gamma-cert", required=True)
-    p.add_argument("--tol", type=float, default=ACCEPT_TOL)
     p.add_argument("--output")
     add_format(p)
     p.set_defaults(func=cmd_construct_aug)
@@ -268,7 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, which would read as "not found"
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (TermBudgetError, ValueError, ConstructionError, OSError) as exc:

@@ -311,6 +311,8 @@ class TestCertificateSerialization:
         ]
         assert obj["braid"] == {"n": 2, "word": [1, 1, 1]}
         assert all(set(g) == {"i", "j", "re", "im"} for g in obj["generators"])
+        assert obj["tol"] == ACCEPT_TOL
+        assert construct_satellite_aug(cert, cert).to_obj()["tol"] == ACCEPT_TOL
 
 
 class TestSignVector:

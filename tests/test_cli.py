@@ -252,7 +252,6 @@ class TestSearchVerifyConstruct:
         assert obj["restarts"] == 0
 
 
-TOL_CASES = [("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf")]
 SEARCH = ("ar-search", "--n", "2", "--word", "1 1 1")
 CONSTRUCT = ("construct-aug", "--alpha-cert", "{cert}", "--gamma-cert", "{cert}")
 VERIFY = ("verify", "--cert", "{cert}")
@@ -270,11 +269,18 @@ def _set_first_re(value):
     return lambda obj: obj["generators"][0].update(re=value)
 
 
-# (argv, edit applied to a good trefoil certificate, exit code, what stderr says)
+# (argv, edit applied to a good trefoil certificate, exit code, what stderr says);
+# a usage error exits 1 like any other bad input, never 2 ("not found")
 BAD_INPUT_CASES = (
-    [(SEARCH + opt, None, 1, "tol must be finite and > 0") for opt in TOL_CASES]
-    + [(SEARCH + ("--restarts", "-3"), None, 1, "restarts must be >= 0")]
-    + [(CONSTRUCT + opt, None, 1, "tol must be finite and > 0") for opt in TOL_CASES]
+    [
+        (SEARCH + ("--tol", "1e-3"), None, 1, "unrecognized arguments: --tol"),
+        (SEARCH + ("--bogus", "1"), None, 1, "unrecognized arguments: --bogus 1"),
+        (("ar-search", "--word", "1 1 1"), None, 1, "the following arguments are required: --n"),
+        (SEARCH + ("--restarts", "-3"), None, 1, "restarts must be >= 0"),
+        (("ar-search", "--n", "abc"), None, 1, "argument --n: invalid int value: 'abc'"),
+        (CONSTRUCT + ("--tol", "1e-3"), None, 1, "unrecognized arguments: --tol"),
+        (("verify",), None, 1, "the following arguments are required: --cert"),
+    ]
     + [
         (VERIFY, _set_word([1.9, 1, 1]), 1, "braid letter must be an integer, got 1.9"),
         (VERIFY, lambda obj: obj["braid"].update(n=2.7), 1, "braid n must be an integer, got 2.7"),
@@ -284,6 +290,7 @@ BAD_INPUT_CASES = (
         (VERIFY, lambda obj: obj.update(tol="10"), 1, "tol must be a number, got '10'"),
         (VERIFY, _set_first_re(True), 1, "generator a_1,2.re must be a number, got True"),
         (VERIFY, _set_first_re("1.0"), 1, "generator a_1,2.re must be a number, got '1.0'"),
+        (("check", "--suite", "nope"), None, 1, "argument --suite: invalid choice: 'nope'"),
     ]
 )
 
@@ -303,6 +310,13 @@ def test_bad_input_is_rejected_up_front(capsys, tmp_path, argv, edit, code, mess
         assert message in err
     else:
         assert "NOT accepted" in out
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("ar-search", "--help")])
+def test_help_exits_0(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "usage: augrank" in out
 
 
 def test_huge_n_names_a_few_generators(capsys, tmp_path):
@@ -331,21 +345,13 @@ def test_successive_calls_behave_like_separate_runs(capsys, tmp_path):
         ("verify", "--cert", str(path)),
         ("ar-search", "--n", "2", "--word", "1 1 1 1 1", "--seed", "3", "--format", "json"),
     ]
-
-    def outcome(argv):
-        try:
-            return run(capsys, *argv)
-        except SystemExit as exc:  # argparse's usage error
-            captured = capsys.readouterr()
-            return exc.code, captured.out, captured.err
-
-    in_sequence = [outcome(argv) for argv in calls]
+    in_sequence = [run(capsys, *argv) for argv in calls]
     fresh = []
     for argv in calls:
         build_parser.cache_clear()
-        fresh.append(outcome(argv))
+        fresh.append(run(capsys, *argv))
     assert in_sequence == fresh
-    assert [code for code, _, _ in in_sequence] == [2, 0, 0]
+    assert [code for code, _, _ in in_sequence] == [1, 0, 0]
     assert "invalid choice" in in_sequence[0][2]
     assert json.loads(in_sequence[2][1])["config"]["restarts"] == 256
 
