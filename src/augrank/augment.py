@@ -211,22 +211,25 @@ def _cost(c: np.ndarray) -> np.ndarray:
     return 0.5 * (c.real**2 + c.imag**2).sum(axis=1)
 
 
-def _jacobian(resid: Callable[[np.ndarray], np.ndarray], z: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Forward differences along Re z for all rows in one fold; shape (B, d, m).
+def _evaluate(resid: Callable[[np.ndarray], np.ndarray], z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c at every row of z and its forward-difference Jacobian, from one fold.
 
-    c is holomorphic, so its derivative along Im z is i times this one: the m
-    complex columns carry the whole real Jacobian.
+    The fold takes the B (m + 1) points z and z + h e_j.  The Jacobian has
+    shape (B, m, d): its row j is the difference quotient along Re z_j.  c is
+    holomorphic, so its derivative along Im z is i times this one: the m
+    complex rows carry the whole real Jacobian.
     """
     b, m = z.shape
     h = FD_STEP * np.maximum(1.0, np.abs(z))
-    cp = resid((z[:, None, :] + h[:, :, None] * np.eye(m)).reshape(b * m, m)).reshape(b, m, -1)
-    return ((cp - c[:, None, :]) / h[:, :, None]).transpose(0, 2, 1)
+    points = np.concatenate([z[:, None, :], z[:, None, :] + h[:, :, None] * np.eye(m)], axis=1)
+    out = resid(points.reshape(b * (m + 1), m)).reshape(b, m + 1, -1)
+    return out[:, 0].copy(), (out[:, 1:] - out[:, :1]) / h[:, :, None]
 
 
 def _normal_equations(jac: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J^H c and J^H J per row."""
-    jh = jac.conj().transpose(0, 2, 1)
-    return (jh @ c[:, :, None])[:, :, 0], jh @ jac
+    """J^H c and J^H J per row, for a Jacobian of shape (B, m, d)."""
+    jh = jac.conj()
+    return (jh @ c[:, :, None])[:, :, 0], jh @ jac.transpose(0, 2, 1)
 
 
 def _damped_steps(
@@ -255,19 +258,86 @@ def _accepted(ma: np.ndarray, stop: np.ndarray, tol: float) -> np.ndarray:
     return (stop != "") & (stop != "non_finite") & (ma <= tol)
 
 
-def _polish(resid: Callable[[np.ndarray], np.ndarray], z, c, ma, rows: np.ndarray) -> None:
-    """Up to two undamped Gauss-Newton steps per row, kept while max-abs falls."""
-    for _ in range(2):
-        if not rows.size:
-            return
-        jac = _jacobian(resid, z[rows], c[rows])
-        steps = np.array([np.linalg.lstsq(j, -r, rcond=None)[0] for j, r in zip(jac, c[rows])])
-        ct = resid(z[rows] + steps)
-        mt = np.abs(ct).max(axis=1)
-        down = mt < ma[rows]
-        rows = rows[down]
-        z[rows] += steps[down]
-        c[rows], ma[rows] = ct[down], mt[down]
+class _Chunk:
+    """The restarts of one chunk: points, residuals, costs, damping and stops.
+
+    jac[k] is the Jacobian at z[k] wherever fresh[k]; a row that moves to a
+    point folded without its Jacobian clears fresh, and folds it when next used.
+    """
+
+    def __init__(self, resid: Callable[[np.ndarray], np.ndarray], z0: np.ndarray):
+        b = len(z0)
+        self.resid = resid
+        self.z = z0.astype(complex)
+        self.c, self.jac = _evaluate(resid, self.z)
+        self.fresh = np.ones(b, dtype=bool)
+        self.cost, self.ma = _cost(self.c), np.abs(self.c).max(axis=1)
+        self.lam = np.full(b, LAM_START)
+        self.stop = np.full(b, "", dtype=object)
+
+    def jacobians(self, rows: np.ndarray) -> np.ndarray:
+        """The Jacobians at z[rows], in one fold of the rows that hold none."""
+        stale = rows[~self.fresh[rows]]
+        if stale.size:
+            self.jac[stale] = _evaluate(self.resid, self.z[stale])[1]
+            self.fresh[stale] = True
+        return self.jac[rows]
+
+    def descend(self, rows, grad, jtj, dg, count: int, with_jac: bool) -> np.ndarray:
+        """Try count damping levels lam, 10 lam, ... on each row, all in one solve and one fold.
+
+        Each row ends as the sequential rule would end it, trying its levels
+        in turn: it moves at the first level that lowers its cost; a singular
+        level goes on to the next one; a miss goes on unless the next level
+        exceeds LAM_MAX, which stops the row as damping_overflow.  With
+        with_jac the trial points fold with their Jacobians.  Returns a mask
+        of the rows that are still without a descent step after count levels.
+        """
+        k = len(rows)
+        if not k:
+            return np.zeros(0, dtype=bool)
+        # lev[:, j] is lam times 10 j times over, rounded as the sequential rule rounds it
+        lev = np.multiply.accumulate(np.column_stack([self.lam[rows], np.full((k, count), 10.0)]), axis=1)
+        rep = lambda a: np.repeat(a, count, axis=0)
+        steps, ok = _damped_steps(rep(jtj), rep(dg), lev[:, :-1].ravel(), rep(grad))
+        tried = np.flatnonzero(ok)  # (row, level) pairs with a step, flattened row-major
+        down = np.zeros(k * count, dtype=bool)
+        if tried.size:
+            owner = rows[tried // count]
+            zt = self.z[owner] + steps[tried]
+            ct, jt = _evaluate(self.resid, zt) if with_jac else (self.resid(zt), None)
+            costt = _cost(ct)
+            down[tried] = costt < self.cost[owner]
+        ok, down = ok.reshape(k, count), down.reshape(k, count)
+        end = ok & (down | (lev[:, 1:] > LAM_MAX))
+        ended, first = end.any(axis=1), end.argmax(axis=1)
+        hit = ended & down[np.arange(k), first]
+        if hit.any():
+            t = np.searchsorted(tried, np.flatnonzero(hit) * count + first[hit])
+            h = rows[hit]
+            self.z[h], self.c[h], self.cost[h] = zt[t], ct[t], costt[t]
+            self.ma[h] = np.abs(ct[t]).max(axis=1)
+            self.lam[h] = np.maximum(lev[hit, first[hit]] / 3.0, LAM_MIN)
+            self.fresh[h] = with_jac
+            if with_jac:
+                self.jac[h] = jt[t]
+        self.stop[rows[ended & ~hit]] = "damping_overflow"
+        self.lam[rows[~ended]] = lev[~ended, -1]
+        return ~ended
+
+    def polish(self, rows: np.ndarray) -> None:
+        """Up to two undamped Gauss-Newton steps per row, kept while max-abs falls."""
+        for _ in range(2):
+            if not rows.size:
+                return
+            jac, c = self.jacobians(rows), self.c[rows]
+            steps = np.array([np.linalg.lstsq(j.T, -r, rcond=None)[0] for j, r in zip(jac, c)])
+            ct, jt = _evaluate(self.resid, self.z[rows] + steps)
+            mt = np.abs(ct).max(axis=1)
+            down = mt < self.ma[rows]
+            rows = rows[down]
+            self.z[rows] += steps[down]
+            self.c[rows], self.ma[rows], self.jac[rows] = ct[down], mt[down], jt[down]
 
 
 def _lm_chunk(
@@ -281,18 +351,19 @@ def _lm_chunk(
     stopped, or once some row is accepted (max-abs residual <= tol) and every
     row before it has stopped; rows cut off there keep the stop reason "".
     Returns the final points, their max-abs residuals and the stop reasons.
+
+    An iteration tries TRIALS damping levels per row in two rounds: the
+    row's own level first, its trial point folded with its Jacobian so that
+    a row moving there needs no Jacobian fold at the next iteration; then,
+    for the rows that found no descent, all remaining levels at once.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        b, m = z0.shape
-        z = z0.astype(complex)
-        c = resid(z)
-        cost, ma = _cost(c), np.abs(c).max(axis=1)
-        lam = np.full(b, LAM_START)
-        stop = np.full(b, "", dtype=object)
+        chunk = _Chunk(resid, z0)
+        ma, stop = chunk.ma, chunk.stop
         for it in range(MAX_ITER + 1):
             running = stop == ""
             live = np.flatnonzero(running)
-            bad = ~np.isfinite(cost[live])
+            bad = ~np.isfinite(chunk.cost[live])
             stop[live[bad]] = "non_finite"
             live = live[~bad]
             low = ma[live] < FLOOR
@@ -301,39 +372,21 @@ def _lm_chunk(
             if it == MAX_ITER:
                 stop[live] = "max_iter"
             elif live.size:
-                grad, jtj = _normal_equations(_jacobian(resid, z[live], c[live]), c[live])
+                grad, jtj = _normal_equations(chunk.jacobians(live), chunk.c[live])
                 bad = ~(np.isfinite(grad).all(axis=1) & np.isfinite(jtj).all(axis=(1, 2)))
                 stop[live[bad]] = "non_finite"
                 live, grad, jtj = live[~bad], grad[~bad], jtj[~bad]
                 dg = np.maximum(np.diagonal(jtj, axis1=1, axis2=2).real, 1e-12)
-                pending = np.arange(live.size)  # positions in live still without a descent step
-                for _ in range(TRIALS):
-                    if not pending.size:
-                        break
-                    rows = live[pending]
-                    steps, ok = _damped_steps(jtj[pending], dg[pending], lam[rows], grad[pending])
-                    lam[rows[~ok]] *= 10.0
-                    tried, rows = pending[ok], rows[ok]
-                    zt = z[rows] + steps[ok]
-                    ct = resid(zt)
-                    costt = _cost(ct)
-                    down = costt < cost[rows]
-                    hit, miss = rows[down], rows[~down]
-                    z[hit], c[hit], cost[hit] = zt[down], ct[down], costt[down]
-                    ma[hit] = np.abs(ct[down]).max(axis=1)
-                    lam[hit] = np.maximum(lam[hit] / 3.0, LAM_MIN)
-                    lam[miss] *= 10.0
-                    over = lam[miss] > LAM_MAX
-                    stop[miss[over]] = "damping_overflow"
-                    pending = np.sort(np.concatenate([pending[~ok], tried[~down][~over]]))
-                stop[live[pending]] = "no_descent"
+                rest = np.flatnonzero(chunk.descend(live, grad, jtj, dg, 1, with_jac=True))
+                stuck = chunk.descend(live[rest], grad[rest], jtj[rest], dg[rest], TRIALS - 1, with_jac=False)
+                stop[live[rest[stuck]]] = "no_descent"
             just = np.flatnonzero(running & (stop != "") & (stop != "non_finite"))
-            _polish(resid, z, c, ma, just[ma[just] < POLISH_BELOW])
+            chunk.polish(just[ma[just] < POLISH_BELOW])
             done = stop != ""
             won = np.flatnonzero(_accepted(ma, stop, tol))
             if done.all() or (won.size and done[: won[0]].all()):
                 break
-        return z, ma, stop
+        return chunk.z, ma, stop
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +509,10 @@ def _finite_or_none(x: float) -> float | None:
 class NotFound:
     """Search outcome when no acceptable point was reached.
 
-    It is statistical evidence of nonexistence, never proof; its JSON says so
-    with ``"label": "evidence-only"``.
+    It is at most statistical evidence of nonexistence, never proof; its JSON
+    says so with ``"label": "evidence-only"``.  When more than half of the
+    restarts broke down (``max_iter`` or ``non_finite``), the label is
+    ``"inconclusive"``: the search failed, which says nothing about the braid.
     """
 
     braid: BraidWord
@@ -469,12 +524,18 @@ class NotFound:
 
     found = False
 
+    @property
+    def label(self) -> str:
+        stops = self.residual_summary["stops"]
+        broken = stops["max_iter"] + stops["non_finite"]
+        return "inconclusive" if 2 * broken > self.residual_summary["count"] else "evidence-only"
+
     def to_obj(self) -> dict:
         return _search_obj(
             self,
             {
                 "found": self.found,
-                "label": "evidence-only",
+                "label": self.label,
                 "best_residual": _finite_or_none(self.best_residual),
                 "residual_summary": dict(self.residual_summary),
             },

@@ -124,7 +124,7 @@ def cmd_ar_search(args) -> int:
         args,
         out.to_obj(),
         [
-            f"no certificate found after {args.restarts} restarts",
+            f"no certificate found after {args.restarts} restarts ({out.label})",
             f"best residual: {out.best_residual:.6e}",
             "stops: " + " ".join(f"{k}={v}" for k, v in out.residual_summary["stops"].items()),
         ],

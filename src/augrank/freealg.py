@@ -82,6 +82,14 @@ def word_text(mon: Mon) -> str:
     return "*".join(f"a{i}{j}" if i < 10 and j < 10 else f"a{i},{j}" for i, j in mon)
 
 
+def _int_coefficient(mon, c) -> int:
+    """c as an int; a coefficient that is not an integer is an error, never truncated."""
+    try:
+        return operator.index(c)
+    except TypeError:
+        raise TypeError(f"coefficient of monomial {mon!r} must be an integer, got {c!r}") from None
+
+
 class SparsePoly:
     """A finite integer combination of monomials: the ring core of NCPoly and TensorPoly.
 
@@ -99,10 +107,11 @@ class SparsePoly:
     def _init(self, amb: tuple, terms: Mapping | None) -> None:
         clean: dict = {}
         for mon, c in (terms or {}).items():
+            c = _int_coefficient(mon, c)
             if c == 0:
                 continue
             mon = self._check_mon(amb, mon)
-            clean[mon] = clean.get(mon, 0) + int(c)
+            clean[mon] = clean.get(mon, 0) + c
         object.__setattr__(self, "_amb", amb)
         object.__setattr__(self, "_terms", {m: c for m, c in clean.items() if c != 0})
 
@@ -301,7 +310,8 @@ class NCPoly(SparsePoly):
 
     @classmethod
     def const(cls, n: int, c: int) -> "NCPoly":
-        return cls._raw((n,), {(): int(c)} if c else {})
+        c = _int_coefficient((), c)
+        return cls._raw((n,), {(): c} if c else {})
 
     @classmethod
     def gen(cls, n: int, i: int, j: int) -> "NCPoly":

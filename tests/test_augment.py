@@ -3,15 +3,28 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from augrank import augment
 from augrank.action import phi_left, phi_right
 from augrank.augment import (
     ACCEPT_TOL,
+    FD_STEP,
+    FLOOR,
+    LAM_MAX,
+    LAM_MIN,
+    LAM_START,
+    MAX_ITER,
+    POLISH_BELOW,
+    TRIALS,
     Certificate,
     MuOneError,
     NotFound,
+    STOP_REASONS,
     SolveOptions,
+    _accepted,
+    _cost,
     _damped_steps,
     _lm_chunk,
+    _normal_equations,
     _sign_residual,
     aug_rank,
     check_block_structure,
@@ -45,6 +58,14 @@ def random_assignment(n, seed, lam=1.0, mu=2.0):
     rng = np.random.default_rng(seed)
     vals = {g: complex(rng.standard_normal(), rng.standard_normal()) for g in gen_order(n)}
     return Assignment(n, vals, lam, mu)
+
+
+def restart_starts(beta, seed, restarts):
+    """The starting points solve_full_rank draws for the given restart indices."""
+    m = beta.n * (beta.n - 1)
+    children = np.random.SeedSequence(seed).spawn(max(restarts) + 1)
+    x0 = np.array([np.random.default_rng(children[k]).standard_normal(2 * m) for k in restarts])
+    return x0[:, :m] + 1j * x0[:, m:]
 
 
 class TestMatrices:
@@ -212,11 +233,20 @@ class TestSolver:
         assert isinstance(out, NotFound)
         summary = out.residual_summary
         assert summary["count"] == 4
-        assert summary["stops"]["non_finite"] >= 1
+        assert summary["stops"]["non_finite"] == 2 and summary["stops"]["max_iter"] == 2
         assert sum(summary["stops"].values()) == 4
         assert np.isfinite(out.best_residual)
         assert out.best_residual == summary["min"]
         assert np.isfinite(summary["max"])
+        # every restart broke down, so the outcome says nothing about the braid
+        assert out.to_obj()["label"] == "inconclusive"
+
+    @pytest.mark.parametrize("broken, label", [(2, "evidence-only"), (3, "inconclusive")])
+    def test_label_counts_broken_restarts(self, broken, label):
+        stops = dict.fromkeys(STOP_REASONS, 0)
+        stops.update(no_descent=4 - broken, max_iter=broken - 1, non_finite=1)
+        out = NotFound(TREFOIL, 0.5, 0, 4, ACCEPT_TOL, {"count": 4, "stops": stops})
+        assert out.label == out.to_obj()["label"] == label
 
     def test_no_finite_restart_writes_null_best(self):
         out = solve_full_rank(satellite_braid(TREFOIL, BraidWord(2, (1,))), SolveOptions(restarts=0))
@@ -229,14 +259,12 @@ class TestSolver:
     def test_chunk_independence(self):
         # criterion 10's braid; with seed 0 its first accepted restart is not restart 0
         beta = satellite_braid(BraidWord(2, (1,) * 5), BraidWord(2, (1,)))
-        m = beta.n * (beta.n - 1)
-        rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(0).spawn(8)]
-        x0 = np.array([rng.standard_normal(2 * m) for rng in rngs])
-        z0 = x0[:, :m] + 1j * x0[:, m:]
+        z0 = restart_starts(beta, 0, range(8))
         resid = _sign_residual(beta)
-        _, chunk_ma, chunk_stop = _lm_chunk(resid, z0, -np.inf)
+        chunk_z, chunk_ma, chunk_stop = _lm_chunk(resid, z0, -np.inf)
         alone = [_lm_chunk(resid, z0[k : k + 1], -np.inf) for k in range(8)]
-        assert np.allclose(chunk_ma, [ma[0] for _, ma, _ in alone], rtol=1e-12, atol=0)
+        assert np.array_equal(chunk_z, np.concatenate([z for z, _, _ in alone]))
+        assert np.array_equal(chunk_ma, [ma[0] for _, ma, _ in alone])
         assert list(chunk_stop) == [stop[0] for _, _, stop in alone]
         accepted = [k for k, (_, ma, _) in enumerate(alone) if ma[0] <= ACCEPT_TOL]
         assert accepted and accepted[0] > 0
@@ -280,6 +308,126 @@ class TestSolver:
             eps = Assignment(3, dict(cert.assignment.values), lam, mu)
             assert ideal_residual(cert.braid, eps) < 1e-8
             assert aug_rank(eps, 3) == 3
+
+
+def reference_chunk(resid, z0, tol):
+    """_lm_chunk's sequential rule: per iteration, a Jacobian fold, then one fold per damping level."""
+    def jacobian(z, c):  # forward differences, shape (B, m, d)
+        h = FD_STEP * np.maximum(1.0, np.abs(z))
+        cp = resid((z[:, None, :] + h[:, :, None] * np.eye(z.shape[1])).reshape(-1, z.shape[1]))
+        return (cp.reshape(*z.shape, -1) - c[:, None, :]) / h[:, :, None]
+
+    def polish(z, c, ma, rows):
+        for _ in range(2):
+            if rows.size:
+                jac = jacobian(z[rows], c[rows])
+                steps = np.array([np.linalg.lstsq(j.T, -r, rcond=None)[0] for j, r in zip(jac, c[rows])])
+                ct = resid(z[rows] + steps)
+                mt = np.abs(ct).max(axis=1)
+                down = mt < ma[rows]
+                rows = rows[down]
+                z[rows] += steps[down]
+                c[rows], ma[rows] = ct[down], mt[down]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = resid(z := z0.astype(complex))
+        cost, ma, lam, stop = _cost(c), np.abs(c).max(axis=1), np.full(len(z), LAM_START), np.full(len(z), "", object)
+        for it in range(MAX_ITER + 1):
+            running = stop == ""
+            live = np.flatnonzero(running)
+            stop[live[~np.isfinite(cost[live])]] = "non_finite"
+            stop[live[np.isfinite(cost[live]) & (ma[live] < FLOOR)]] = "floor"
+            live = live[np.isfinite(cost[live]) & (ma[live] >= FLOOR)]
+            if it == MAX_ITER:
+                stop[live] = "max_iter"
+            elif live.size:
+                grad, jtj = _normal_equations(jacobian(z[live], c[live]), c[live])
+                bad = ~(np.isfinite(grad).all(axis=1) & np.isfinite(jtj).all(axis=(1, 2)))
+                stop[live[bad]] = "non_finite"
+                live, grad, jtj = live[~bad], grad[~bad], jtj[~bad]
+                dg = np.maximum(np.diagonal(jtj, axis1=1, axis2=2).real, 1e-12)
+                pending = np.arange(live.size)
+                for _ in range(TRIALS):
+                    if not pending.size:
+                        break
+                    rows = live[pending]
+                    steps, ok = augment._damped_steps(jtj[pending], dg[pending], lam[rows], grad[pending])
+                    lam[rows[~ok]] *= 10.0
+                    tried, rows = pending[ok], rows[ok]
+                    ct = resid(zt := z[rows] + steps[ok])
+                    costt = _cost(ct)
+                    down = costt < cost[rows]
+                    hit, miss = rows[down], rows[~down]
+                    z[hit], c[hit], cost[hit], ma[hit] = zt[down], ct[down], costt[down], np.abs(ct[down]).max(axis=1)
+                    lam[hit] = np.maximum(lam[hit] / 3.0, LAM_MIN)
+                    lam[miss] *= 10.0
+                    stop[miss[lam[miss] > LAM_MAX]] = "damping_overflow"
+                    pending = np.sort(np.concatenate([pending[~ok], tried[~down][lam[miss] <= LAM_MAX]]))
+                stop[live[pending]] = "no_descent"
+            just = np.flatnonzero(running & (stop != "") & (stop != "non_finite"))
+            polish(z, c, ma, just[ma[just] < POLISH_BELOW])
+            won = np.flatnonzero(_accepted(ma, stop, tol))
+            if (stop != "").all() or (won.size and (stop[: won[0]] != "").all()):
+                break
+        return z, ma, stop
+
+
+def assert_matches_reference(resid, z0, tol):
+    z, ma, stop = _lm_chunk(resid, z0, tol)
+    z_ref, ma_ref, stop_ref = reference_chunk(resid, z0, tol)
+    assert np.array_equal(z, z_ref)
+    assert np.array_equal(ma, ma_ref)
+    assert list(stop) == list(stop_ref)
+    return list(stop)
+
+
+C10_WORD = satellite_braid(BraidWord(2, (1,) * 5), BraidWord(2, (1,)))
+C11_WORD = satellite_braid(TREFOIL, BraidWord(2, (1,)))
+
+
+class TestTrialRounds:
+    """_lm_chunk against the one-level-per-fold reference: equal points, residuals and stops."""
+
+    @pytest.mark.parametrize(
+        "beta, restarts, tol, stops",
+        [
+            (C10_WORD, range(8), ACCEPT_TOL, {"floor", "no_descent", "max_iter"}),
+            (C10_WORD, range(8), -np.inf, {"floor", "no_descent", "max_iter"}),
+            (C11_WORD, range(8), ACCEPT_TOL, {"no_descent"}),
+            (C11_WORD, (384, 711), ACCEPT_TOL, {"damping_overflow"}),
+            (torus_braid(2, 601), range(4), ACCEPT_TOL, {"non_finite", "max_iter"}),
+            (torus_braid(3, 4), range(8), ACCEPT_TOL, {"floor", ""}),
+        ],
+        ids=["c10", "c10-no-accept", "c11", "c11-overflow", "T(2,601)", "T(3,4)-cut-off"],
+    )
+    def test_matches_reference(self, beta, restarts, tol, stops):
+        z0 = restart_starts(beta, 0, restarts)
+        assert set(assert_matches_reference(_sign_residual(beta), z0, tol)) == stops
+
+    @pytest.mark.parametrize(
+        "singular",
+        [
+            lambda jtj, lam: ~jtj.any(axis=(1, 2)),
+            lambda jtj, lam: lam < 5e6,
+            lambda jtj, lam: lam > 1e10,
+        ],
+        ids=["flat-row", "light-damping", "heavy-damping"],
+    )
+    def test_singular_levels(self, monkeypatch, singular):
+        # declare some damped systems singular: a singular level raises the
+        # damping with no overflow check and the row tries the next level
+        solve = augment._damped_steps
+
+        def solve_or_fail(jtj, dg, lam, grad):
+            steps, ok = solve(jtj, dg, lam, grad)
+            return steps, ok & ~singular(jtj, lam)
+
+        monkeypatch.setattr(augment, "_damped_steps", solve_or_fail)
+        # row 0 sits where this residual is constant, so its J^H J is zero
+        resid = lambda z: np.where(z.real[:, :1] > 10, 1.0 + 0j, z**2 - 1)
+        z0 = np.array([[100, 100], [0.3 + 0.2j, -0.5j], [2, -1.5 + 1j]])
+        assert_matches_reference(resid, z0, ACCEPT_TOL)
+        assert_matches_reference(_sign_residual(C11_WORD), restart_starts(C11_WORD, 0, (384, 711)), ACCEPT_TOL)
 
 
 class TestCertificateSerialization:

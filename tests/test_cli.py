@@ -152,6 +152,7 @@ class TestSearchVerifyConstruct:
             capsys, "ar-search", "--n", "2", "--word", " ".join(["1"] * 601), "--restarts", "4"
         )
         assert code == 2
+        assert "no certificate found after 4 restarts (inconclusive)" in out
         line = next(line for line in out.splitlines() if line.startswith("stops: "))
         stops = dict(item.split("=") for item in line.split()[1:])
         assert set(stops) == {"floor", "no_descent", "damping_overflow", "max_iter", "non_finite"}

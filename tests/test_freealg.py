@@ -1,3 +1,7 @@
+import re
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -50,6 +54,22 @@ class TestRing:
         with pytest.raises(ValueError):
             TensorPoly(2, 2, {(((1, 1),), ((1, 2),)): 1})
         assert TensorPoly(2, 3, {(((1, 2),), ((1, 3),)): 1})
+
+    def test_non_integer_coefficient_rejected(self):
+        # int() used to truncate these: 1/2 gave the zero polynomial and 2.7 gave 2
+        for c in (Fraction(1, 2), 2.7, 1.0, 0.0, 1 + 0j):
+            with pytest.raises(TypeError, match=re.escape(f"monomial ((1, 2),) must be an integer, got {c!r}")):
+                NCPoly(2, {((1, 2),): c})
+            with pytest.raises(TypeError, match=re.escape("monomial () must be an integer")):
+                NCPoly.const(2, c)
+        with pytest.raises(TypeError, match="must be an integer, got 0.5"):
+            TensorPoly(2, 2, {(((1, 2),), ()): 0.5})
+
+    def test_integer_coefficients_accepted(self):
+        for c in (3, np.int64(3), np.int8(3)):
+            x = NCPoly(2, {((1, 2),): c}) + NCPoly.const(2, c)
+            assert x == 3 * a(2, 1, 2) + 3
+            assert all(type(v) is int for v in x.terms.values())
 
     @given(nc_polys(n=3), nc_polys(n=3), nc_polys(n=3))
     def test_ring_axioms(self, x, y, z):
