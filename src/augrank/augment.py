@@ -81,12 +81,16 @@ def eval_phi_matrices(beta: BraidWord, values: np.ndarray) -> tuple[np.ndarray, 
     k = v.ndim - 2
     x = np.zeros((2 * n, 2 * n) + v.shape[:k], dtype=complex)
     x[:n, n:] = v.transpose(k, k + 1, *range(k))
-    for i in range(n):
-        x[i, i] = x[n + i, n + i] = 1
-        x[i, n + i] = 0
-    fold_letters(x, beta.letters, lambda y, a, b: y - a * b)
+    flat = x.reshape((4 * n * n,) + v.shape[:k])
+    flat[n : 2 * n * n : 2 * n + 1] = 0  # v's diagonal
+    flat[:: 2 * n + 1] = 1
+    rows, cols = fold_letters(x, beta.letters, _sub_mul)
     batch_first = lambda block: np.ascontiguousarray(block.transpose(*range(2, k + 2), 0, 1))
-    return batch_first(x[:n, :n]), batch_first(x[n:, n:])
+    return batch_first(x[rows, :n]), batch_first(x[n:, cols])
+
+
+def _sub_mul(y: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    y -= a * b
 
 
 def delta_diag(beta: BraidWord) -> np.ndarray:
@@ -121,8 +125,10 @@ def _sign_errors(beta: BraidWord, ml: np.ndarray, mr: np.ndarray) -> tuple[float
     return float(np.abs(ml - d).max()), float(np.abs(mr - d).max())
 
 
-def _relation_error(beta: BraidWord, eps: Assignment, ml: np.ndarray, mr: np.ndarray) -> float:
-    a0 = matrix_a(beta.n, eps)
+def _relation_error(
+    beta: BraidWord, eps: Assignment, ml: np.ndarray, mr: np.ndarray, a0: np.ndarray
+) -> float:
+    """Max-abs error of the relations at eps, from its action matrices and matrix_a(n, eps)."""
     lam_d = np.ones(beta.n, dtype=complex)
     lam_d[0] = eps.lam * eps.mu ** writhe(beta)
     e1 = a0 - lam_d[:, None] * (ml @ a0)
@@ -141,7 +147,8 @@ def ideal_residual(beta: BraidWord, eps: Assignment) -> float:
     """Max-abs evaluated value over the 2n^2 defining relations of the closure."""
     if eps.n != beta.n:
         raise ValueError("assignment ambient mismatch")
-    return _relation_error(beta, eps, *eval_phi_matrices(beta, values_to_array(eps.values, beta.n)))
+    ml, mr = eval_phi_matrices(beta, values_to_array(eps.values, beta.n))
+    return _relation_error(beta, eps, ml, mr, matrix_a(beta.n, eps))
 
 
 def numerical_rank(m: np.ndarray) -> int:
@@ -152,10 +159,14 @@ def numerical_rank(m: np.ndarray) -> int:
     return int(np.count_nonzero(s > cutoff))
 
 
-def aug_rank(eps: Assignment, n: int) -> int:
-    """Numerical rank of the evaluated relation matrix; undefined at mu = 1."""
+def _check_mu(eps: Assignment) -> None:
     if abs(eps.mu - 1) < MU_UNITY_GAP:
         raise MuOneError("augmentation rank is undefined at mu = 1")
+
+
+def aug_rank(eps: Assignment, n: int) -> int:
+    """Numerical rank of the evaluated relation matrix; undefined at mu = 1."""
+    _check_mu(eps)
     return numerical_rank(matrix_a(n, eps))
 
 
@@ -174,6 +185,9 @@ LAM_START, LAM_MIN, LAM_MAX = 1e-3, 1e-14, 1e12
 LEAD_CHUNKS = (1, 8)
 CHUNK = 64
 STOP_REASONS = ("floor", "no_descent", "damping_overflow", "max_iter", "non_finite")
+# _lm_chunk keeps a row's stop as an index into _STOP_NAMES; 0 is still running
+_STOP_NAMES = np.array(("",) + STOP_REASONS, dtype=object)
+_FLOOR, _NO_DESCENT, _DAMPING_OVERFLOW, _MAX_ITER, _NON_FINITE = range(1, len(_STOP_NAMES))
 
 
 def _chunks(restarts: int):
@@ -192,17 +206,16 @@ def _sign_residual(beta: BraidWord) -> Callable[[np.ndarray], np.ndarray]:
     """
     n = beta.n
     rows, cols = (np.array(t) - 1 for t in zip(*gen_order(n)))
-    diag = np.arange(n)
-    d = delta_diag(beta)
+    on_diag = np.arange(n) * (n + 1)  # flat positions of an n x n diagonal
+    diag, d = np.concatenate([on_diag, n * n + on_diag]), np.tile(delta_diag(beta), 2)
 
     def resid(z: np.ndarray) -> np.ndarray:
         b = z.shape[0]
         v = np.zeros((b, n, n), dtype=complex)
         v[:, rows, cols] = z
-        ml, mr = eval_phi_matrices(beta, v)
-        ml[:, diag, diag] -= d
-        mr[:, diag, diag] -= d
-        return np.concatenate([ml.reshape(b, n * n), mr.reshape(b, n * n)], axis=1)
+        c = np.concatenate(eval_phi_matrices(beta, v), axis=1).reshape(b, 2 * n * n)
+        c[:, diag] -= d
+        return c
 
     return resid
 
@@ -221,7 +234,8 @@ def _evaluate(resid: Callable[[np.ndarray], np.ndarray], z: np.ndarray) -> tuple
     """
     b, m = z.shape
     h = FD_STEP * np.maximum(1.0, np.abs(z))
-    points = np.concatenate([z[:, None, :], z[:, None, :] + h[:, :, None] * np.eye(m)], axis=1)
+    points = np.repeat(z[:, None, :], m + 1, axis=1)
+    points.reshape(b, -1)[:, m :: m + 1] += h  # points[:, j + 1, j]
     out = resid(points.reshape(b * (m + 1), m)).reshape(b, m + 1, -1)
     return out[:, 0].copy(), (out[:, 1:] - out[:, :1]) / h[:, :, None]
 
@@ -239,7 +253,8 @@ def _damped_steps(
 
     This is the real 2m x 2m damped system in its complex form.
     """
-    a = jtj + (lam[:, None] * dg)[:, :, None] * np.eye(jtj.shape[-1])
+    a = jtj.copy()
+    a.reshape(len(a), -1)[:, :: a.shape[-1] + 1] += lam[:, None] * dg
     rhs = -grad[:, :, None]
     ok = np.ones(len(a), dtype=bool)
     try:
@@ -273,7 +288,7 @@ class _Chunk:
         self.fresh = np.ones(b, dtype=bool)
         self.cost, self.ma = _cost(self.c), np.abs(self.c).max(axis=1)
         self.lam = np.full(b, LAM_START)
-        self.stop = np.full(b, "", dtype=object)
+        self.stop = np.zeros(b, dtype=np.int8)  # index into _STOP_NAMES
 
     def jacobians(self, rows: np.ndarray) -> np.ndarray:
         """The Jacobians at z[rows], in one fold of the rows that hold none."""
@@ -297,10 +312,11 @@ class _Chunk:
         if not k:
             return np.zeros(0, dtype=bool)
         # lev[:, j] is lam times 10 j times over, rounded as the sequential rule rounds it
-        lev = np.multiply.accumulate(np.column_stack([self.lam[rows], np.full((k, count), 10.0)]), axis=1)
-        rep = lambda a: np.repeat(a, count, axis=0)
+        lev = np.concatenate((self.lam[rows, None], np.full((k, count), 10.0)), axis=1)
+        np.multiply.accumulate(lev, axis=1, out=lev)
+        rep = (lambda a: a) if count == 1 else (lambda a: np.repeat(a, count, axis=0))
         steps, ok = _damped_steps(rep(jtj), rep(dg), lev[:, :-1].ravel(), rep(grad))
-        tried = np.flatnonzero(ok)  # (row, level) pairs with a step, flattened row-major
+        tried = ok.nonzero()[0]  # (row, level) pairs with a step, flattened row-major
         down = np.zeros(k * count, dtype=bool)
         if tried.size:
             owner = rows[tried // count]
@@ -313,7 +329,7 @@ class _Chunk:
         ended, first = end.any(axis=1), end.argmax(axis=1)
         hit = ended & down[np.arange(k), first]
         if hit.any():
-            t = np.searchsorted(tried, np.flatnonzero(hit) * count + first[hit])
+            t = np.searchsorted(tried, hit.nonzero()[0] * count + first[hit])
             h = rows[hit]
             self.z[h], self.c[h], self.cost[h] = zt[t], ct[t], costt[t]
             self.ma[h] = np.abs(ct[t]).max(axis=1)
@@ -321,15 +337,13 @@ class _Chunk:
             self.fresh[h] = with_jac
             if with_jac:
                 self.jac[h] = jt[t]
-        self.stop[rows[ended & ~hit]] = "damping_overflow"
+        self.stop[rows[ended & ~hit]] = _DAMPING_OVERFLOW
         self.lam[rows[~ended]] = lev[~ended, -1]
         return ~ended
 
     def polish(self, rows: np.ndarray) -> None:
-        """Up to two undamped Gauss-Newton steps per row, kept while max-abs falls."""
+        """Up to two undamped Gauss-Newton steps per row of rows (not empty), kept while max-abs falls."""
         for _ in range(2):
-            if not rows.size:
-                return
             jac, c = self.jacobians(rows), self.c[rows]
             steps = np.array([np.linalg.lstsq(j.T, -r, rcond=None)[0] for j, r in zip(jac, c)])
             ct, jt = _evaluate(self.resid, self.z[rows] + steps)
@@ -338,6 +352,8 @@ class _Chunk:
             rows = rows[down]
             self.z[rows] += steps[down]
             self.c[rows], self.ma[rows], self.jac[rows] = ct[down], mt[down], jt[down]
+            if not rows.size:
+                return
 
 
 def _lm_chunk(
@@ -361,32 +377,36 @@ def _lm_chunk(
         chunk = _Chunk(resid, z0)
         ma, stop = chunk.ma, chunk.stop
         for it in range(MAX_ITER + 1):
-            running = stop == ""
-            live = np.flatnonzero(running)
+            running = stop == 0
+            live = running.nonzero()[0]
             bad = ~np.isfinite(chunk.cost[live])
-            stop[live[bad]] = "non_finite"
+            stop[live[bad]] = _NON_FINITE
             live = live[~bad]
             low = ma[live] < FLOOR
-            stop[live[low]] = "floor"
+            stop[live[low]] = _FLOOR
             live = live[~low]
             if it == MAX_ITER:
-                stop[live] = "max_iter"
+                stop[live] = _MAX_ITER
             elif live.size:
                 grad, jtj = _normal_equations(chunk.jacobians(live), chunk.c[live])
                 bad = ~(np.isfinite(grad).all(axis=1) & np.isfinite(jtj).all(axis=(1, 2)))
-                stop[live[bad]] = "non_finite"
+                stop[live[bad]] = _NON_FINITE
                 live, grad, jtj = live[~bad], grad[~bad], jtj[~bad]
                 dg = np.maximum(np.diagonal(jtj, axis1=1, axis2=2).real, 1e-12)
-                rest = np.flatnonzero(chunk.descend(live, grad, jtj, dg, 1, with_jac=True))
-                stuck = chunk.descend(live[rest], grad[rest], jtj[rest], dg[rest], TRIALS - 1, with_jac=False)
-                stop[live[rest[stuck]]] = "no_descent"
-            just = np.flatnonzero(running & (stop != "") & (stop != "non_finite"))
-            chunk.polish(just[ma[just] < POLISH_BELOW])
-            done = stop != ""
-            won = np.flatnonzero(_accepted(ma, stop, tol))
+                rest = chunk.descend(live, grad, jtj, dg, 1, with_jac=True).nonzero()[0]
+                if rest.size:
+                    stuck = chunk.descend(live[rest], grad[rest], jtj[rest], dg[rest], TRIALS - 1, with_jac=False)
+                    stop[live[rest[stuck]]] = _NO_DESCENT
+            finite = (stop != 0) & (stop != _NON_FINITE)
+            just = (running & finite).nonzero()[0]
+            just = just[ma[just] < POLISH_BELOW]
+            if just.size:
+                chunk.polish(just)
+            done = stop != 0
+            won = (finite & (ma <= tol)).nonzero()[0]  # _accepted on the codes
             if done.all() or (won.size and done[: won[0]].all()):
                 break
-        return chunk.z, ma, stop
+        return chunk.z, ma, _STOP_NAMES[stop]
 
 
 # ---------------------------------------------------------------------------
@@ -424,18 +444,21 @@ class Certificate:
     def measure(
         cls, beta: BraidWord, eps: Assignment, seed: int, restarts: int, tol: float
     ) -> "Certificate":
-        """The certificate of eps for beta, its residuals and rank computed from one fold."""
+        """The certificate of eps for beta, its residuals and rank from one fold and one matrix_a."""
         if eps.n != beta.n:
             raise ValueError("assignment ambient mismatch")
         ml, mr = eval_phi_matrices(beta, values_to_array(eps.values, beta.n))
         res_l, res_r = _sign_errors(beta, ml, mr)
+        a0 = matrix_a(beta.n, eps)
+        ideal = _relation_error(beta, eps, ml, mr, a0)
+        _check_mu(eps)
         return cls(
             braid=beta,
             assignment=eps,
             residual_L=res_l,
             residual_R=res_r,
-            ideal_residual=_relation_error(beta, eps, ml, mr),
-            rank=aug_rank(eps, beta.n),
+            ideal_residual=ideal,
+            rank=numerical_rank(a0),
             seed=seed,
             restarts=restarts,
             tol=tol,
@@ -510,9 +533,10 @@ class NotFound:
     """Search outcome when no acceptable point was reached.
 
     It is at most statistical evidence of nonexistence, never proof; its JSON
-    says so with ``"label": "evidence-only"``.  When more than half of the
-    restarts broke down (``max_iter`` or ``non_finite``), the label is
-    ``"inconclusive"``: the search failed, which says nothing about the braid.
+    says so with ``"label": "evidence-only"``.  When no restart ran, or more
+    than half of the restarts broke down (``max_iter`` or ``non_finite``), the
+    label is ``"inconclusive"``: the search failed, which says nothing about
+    the braid.
     """
 
     braid: BraidWord
@@ -526,9 +550,9 @@ class NotFound:
 
     @property
     def label(self) -> str:
-        stops = self.residual_summary["stops"]
+        stops, count = self.residual_summary["stops"], self.residual_summary["count"]
         broken = stops["max_iter"] + stops["non_finite"]
-        return "inconclusive" if 2 * broken > self.residual_summary["count"] else "evidence-only"
+        return "inconclusive" if count == 0 or 2 * broken > count else "evidence-only"
 
     def to_obj(self) -> dict:
         return _search_obj(

@@ -4,7 +4,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from augrank import augment
-from augrank.action import phi_left, phi_right
+from augrank.action import phi_left, phi_matrices, phi_right
 from augrank.augment import (
     ACCEPT_TOL,
     FD_STEP,
@@ -41,8 +41,8 @@ from augrank.augment import (
     solve_full_rank,
     values_to_array,
 )
-from augrank.braids import BraidWord, perm, satellite_braid, torus_braid, writhe
-from augrank.freealg import Assignment, NCPoly
+from augrank.braids import BraidWord, cable, perm, satellite_braid, torus_braid, writhe
+from augrank.freealg import Assignment, NCPoly, term_budget
 from augrank.splitting import TensorPoly
 
 from strategies import braid_words, nc_polys
@@ -256,6 +256,13 @@ class TestSolver:
         assert out.to_obj()["best_residual"] is None
         assert nonexistence_search(TREFOIL, SolveOptions(restarts=0)).to_obj()["best_residual"] is None
 
+    def test_zero_restarts_are_inconclusive(self):
+        # the trefoil has a certificate; a search that ran no restart is no evidence against one
+        for beta in (TREFOIL, C11_WORD):
+            out = solve_full_rank(beta, SolveOptions(restarts=0))
+            assert isinstance(out, NotFound)
+            assert out.label == out.to_obj()["label"] == "inconclusive"
+
     def test_chunk_independence(self):
         # criterion 10's braid; with seed 0 its first accepted restart is not restart 0
         beta = satellite_braid(BraidWord(2, (1,) * 5), BraidWord(2, (1,)))
@@ -428,6 +435,122 @@ class TestTrialRounds:
         z0 = np.array([[100, 100], [0.3 + 0.2j, -0.5j], [2, -1.5 + 1j]])
         assert_matches_reference(resid, z0, ACCEPT_TOL)
         assert_matches_reference(_sign_residual(C11_WORD), restart_starts(C11_WORD, 0, (384, 711)), ACCEPT_TOL)
+
+
+def reference_letter_step(x, e, sub_mul, last=False):
+    """The copy-and-swap letter step: rows s, t and columns n+s, n+t are moved, not relabelled."""
+    n = x.shape[0] // 2
+    s, t = abs(e) - 1, abs(e)
+    if e < 0:
+        s, t = t, s
+    v_ts, v_st = x[t, n + s, ...].copy(), x[s, n + t, ...].copy()
+    if last:
+        rows, cols = slice(0, n), slice(n, 2 * n)
+    else:
+        rows = cols = slice(None)
+        x[t, n + s], x[s, n + t] = x[t, n + t], x[s, n + s]
+    xs, xt = x[s, rows], x[t, rows]
+    row = sub_mul(xt, v_ts, xs)
+    xt[...] = xs
+    xs[...] = row
+    xs, xt = x[cols, n + s], x[cols, n + t]
+    col = sub_mul(xt, xs, v_st)
+    xt[...] = xs
+    xs[...] = col
+    if not last:
+        x[s, n + t], x[t, n + s] = -v_ts, -v_st
+
+
+def reference_fold(x, letters, sub_mul):
+    for k, e in enumerate(letters):
+        reference_letter_step(x, e, sub_mul, last=k == len(letters) - 1)
+    n = x.shape[0] // 2
+    return x[:n, :n], x[n:, n:]
+
+
+def reference_eval(beta, values):
+    """eval_phi_matrices on the copy-and-swap fold."""
+    n, k = beta.n, values.ndim - 2
+    x = np.zeros((2 * n, 2 * n) + values.shape[:k], dtype=complex)
+    x[:n, n:] = values.transpose(k, k + 1, *range(k))
+    for i in range(n):
+        x[i, i] = x[n + i, n + i] = 1
+        x[i, n + i] = 0
+    blocks = reference_fold(x, beta.letters, lambda y, a, b: y - a * b)
+    return tuple(np.ascontiguousarray(m.transpose(*range(2, k + 2), 0, 1)) for m in blocks)
+
+
+def reference_phi(beta):
+    """phi_matrices on the copy-and-swap fold, as entry grids."""
+    n = beta.n
+    x = np.full((2 * n, 2 * n), NCPoly.zero(n), dtype=object)
+    for i in range(n):
+        x[i, i] = x[n + i, n + i] = NCPoly.one(n)
+        for j in range(n):
+            if i != j:
+                x[i, n + j] = NCPoly.gen(n, i + 1, j + 1)
+    budget = term_budget()
+    fused = np.frompyfunc(lambda y, a, b: y.sub_product(a, b, budget), 3, 1)
+    return tuple(tuple(tuple(row) for row in m) for m in reference_fold(x, beta.letters, fused))
+
+
+def assert_bitwise_equal(got, want):
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.array_equal(np.isfinite(got), np.isfinite(want))
+    assert np.array_equal(got, want, equal_nan=True)
+    assert got.tobytes() == want.tobytes()  # signed zeros and NaN payloads too
+
+
+class TestFoldOracle:
+    """The relabelling fold against the copy-and-swap fold: equal bits, equal entries."""
+
+    @pytest.mark.parametrize(
+        "beta",
+        [
+            C11_WORD,
+            BraidWord(4, (1, -2, 3, -1, -2, 2, -3, 1, -1)),
+            BraidWord(2, (1,)),
+            BraidWord(3, (-2,)),
+            BraidWord(3, ()),
+            BraidWord(1, ()),
+            satellite_braid(satellite_braid(torus_braid(4, 5), torus_braid(2, 5)), torus_braid(2, 5)),
+        ],
+        ids=["c11", "negative-letters", "one-letter", "one-negative-letter", "empty", "B1", "B16-265"],
+    )
+    @pytest.mark.parametrize("batch", [1, 13, 715])
+    def test_numeric_fold(self, beta, batch):
+        rng = np.random.default_rng(batch)
+        shape = (batch, beta.n, beta.n)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        values[batch // 2] *= 1e160  # a row whose products overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = eval_phi_matrices(beta, values), reference_eval(beta, values)
+        if len(beta.letters) > 1:
+            assert not np.isfinite(want[0][batch // 2]).all()
+        for m_got, m_want in zip(got, want):
+            assert_bitwise_equal(m_got, m_want)
+
+    def test_unbatched_numeric_fold(self):
+        values = values_to_array(random_assignment(4, 3).values, 4)
+        for m_got, m_want in zip(eval_phi_matrices(C11_WORD, values), reference_eval(C11_WORD, values)):
+            assert_bitwise_equal(m_got, m_want)
+
+    @pytest.mark.parametrize(
+        "beta",
+        # criterion 06's words, some of their cables, and the benchmark's phi_left/phi_right pairs
+        [BraidWord.from_text(k, text) for k in (1, 2, 3) for text, min_k in
+         (("", 1), ("1", 2), ("1 1 1", 2), ("1 2", 3), ("1 -2", 3)) if k >= min_k]
+        + [cable(BraidWord.from_text(3, text), p) for text in ("1 2", "1 -2") for p in (2, 3)]
+        + [cable(BraidWord(2, (1, 1, 1)), 2), cable(BraidWord(2, (1,) * 4), 2)]
+        + [cable(torus_braid(3, 4), 2), torus_braid(3, 10), torus_braid(4, 9)],
+        ids=lambda b: f"B{b.n}:" + ",".join(map(str, b.letters)),
+    )
+    def test_symbolic_fold(self, beta):
+        want = reference_phi(beta)
+        for m, entries in zip(phi_matrices(beta), want):
+            assert m.entries == entries
+            for row, want_row in zip(m.entries, entries):
+                assert [list(x.terms.items()) for x in row] == [list(y.terms.items()) for y in want_row]
 
 
 class TestCertificateSerialization:

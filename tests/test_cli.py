@@ -126,6 +126,11 @@ class TestSearchVerifyConstruct:
         assert obj["best_residual"] > 1e-3
         assert jsonio.load_file(str(path))["found"] is False
 
+    def test_zero_restarts_exit_inconclusive(self, capsys):
+        code, out, _ = run(capsys, "ar-search", "--n", "2", "--word", "1 1 1", "--restarts", "0", "--format", "json")
+        assert code == 2
+        assert json.loads(out)["label"] == "inconclusive"
+
     def test_readme_evidence_pipeline(self, capsys):
         code, out, _ = run(
             capsys, "satellite", "--iterated-torus", "--p", "2,2", "--q", "3,1", "--format", "json"
