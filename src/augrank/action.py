@@ -39,9 +39,9 @@ of PhiL, and columns s, t of v the way it changes columns s, t of PhiR.  So
 one letter is one row operation on rows s, t, one column operation on
 columns n+s, n+t and a 2 x 2 patch of v: O(n) in-place updates y -= a*b.
 Rows and columns are relabelled, not moved: the fold keeps the order of the
-rows of [PhiL | v] and of the columns of [v ; PhiR] in two lists, a letter
-updates one row and one column in place and swaps two entries of each list,
-and the matrices are read out through the final orders.  After the last
+rows of [PhiL | v], which is also that of the columns of [v ; PhiR], in one
+list; a letter updates one row and one column in place and swaps two entries
+of the list, and the matrices are read out through the final order.  After the last
 letter nothing reads v, so that letter's row operation covers PhiL's columns
 only, its column operation PhiR's rows only, and v is not updated; this
 keeps the fold from building images far larger than any matrix entry.
@@ -253,17 +253,16 @@ def mat_mul(a: PhiMatrix, b: PhiMatrix) -> PhiMatrix:
     return PhiMatrix(n, a.side, tuple(rows))
 
 
-def _letter_step(
-    x: np.ndarray, e: int, sub_mul, rows: list[int], cols: list[int], last: bool = False
-) -> None:
+def _letter_step(x: np.ndarray, e: int, sub_mul, order: list[int], last: bool = False) -> None:
     """Advance the fold by one letter, in place.
 
     x holds the block array [[PhiL(P), v], [0, PhiR(P)]] of shape (2n, 2n, ...)
     with v[i-1, j-1] = act(P, a_ij); trailing axes are a batch, and v's
     diagonal holds the ring's zero.  The rows of [PhiL | v] and the columns
     of [v ; PhiR] are relabelled, not moved: row i of [PhiL | v] is stored at
-    x[rows[i]] and column n+j of [v ; PhiR] at x[:, cols[j]], and the step
-    updates both lists.  sub_mul(y, a, b) sets y to the ring's y - a*b in
+    x[order[i]] and column n+j of [v ; PhiR] at x[:, n + order[j]] (a letter
+    relabels rows s, t and columns n+s, n+t alike, so one list serves both),
+    and the step updates order.  sub_mul(y, a, b) sets y to the ring's y - a*b in
     place, with a or b broadcast over y; the caller of :func:`fold_letters`
     picks it once per fold.  sigma_k^-1 is sigma_k with the roles of strands
     k and k+1 swapped, so both signs share the update below: one row
@@ -279,11 +278,12 @@ def _letter_step(
     nothing reads v again: the row operation covers PhiL's columns only, the
     column operation PhiR's rows only, and v is left as it is.
     """
-    n = len(rows)
+    n = len(order)
     s, t = abs(e) - 1, abs(e)
     if e < 0:
         s, t = t, s
-    ps, pt, qs, qt = rows[s], rows[t], cols[s], cols[t]
+    ps, pt = order[s], order[t]
+    qs, qt = n + ps, n + pt
     v_ts, v_st = x[pt, qs, ...].copy(), x[ps, qt, ...].copy()  # 0-d for the object ring
     if last:
         left, right = slice(0, n), slice(n, 2 * n)
@@ -292,25 +292,23 @@ def _letter_step(
         x[pt, qs], x[ps, qt] = x[pt, qt], x[ps, qs]  # zeros from v's diagonal
     sub_mul(x[pt, left], v_ts, x[ps, left])
     sub_mul(x[right, qt], x[right, qs], v_st)
-    rows[s], rows[t] = pt, ps
-    cols[s], cols[t] = qt, qs
+    order[s], order[t] = pt, ps
     if not last:
         x[pt, qs], x[ps, qt] = -v_ts, -v_st
 
 
-def fold_letters(x: np.ndarray, letters: tuple[int, ...], sub_mul) -> tuple[np.ndarray, np.ndarray]:
+def fold_letters(x: np.ndarray, letters: tuple[int, ...], sub_mul) -> np.ndarray:
     """Run :func:`_letter_step` over the letters in place, trimming the last.
 
-    Returns the final labels as index arrays: PhiL is x[rows, :n] and PhiR
-    is x[n:, cols].
+    Returns the final order as an index array: PhiL is x[order, :n] and PhiR
+    is x[n:, n + order].
     """
-    n = x.shape[0] // 2
-    rows, cols = list(range(n)), list(range(n, 2 * n))
+    order = list(range(x.shape[0] // 2))
     for e in letters[:-1]:
-        _letter_step(x, e, sub_mul, rows, cols)
+        _letter_step(x, e, sub_mul, order)
     if letters:
-        _letter_step(x, letters[-1], sub_mul, rows, cols, last=True)
-    return np.array(rows), np.array(cols)
+        _letter_step(x, letters[-1], sub_mul, order, last=True)
+    return np.array(order)
 
 
 def phi_matrices(beta: BraidWord) -> tuple[PhiMatrix, PhiMatrix]:
@@ -325,10 +323,10 @@ def phi_matrices(beta: BraidWord) -> tuple[PhiMatrix, PhiMatrix]:
                 x[i, n + j] = NCPoly.gen(n, i + 1, j + 1)
     budget = term_budget()  # read once per fold, not once per update
     fused = np.frompyfunc(lambda y, a, b: y.sub_product(a, b, budget), 3, 1)
-    rows, cols = fold_letters(x, beta.letters, lambda y, a, b: fused(y, a, b, out=y))
+    order = fold_letters(x, beta.letters, lambda y, a, b: fused(y, a, b, out=y))
     return (
-        PhiMatrix(n, "L", tuple(tuple(row) for row in x[rows, :n])),
-        PhiMatrix(n, "R", tuple(tuple(row) for row in x[n:, cols])),
+        PhiMatrix(n, "L", tuple(tuple(row) for row in x[order, :n])),
+        PhiMatrix(n, "R", tuple(tuple(row) for row in x[n:, n + order])),
     )
 
 

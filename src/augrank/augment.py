@@ -84,9 +84,9 @@ def eval_phi_matrices(beta: BraidWord, values: np.ndarray) -> tuple[np.ndarray, 
     flat = x.reshape((4 * n * n,) + v.shape[:k])
     flat[n : 2 * n * n : 2 * n + 1] = 0  # v's diagonal
     flat[:: 2 * n + 1] = 1
-    rows, cols = fold_letters(x, beta.letters, _sub_mul)
+    order = fold_letters(x, beta.letters, _sub_mul)
     batch_first = lambda block: np.ascontiguousarray(block.transpose(*range(2, k + 2), 0, 1))
-    return batch_first(x[rows, :n]), batch_first(x[n:, cols])
+    return batch_first(x[order, :n]), batch_first(x[n:, n + order])
 
 
 def _sub_mul(y: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
