@@ -40,11 +40,12 @@ one letter is one row operation on rows s, t, one column operation on
 columns n+s, n+t and a 2 x 2 patch of v: O(n) in-place updates y -= a*b.
 Rows and columns are relabelled, not moved: the fold keeps the order of the
 rows of [PhiL | v], which is also that of the columns of [v ; PhiR], in one
-list; a letter updates one row and one column in place and swaps two entries
-of the list, and the matrices are read out through the final order.  After the last
-letter nothing reads v, so that letter's row operation covers PhiL's columns
-only, its column operation PhiR's rows only, and v is not updated; this
-keeps the fold from building images far larger than any matrix entry.
+list; a letter updates one row and one column in place and swaps two
+entries of the list, and the matrices are read out through the final order.
+After the last letter nothing reads v, so that letter's row operation covers
+PhiL's columns only, its column operation PhiR's rows only, and v is not
+updated; this keeps the fold from building images far larger than any
+matrix entry.
 :func:`_letter_step` is that step, written once for numpy arrays over any
 ring, and :func:`fold_letters` runs it with the ring's in-place y -= a*b
 chosen once per fold: NCPoly objects here, assigned elementwise from the
@@ -262,21 +263,21 @@ def _letter_step(x: np.ndarray, e: int, sub_mul, order: list[int], last: bool = 
     of [v ; PhiR] are relabelled, not moved: row i of [PhiL | v] is stored at
     x[order[i]] and column n+j of [v ; PhiR] at x[:, n + order[j]] (a letter
     relabels rows s, t and columns n+s, n+t alike, so one list serves both),
-    and the step updates order.  sub_mul(y, a, b) sets y to the ring's y - a*b in
-    place, with a or b broadcast over y; the caller of :func:`fold_letters`
-    picks it once per fold.  sigma_k^-1 is sigma_k with the roles of strands
-    k and k+1 swapped, so both signs share the update below: one row
-    operation on rows s, t (PhiL and the row images; the new row s is
-    row_t - v_ts row_s, multiplied on the left, the new row t the old row s),
-    one column operation on columns n+s, n+t (the column images and PhiR;
-    likewise col_t - col_s v_st, multiplied on the right), and a 2 x 2 patch
-    of v.  Each operation updates the stored row t (column n+t) in place,
-    and swapping the two labels makes it row s (column n+s).  The patch's
-    off-diagonal entries are set aside and zeroed while the two operations
-    run, then written back negated: with both labels swapped, each lands
-    where it was read from.  With last set,
-    nothing reads v again: the row operation covers PhiL's columns only, the
-    column operation PhiR's rows only, and v is left as it is.
+    and the step updates order.  sub_mul(y, a, b) sets y to the ring's
+    y - a*b in place, with a or b broadcast over y; the caller of
+    :func:`fold_letters` picks it once per fold.  sigma_k^-1 is sigma_k with
+    the roles of strands k and k+1 swapped, so both signs share the update
+    below: one row operation on rows s, t (PhiL and the row images; the new
+    row s is row_t - v_ts row_s, multiplied on the left, the new row t the
+    old row s), one column operation on columns n+s, n+t (the column images
+    and PhiR; likewise col_t - col_s v_st, multiplied on the right), and a
+    2 x 2 patch of v.  Each operation updates the stored row t (column n+t)
+    in place, and swapping the two labels makes it row s (column n+s).  The
+    patch's off-diagonal entries are set aside and zeroed while the two
+    operations run, then written back negated: with the labels swapped, each
+    lands where it was read from.  With last set, nothing reads v again: the
+    row operation covers PhiL's columns only, the column operation PhiR's
+    rows only, and v is left as it is.
     """
     n = len(order)
     s, t = abs(e) - 1, abs(e)
