@@ -177,6 +177,7 @@ def aug_rank(eps: Assignment, n: int) -> int:
 FD_STEP = 1e-7
 FLOOR = 1e-14  # a restart whose max-abs residual falls below this stops
 POLISH_BELOW = 1e-6  # stopped restarts below this get up to two plain Gauss-Newton steps
+FTOL = 1e-8  # a step lowering the cost by at most this fraction of it stalls a restart above POLISH_BELOW
 TRIALS = 10  # damping increases tried per iteration before a restart gives up
 MAX_ITER = 120  # Levenberg-Marquardt iterations per restart
 LAM_START, LAM_MIN, LAM_MAX = 1e-3, 1e-14, 1e12
@@ -184,10 +185,10 @@ LAM_START, LAM_MIN, LAM_MAX = 1e-3, 1e-14, 1e12
 # accept restart 0, while a nonexistence search spends its budget 64 at a time.
 LEAD_CHUNKS = (1, 8)
 CHUNK = 64
-STOP_REASONS = ("floor", "no_descent", "damping_overflow", "max_iter", "non_finite")
+STOP_REASONS = ("floor", "no_descent", "damping_overflow", "max_iter", "non_finite", "stalled")
 # _lm_chunk keeps a row's stop as an index into _STOP_NAMES; 0 is still running
 _STOP_NAMES = np.array(("",) + STOP_REASONS, dtype=object)
-_FLOOR, _NO_DESCENT, _DAMPING_OVERFLOW, _MAX_ITER, _NON_FINITE = range(1, len(_STOP_NAMES))
+_FLOOR, _NO_DESCENT, _DAMPING_OVERFLOW, _MAX_ITER, _NON_FINITE, _STALLED = range(1, len(_STOP_NAMES))
 
 
 def _chunks(restarts: int):
@@ -302,9 +303,11 @@ class _Chunk:
         """Try count damping levels lam, 10 lam, ... on each row, all in one solve and one fold.
 
         Each row ends as the sequential rule would end it, trying its levels
-        in turn: it moves at the first level that lowers its cost; a singular
-        level goes on to the next one; a miss goes on unless the next level
-        exceeds LAM_MAX, which stops the row as damping_overflow.  With
+        in turn: it moves at the first level that lowers its cost, and stops
+        there as stalled if that lowers the cost by at most FTOL times it while
+        its max-abs residual stays at least POLISH_BELOW; a singular level goes
+        on to the next one; a miss goes on unless the next level exceeds
+        LAM_MAX, which stops the row as damping_overflow.  With
         with_jac the trial points fold with their Jacobians.  Returns a mask
         of the rows that are still without a descent step after count levels.
         """
@@ -331,8 +334,10 @@ class _Chunk:
         if hit.any():
             t = np.searchsorted(tried, hit.nonzero()[0] * count + first[hit])
             h = rows[hit]
+            stalled = self.cost[h] - costt[t] <= FTOL * self.cost[h]
             self.z[h], self.c[h], self.cost[h] = zt[t], ct[t], costt[t]
             self.ma[h] = np.abs(ct[t]).max(axis=1)
+            self.stop[h[stalled & (self.ma[h] >= POLISH_BELOW)]] = _STALLED
             self.lam[h] = np.maximum(lev[hit, first[hit]] / 3.0, LAM_MIN)
             self.fresh[h] = with_jac
             if with_jac:
@@ -372,6 +377,13 @@ def _lm_chunk(
     row's own level first, its trial point folded with its Jacobian so that
     a row moving there needs no Jacobian fold at the next iteration; then,
     for the rows that found no descent, all remaining levels at once.
+
+    A row that descends in either round by at most FTOL times its cost while
+    its max-abs residual is at least POLISH_BELOW stops as stalled, keeping
+    the step: Gauss-Newton converges only linearly at a nonzero minimum, so
+    it would crawl there until the damping gives out (the relative ftol test
+    of MINPACK's lmder).  Near a zero Gauss-Newton converges fast again, and
+    the POLISH_BELOW guard keeps the test off the rows that are there.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         chunk = _Chunk(resid, z0)
@@ -536,7 +548,8 @@ class NotFound:
     says so with ``"label": "evidence-only"``.  When no restart ran, or more
     than half of the restarts broke down (``max_iter`` or ``non_finite``), the
     label is ``"inconclusive"``: the search failed, which says nothing about
-    the braid.
+    the braid.  A ``stalled`` restart ended at a local minimum and counts as
+    evidence, like ``no_descent``.
     """
 
     braid: BraidWord
@@ -574,6 +587,8 @@ class SolveOptions:
     def __post_init__(self) -> None:
         if self.restarts < 0:
             raise ValueError(f"restarts must be >= 0, got {self.restarts}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _summary(finals: list[float], stops: list[str]) -> dict:

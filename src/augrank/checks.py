@@ -28,8 +28,17 @@ def random_word(rng: random.Random, n: int, max_len: int) -> BraidWord:
     return BraidWord(n, tuple(rng.choice(pool) for _ in range(length)))
 
 
+def _check_sample(n: int, count: int) -> None:
+    """A randomized check draws count words from the generators of B_n; an empty draw checks nothing."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2 for a randomized check, got {n}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+
+
 def check_chain_rule(n: int, count: int = 200, seed: int = 0, max_len: int = 5) -> CheckReport:
     """Action matrices of a product agree with the letter-fold composition."""
+    _check_sample(n, count)
     rng = random.Random(seed)
     diffs = []
     for idx in range(count):
@@ -46,6 +55,7 @@ def check_chain_rule(n: int, count: int = 200, seed: int = 0, max_len: int = 5) 
 
 def check_transpose(n: int, count: int = 200, seed: int = 0, max_len: int = 6) -> CheckReport:
     """Right matrix equals the transpose of the entrywise conjugate of the left."""
+    _check_sample(n, count)
     rng = random.Random(seed)
     diffs = []
     for idx in range(count):
@@ -62,6 +72,7 @@ def check_transpose(n: int, count: int = 200, seed: int = 0, max_len: int = 6) -
 
 def check_monomial_structure(n: int, count: int = 100, seed: int = 0, max_len: int = 5) -> CheckReport:
     """Every left-matrix entry is a sum of index chains from perm(beta)(i) to j."""
+    _check_sample(n, count)
     rng = random.Random(seed)
     diffs = []
     for idx in range(count):

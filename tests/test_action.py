@@ -21,7 +21,7 @@ from augrank.action import (
     tau_closed_form,
 )
 from augrank.braids import BraidWord, cable, include_bar, kappa_word, perm, tau_word
-from augrank.checks import check_braid_relations, check_monomial_structure
+from augrank.checks import check_braid_relations, check_chain_rule, check_monomial_structure, check_transpose
 from augrank.freealg import NCPoly, TermBudgetError
 
 from strategies import braid_word_pairs, braid_words, nc_polys
@@ -162,6 +162,13 @@ class TestMatrices:
 
     def test_monomial_structure(self):
         assert check_monomial_structure(3, count=40, seed=2).ok
+
+    @pytest.mark.parametrize("check", [check_chain_rule, check_transpose, check_monomial_structure])
+    @pytest.mark.parametrize("n, count, field", [(3, 0, "count"), (3, -1, "count"), (1, 5, "n"), (0, 5, "n")])
+    def test_randomized_check_needs_a_sample(self, check, n, count, field):
+        # no word drawn, or no generator to draw from: the check would check nothing
+        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+            check(n, count=count)
 
     def test_head_index_matches_perm_convention(self):
         # pins the left-to-right perm convention against the action bookkeeping

@@ -9,6 +9,7 @@ from augrank.augment import (
     ACCEPT_TOL,
     FD_STEP,
     FLOOR,
+    FTOL,
     LAM_MAX,
     LAM_MIN,
     LAM_START,
@@ -212,6 +213,11 @@ class TestSolver:
         assert cert.rank == 1
         assert cert.residual_L == cert.residual_R == 0.0
 
+    @pytest.mark.parametrize("field", ["restarts", "seed"])
+    def test_options_reject_negative_values(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
+            SolveOptions(**{field: -1})
+
     def test_non_knot_rejected(self):
         with pytest.raises(ValueError, match="knot"):
             solve_full_rank(BraidWord(2, ()))
@@ -241,10 +247,18 @@ class TestSolver:
         # every restart broke down, so the outcome says nothing about the braid
         assert out.to_obj()["label"] == "inconclusive"
 
-    @pytest.mark.parametrize("broken, label", [(2, "evidence-only"), (3, "inconclusive")])
-    def test_label_counts_broken_restarts(self, broken, label):
+    @pytest.mark.parametrize(
+        "broken, stalled, label",
+        [
+            pytest.param(2, 0, "evidence-only", id="2-evidence-only"),
+            pytest.param(3, 0, "inconclusive", id="3-inconclusive"),
+            pytest.param(1, 3, "evidence-only", id="1-stalled-evidence-only"),
+        ],
+    )
+    def test_label_counts_broken_restarts(self, broken, stalled, label):
+        # a stalled restart ended at a local minimum: evidence, not a breakdown
         stops = dict.fromkeys(STOP_REASONS, 0)
-        stops.update(no_descent=4 - broken, max_iter=broken - 1, non_finite=1)
+        stops.update(no_descent=4 - broken - stalled, stalled=stalled, max_iter=broken - 1, non_finite=1)
         out = NotFound(TREFOIL, 0.5, 0, 4, ACCEPT_TOL, {"count": 4, "stops": stops})
         assert out.label == out.to_obj()["label"] == label
 
@@ -317,8 +331,11 @@ class TestSolver:
             assert aug_rank(eps, 3) == 3
 
 
-def reference_chunk(resid, z0, tol):
-    """_lm_chunk's sequential rule: per iteration, a Jacobian fold, then one fold per damping level."""
+def reference_chunk(resid, z0, tol, stall=True):
+    """_lm_chunk's sequential rule: per iteration, a Jacobian fold, then one fold per damping level.
+
+    With stall=False a row never stops as stalled: the rule before FTOL.
+    """
     def jacobian(z, c):  # forward differences, shape (B, m, d)
         h = FD_STEP * np.maximum(1.0, np.abs(z))
         cp = resid((z[:, None, :] + h[:, :, None] * np.eye(z.shape[1])).reshape(-1, z.shape[1]))
@@ -365,7 +382,10 @@ def reference_chunk(resid, z0, tol):
                     costt = _cost(ct)
                     down = costt < cost[rows]
                     hit, miss = rows[down], rows[~down]
+                    small = cost[hit] - costt[down] <= FTOL * cost[hit]
                     z[hit], c[hit], cost[hit], ma[hit] = zt[down], ct[down], costt[down], np.abs(ct[down]).max(axis=1)
+                    if stall:
+                        stop[hit[small & (ma[hit] >= POLISH_BELOW)]] = "stalled"
                     lam[hit] = np.maximum(lam[hit] / 3.0, LAM_MIN)
                     lam[miss] *= 10.0
                     stop[miss[lam[miss] > LAM_MAX]] = "damping_overflow"
@@ -390,6 +410,11 @@ def assert_matches_reference(resid, z0, tol):
 
 C10_WORD = satellite_braid(BraidWord(2, (1,) * 5), BraidWord(2, (1,)))
 C11_WORD = satellite_braid(TREFOIL, BraidWord(2, (1,)))
+# a B4 knot word on which restarts 10 and 13 of seed 0 end at damping_overflow
+# and restart 4 at no_descent; criterion 11's restarts all stall now
+OVERFLOW_WORD = BraidWord(4, (2, -3, -2, 3, -2, 2, 2, -2, -3, 2, -1))
+# the companions and patterns of the certify benchmark
+TORUS_PQ = ((2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (4, 5))
 
 
 class TestTrialRounds:
@@ -398,18 +423,35 @@ class TestTrialRounds:
     @pytest.mark.parametrize(
         "beta, restarts, tol, stops",
         [
-            (C10_WORD, range(8), ACCEPT_TOL, {"floor", "no_descent", "max_iter"}),
-            (C10_WORD, range(8), -np.inf, {"floor", "no_descent", "max_iter"}),
-            (C11_WORD, range(8), ACCEPT_TOL, {"no_descent"}),
-            (C11_WORD, (384, 711), ACCEPT_TOL, {"damping_overflow"}),
+            (C10_WORD, range(8), ACCEPT_TOL, {"floor", "stalled", "max_iter"}),
+            (C10_WORD, range(8), -np.inf, {"floor", "stalled", "max_iter"}),
+            (C11_WORD, range(8), ACCEPT_TOL, {"stalled"}),
+            (OVERFLOW_WORD, (4, 10, 13), ACCEPT_TOL, {"no_descent", "damping_overflow"}),
             (torus_braid(2, 601), range(4), ACCEPT_TOL, {"non_finite", "max_iter"}),
             (torus_braid(3, 4), range(8), ACCEPT_TOL, {"floor", ""}),
         ],
-        ids=["c10", "c10-no-accept", "c11", "c11-overflow", "T(2,601)", "T(3,4)-cut-off"],
+        ids=["c10", "c10-no-accept", "c11", "overflow", "T(2,601)", "T(3,4)-cut-off"],
     )
     def test_matches_reference(self, beta, restarts, tol, stops):
         z0 = restart_starts(beta, 0, restarts)
         assert set(assert_matches_reference(_sign_residual(beta), z0, tol)) == stops
+
+    @pytest.mark.parametrize(
+        "beta",
+        [C10_WORD] + [torus_braid(p, q) for p, q in TORUS_PQ],
+        ids=["c10"] + [f"T({p},{q})" for p, q in TORUS_PQ],
+    )
+    def test_stall_rule_keeps_accepted_rows(self, beta):
+        # a row heading for a zero never stalls: every row the rule without the
+        # stall test accepts ends at the same point, residual and stop
+        resid, z0 = _sign_residual(beta), restart_starts(beta, 0, range(32))
+        z, ma, stop = _lm_chunk(resid, z0, -np.inf)
+        z_old, ma_old, stop_old = reference_chunk(resid, z0, -np.inf, stall=False)
+        won = _accepted(ma_old, stop_old, ACCEPT_TOL)
+        assert won.any()
+        assert np.array_equal(z[won], z_old[won])
+        assert np.array_equal(ma[won], ma_old[won])
+        assert list(stop[won]) == list(stop_old[won])
 
     @pytest.mark.parametrize(
         "singular",
@@ -434,7 +476,8 @@ class TestTrialRounds:
         resid = lambda z: np.where(z.real[:, :1] > 10, 1.0 + 0j, z**2 - 1)
         z0 = np.array([[100, 100], [0.3 + 0.2j, -0.5j], [2, -1.5 + 1j]])
         assert_matches_reference(resid, z0, ACCEPT_TOL)
-        assert_matches_reference(_sign_residual(C11_WORD), restart_starts(C11_WORD, 0, (384, 711)), ACCEPT_TOL)
+        z0 = restart_starts(OVERFLOW_WORD, 0, (10, 13))
+        assert_matches_reference(_sign_residual(OVERFLOW_WORD), z0, ACCEPT_TOL)
 
 
 def reference_letter_step(x, e, sub_mul, last=False):

@@ -160,7 +160,7 @@ class TestSearchVerifyConstruct:
         assert "no certificate found after 4 restarts (inconclusive)" in out
         line = next(line for line in out.splitlines() if line.startswith("stops: "))
         stops = dict(item.split("=") for item in line.split()[1:])
-        assert set(stops) == {"floor", "no_descent", "damping_overflow", "max_iter", "non_finite"}
+        assert set(stops) == {"floor", "no_descent", "damping_overflow", "max_iter", "non_finite", "stalled"}
         assert sum(int(v) for v in stops.values()) == 4
         assert int(stops["non_finite"]) >= 1
 
@@ -297,6 +297,13 @@ BAD_INPUT_CASES = (
         (VERIFY, _set_first_re(True), 1, "generator a_1,2.re must be a number, got True"),
         (VERIFY, _set_first_re("1.0"), 1, "generator a_1,2.re must be a number, got '1.0'"),
         (("check", "--suite", "nope"), None, 1, "argument --suite: invalid choice: 'nope'"),
+        # a randomized check with no word to draw, or none drawn, checks nothing
+        (("check", "--suite", "chainrule", "--count", "0"), None, 1, "count must be >= 1, got 0"),
+        (("check", "--suite", "chainrule", "--count", "-1"), None, 1, "count must be >= 1, got -1"),
+        (("check", "--suite", "transpose", "--count", "0"), None, 1, "count must be >= 1, got 0"),
+        (("check", "--suite", "chainrule", "--n", "1"), None, 1, "n must be >= 2"),
+        (("check", "--suite", "transpose", "--n", "0"), None, 1, "n must be >= 2"),
+        (SEARCH + ("--seed", "-1"), None, 1, "seed must be >= 0, got -1"),
     ]
 )
 
