@@ -164,7 +164,7 @@ class TestMatrices:
         assert check_monomial_structure(3, count=40, seed=2).ok
 
     @pytest.mark.parametrize("check", [check_chain_rule, check_transpose, check_monomial_structure])
-    @pytest.mark.parametrize("n, count, field", [(3, 0, "count"), (3, -1, "count"), (1, 5, "n"), (0, 5, "n")])
+    @pytest.mark.parametrize("n, count, field", [(3, 0, "count"), (1, 5, "n")])
     def test_randomized_check_needs_a_sample(self, check, n, count, field):
         # no word drawn, or no generator to draw from: the check would check nothing
         with pytest.raises(ValueError, match=f"^{field} must be >= "):

@@ -411,7 +411,7 @@ def assert_matches_reference(resid, z0, tol):
 C10_WORD = satellite_braid(BraidWord(2, (1,) * 5), BraidWord(2, (1,)))
 C11_WORD = satellite_braid(TREFOIL, BraidWord(2, (1,)))
 # a B4 knot word on which restarts 10 and 13 of seed 0 end at damping_overflow
-# and restart 4 at no_descent; criterion 11's restarts all stall now
+# and restart 4 at no_descent; every restart of criterion 11's word stalls
 OVERFLOW_WORD = BraidWord(4, (2, -3, -2, 3, -2, 2, 2, -2, -3, 2, -1))
 # the companions and patterns of the certify benchmark
 TORUS_PQ = ((2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (4, 5))
@@ -452,6 +452,14 @@ class TestTrialRounds:
         assert np.array_equal(z[won], z_old[won])
         assert np.array_equal(ma[won], ma_old[won])
         assert list(stop[won]) == list(stop_old[won])
+
+    def test_no_stall_below_polish(self):
+        # a nonzero minimum with max-abs residual 2e-7, below POLISH_BELOW:
+        # rows 1 and 2 take steps there that lower the cost by at most FTOL
+        # of it, yet they run on to no_descent and the polish, not stalling
+        resid = lambda z: np.concatenate([z - 1, 1e-7 * (1 + z**2)], axis=1)
+        z0 = np.array([[0.3 + 0.2j], [2 - 1j], [-0.5j]])
+        assert assert_matches_reference(resid, z0, ACCEPT_TOL) == ["no_descent"] * 3
 
     @pytest.mark.parametrize(
         "singular",
