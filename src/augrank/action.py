@@ -46,6 +46,7 @@ After the last letter nothing reads v, so that letter's row operation covers
 PhiL's columns only, its column operation PhiR's rows only, and v is not
 updated; this keeps the fold from building images far larger than any
 matrix entry.
+
 :func:`_letter_step` is that step, written once for numpy arrays over any
 ring, and :func:`fold_letters` runs it with the ring's in-place y -= a*b
 chosen once per fold: NCPoly objects here, assigned elementwise from the
@@ -54,6 +55,18 @@ update, one budget read per fold), and batched complex numbers (batch axes
 last) in :func:`augrank.augment.eval_phi_matrices`.  In the free algebra the
 order of the factors matters: rows are multiplied on the left, columns on
 the right.
+
+A caller that wants one side folds only part of the array.  PhiL reads v
+and its own rows, never PhiR, so :func:`phi_left` folds the top part
+[PhiL | v] and :func:`phi_right` the right part [v ; PhiR].  Each still runs
+v's row and column operations, because every later letter reads v: the top
+part does the row operations in full and the column operations on v's rows
+only, the right part the column operations in full and the row operations
+on v's columns only.  What is skipped is the column operation on PhiR's
+rows and the row operation on PhiL's columns, which only the other side
+reads; on cable(T(3,4), 2) one side costs 15168 term products where both
+cost 26014.  :func:`phi_matrices` and the numeric fold, which need both
+sides, fold the whole array once.
 
 The oracles stay independent of the fold: :func:`phi_left_direct` and
 :func:`phi_right_direct` read the matrices off the action of beta, included in
@@ -259,35 +272,41 @@ def _letter_step(x: np.ndarray, e: int, sub_mul, order: list[int], last: bool = 
 
     x holds the block array [[PhiL(P), v], [0, PhiR(P)]] of shape (2n, 2n, ...)
     with v[i-1, j-1] = act(P, a_ij); trailing axes are a batch, and v's
-    diagonal holds the ring's zero.  The rows of [PhiL | v] and the columns
-    of [v ; PhiR] are relabelled, not moved: row i of [PhiL | v] is stored at
-    x[order[i]] and column n+j of [v ; PhiR] at x[:, n + order[j]] (a letter
-    relabels rows s, t and columns n+s, n+t alike, so one list serves both),
-    and the step updates order.  sub_mul(y, a, b) sets y to the ring's
-    y - a*b in place, with a or b broadcast over y; the caller of
-    :func:`fold_letters` picks it once per fold.  sigma_k^-1 is sigma_k with
-    the roles of strands k and k+1 swapped, so both signs share the update
-    below: one row operation on rows s, t (PhiL and the row images; the new
-    row s is row_t - v_ts row_s, multiplied on the left, the new row t the
-    old row s), one column operation on columns n+s, n+t (the column images
-    and PhiR; likewise col_t - col_s v_st, multiplied on the right), and a
-    2 x 2 patch of v.  Each operation updates the stored row t (column n+t)
-    in place, and swapping the two labels makes it row s (column n+s).  The
-    patch's off-diagonal entries are set aside and zeroed while the two
-    operations run, then written back negated: with the labels swapped, each
-    lands where it was read from.  With last set, nothing reads v again: the
-    row operation covers PhiL's columns only, the column operation PhiR's
-    rows only, and v is left as it is.
+    diagonal holds the ring's zero.  x may also be its top part
+    [PhiL(P) | v] of shape (n, 2n, ...) or its right part [v ; PhiR(P)] of
+    shape (2n, n, ...).  Columns are counted from the right end (column j of
+    [v ; PhiR] is x[:, j - n]) and PhiR's rows start at row n, so every index
+    below means the same on all three shapes, and the step takes no argument
+    for the shape.  The rows of [PhiL | v] and the columns of [v ; PhiR] are
+    relabelled, not moved: row i of [PhiL | v] is stored at x[order[i]] and
+    column j of [v ; PhiR] at x[:, order[j] - n] (a letter relabels rows s, t
+    and those columns s, t alike, so one list serves both), and the step
+    updates order.  sub_mul(y, a, b) sets y to the ring's y - a*b in place,
+    with a or b broadcast over y; the caller of :func:`fold_letters` picks it
+    once per fold.  sigma_k^-1 is sigma_k with the roles of strands k and
+    k+1 swapped, so both signs share the update below: one row operation on
+    rows s, t (PhiL and the row images; the new row s is row_t - v_ts row_s,
+    multiplied on the left, the new row t the old row s), one column
+    operation on columns s, t of [v ; PhiR] (the column images and PhiR;
+    likewise col_t - col_s v_st, multiplied on the right), and a 2 x 2 patch
+    of v.  Each operation updates the stored row t (column t) in place, and
+    swapping the two labels makes it row s (column s).  The patch's
+    off-diagonal entries are set aside and zeroed while the two operations
+    run, then written back negated: with the labels swapped, each lands
+    where it was read from.  With last set, nothing reads v again: the row
+    operation covers PhiL's columns only, the column operation PhiR's rows
+    only (either span is empty where its block is absent), and v is left as
+    it is.
     """
     n = len(order)
     s, t = abs(e) - 1, abs(e)
     if e < 0:
         s, t = t, s
     ps, pt = order[s], order[t]
-    qs, qt = n + ps, n + pt
+    qs, qt = ps - n, pt - n
     v_ts, v_st = x[pt, qs, ...].copy(), x[ps, qt, ...].copy()  # 0-d for the object ring
     if last:
-        left, right = slice(0, n), slice(n, 2 * n)
+        left, right = slice(0, -n), slice(n, None)
     else:
         left = right = slice(None)
         x[pt, qs], x[ps, qt] = x[pt, qt], x[ps, qs]  # zeros from v's diagonal
@@ -301,10 +320,11 @@ def _letter_step(x: np.ndarray, e: int, sub_mul, order: list[int], last: bool = 
 def fold_letters(x: np.ndarray, letters: tuple[int, ...], sub_mul) -> np.ndarray:
     """Run :func:`_letter_step` over the letters in place, trimming the last.
 
-    Returns the final order as an index array: PhiL is x[order, :n] and PhiR
-    is x[n:, n + order].
+    x is the block array or its top or right part.  Returns the final order
+    as an index array: on the whole array PhiL is x[order, :n] and PhiR is
+    x[n:, n + order].
     """
-    order = list(range(x.shape[0] // 2))
+    order = list(range(max(x.shape[:2]) // 2))
     for e in letters[:-1]:
         _letter_step(x, e, sub_mul, order)
     if letters:
@@ -312,8 +332,12 @@ def fold_letters(x: np.ndarray, letters: tuple[int, ...], sub_mul) -> np.ndarray
     return np.array(order)
 
 
-def phi_matrices(beta: BraidWord) -> tuple[PhiMatrix, PhiMatrix]:
-    """Left and right action matrices of beta, from one letter fold."""
+def _fold(beta: BraidWord, part: slice | tuple[slice, slice]) -> tuple[np.ndarray, np.ndarray]:
+    """Seed beta's block array over the free algebra and fold x[part] of it.
+
+    Returns the whole array x, of which only x[part] moved, and the final
+    order.
+    """
     n = beta.n
     one = NCPoly.one(n)
     x = np.full((2 * n, 2 * n), NCPoly.zero(n), dtype=object)
@@ -324,21 +348,33 @@ def phi_matrices(beta: BraidWord) -> tuple[PhiMatrix, PhiMatrix]:
                 x[i, n + j] = NCPoly.gen(n, i + 1, j + 1)
     budget = term_budget()  # read once per fold, not once per update
     fused = np.frompyfunc(lambda y, a, b: y.sub_product(a, b, budget), 3, 1)
-    order = fold_letters(x, beta.letters, lambda y, a, b: fused(y, a, b, out=y))
-    return (
-        PhiMatrix(n, "L", tuple(tuple(row) for row in x[order, :n])),
-        PhiMatrix(n, "R", tuple(tuple(row) for row in x[n:, n + order])),
-    )
+    return x, fold_letters(x[part], beta.letters, lambda y, a, b: fused(y, a, b, out=y))
+
+
+def _left(x: np.ndarray, order: np.ndarray) -> PhiMatrix:
+    n = len(order)
+    return PhiMatrix(n, "L", tuple(tuple(row) for row in x[order, :n]))
+
+
+def _right(x: np.ndarray, order: np.ndarray) -> PhiMatrix:
+    n = len(order)
+    return PhiMatrix(n, "R", tuple(tuple(row) for row in x[n:, n + order]))
+
+
+def phi_matrices(beta: BraidWord) -> tuple[PhiMatrix, PhiMatrix]:
+    """Left and right action matrices of beta, from one letter fold."""
+    x, order = _fold(beta, np.s_[:])
+    return _left(x, order), _right(x, order)
 
 
 def phi_left(beta: BraidWord) -> PhiMatrix:
-    """Left action matrix."""
-    return phi_matrices(beta)[0]
+    """Left action matrix, from a fold of the top part [PhiL | v] only."""
+    return _left(*_fold(beta, np.s_[: beta.n]))
 
 
 def phi_right(beta: BraidWord) -> PhiMatrix:
-    """Right action matrix."""
-    return phi_matrices(beta)[1]
+    """Right action matrix, from a fold of the right part [v ; PhiR] only."""
+    return _right(*_fold(beta, np.s_[:, beta.n :]))
 
 
 def chain_compose(m1: PhiMatrix, m2: PhiMatrix, beta1: BraidWord) -> PhiMatrix:

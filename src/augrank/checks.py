@@ -28,12 +28,17 @@ def random_word(rng: random.Random, n: int, max_len: int) -> BraidWord:
     return BraidWord(n, tuple(rng.choice(pool) for _ in range(length)))
 
 
+def require_at_least(name: str, value: int, least: int) -> int:
+    """value, or a ValueError naming name when it is below least: there a suite compares nothing."""
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def _check_sample(n: int, count: int) -> None:
     """A randomized check draws count words from the generators of B_n; an empty draw checks nothing."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2 for a randomized check, got {n}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    require_at_least("n", n, 2)
+    require_at_least("count", count, 1)
 
 
 def check_chain_rule(n: int, count: int = 200, seed: int = 0, max_len: int = 5) -> CheckReport:
@@ -124,6 +129,7 @@ def check_braid_relations(n: int) -> CheckReport:
 
 def check_tau_forms(n: int) -> CheckReport:
     """The ascending band word closed form matches the direct action."""
+    require_at_least("n", n, 2)
     report = CheckReport(claim="ascending band word closed form", parameters={"n": n})
     for m in range(1, n):
         for p in range(1, n - m + 1):
@@ -140,6 +146,7 @@ def check_tau_forms(n: int) -> CheckReport:
 
 def check_cabled_letter_forms(k: int, p: int) -> CheckReport:
     """The cabled-generator closed form matches the direct action, extra strand included."""
+    require_at_least("k", k, 2)
     kp = k * p
     report = CheckReport(claim="cabled generator closed form", parameters={"k": k, "p": p})
     for n_gen in range(1, k):

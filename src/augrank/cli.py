@@ -13,7 +13,7 @@ import functools
 import sys
 
 from . import jsonio
-from .action import phi_matrices
+from .action import phi_left, phi_right
 from .augment import (
     Certificate,
     ConstructionError,
@@ -28,6 +28,7 @@ from .checks import (
     check_chain_rule,
     check_tau_forms,
     check_transpose,
+    require_at_least,
 )
 from .freealg import TermBudgetError
 from .splitting import verify_cable_matrix_split, verify_commutes
@@ -55,7 +56,7 @@ def _emit(args, fields: dict, text_lines: list[str]) -> None:
 
 def cmd_phi(args) -> int:
     braid = BraidWord.from_text(args.n, args.word)
-    m = phi_matrices(braid)["LR".index(args.side)]
+    m = (phi_left if args.side == "L" else phi_right)(braid)
     rows = m.render_entries()
     text_matrix = "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
     _emit(args, {"matrix": m.to_obj()}, [text_matrix])
@@ -173,9 +174,11 @@ SUITES = {
     "psi": lambda args: [
         verify_cable_matrix_split(BraidWord.from_text(args.k, word), args.p)
         for word, min_k in _PSI_SUITE_WORDS
-        if args.k >= min_k
+        if require_at_least("k", args.k, 1) >= min_k
     ],
-    "commutes": lambda args: [verify_commutes(n_gen, args.k, args.p) for n_gen in range(1, args.k)],
+    "commutes": lambda args: [
+        verify_commutes(n_gen, args.k, args.p) for n_gen in range(1, require_at_least("k", args.k, 2))
+    ],
     "sigma_n": lambda args: [check_cabled_letter_forms(args.k, args.p)],
     "tau": lambda args: [check_tau_forms(args.n)],
     "blocks": lambda args: [check_block_structure(args.n, args.p)],

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from augrank import augment
@@ -43,7 +43,7 @@ from augrank.augment import (
     values_to_array,
 )
 from augrank.braids import BraidWord, cable, perm, satellite_braid, torus_braid, writhe
-from augrank.freealg import Assignment, NCPoly, term_budget
+from augrank.freealg import Assignment, NCPoly, SparsePoly, term_budget
 from augrank.splitting import TensorPoly
 
 from strategies import braid_words, nc_polys
@@ -545,6 +545,11 @@ def reference_phi(beta):
     return tuple(tuple(tuple(row) for row in m) for m in reference_fold(x, beta.letters, fused))
 
 
+def term_lists(entries):
+    """Each entry's terms in insertion order, which equality of polynomials ignores."""
+    return [[list(x.terms.items()) for x in row] for row in entries]
+
+
 def assert_bitwise_equal(got, want):
     assert got.shape == want.shape and got.flags.c_contiguous
     assert np.array_equal(np.isfinite(got), np.isfinite(want))
@@ -598,10 +603,41 @@ class TestFoldOracle:
     )
     def test_symbolic_fold(self, beta):
         want = reference_phi(beta)
-        for m, entries in zip(phi_matrices(beta), want):
+        # the whole array's fold, then the top part's and the right part's
+        for m, entries in zip(phi_matrices(beta) + (phi_left(beta), phi_right(beta)), want + want):
             assert m.entries == entries
-            for row, want_row in zip(m.entries, entries):
-                assert [list(x.terms.items()) for x in row] == [list(y.terms.items()) for y in want_row]
+            assert term_lists(m.entries) == term_lists(entries)
+
+    @given(braid_words(min_n=2, max_n=4, max_len=8))
+    @example(BraidWord(1, ()))
+    @example(BraidWord(2, ()))
+    @example(BraidWord(2, (-1,)))
+    @example(BraidWord(3, (2,)))
+    def test_one_sided_fold_matches_both_sided(self, beta):
+        left, right = phi_matrices(beta)
+        for got, want in ((phi_left(beta), left), (phi_right(beta), right)):
+            assert got == want
+            assert term_lists(got.entries) == term_lists(want.entries)
+
+    def test_one_side_skips_the_other_sides_work(self, monkeypatch):
+        # a regression to the two-sided fold would cost one side 26014 products
+        beta = cable(torus_braid(3, 4), 2)
+        products = [0]
+        sub_product = SparsePoly.sub_product
+
+        def counted(self, a, b, budget=None):
+            products[0] += len(a.terms) * len(b.terms)
+            return sub_product(self, a, b, budget)
+
+        monkeypatch.setattr(SparsePoly, "sub_product", counted)
+        work = {}
+        for fold in (phi_matrices, phi_left, phi_right):
+            products[0] = 0
+            fold(beta)
+            work[fold.__name__] = products[0]
+        assert work["phi_matrices"] == 26014
+        assert work["phi_left"] <= 0.6 * work["phi_matrices"]
+        assert work["phi_right"] <= 0.6 * work["phi_matrices"]
 
 
 class TestCertificateSerialization:

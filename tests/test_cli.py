@@ -304,6 +304,11 @@ BAD_INPUT_CASES = (
         (("check", "--suite", "chainrule", "--n", "1"), None, 1, "n must be >= 2"),
         (("check", "--suite", "transpose", "--n", "0"), None, 1, "n must be >= 2"),
         (SEARCH + ("--seed", "-1"), None, 1, "seed must be >= 0, got -1"),
+        # an exact suite whose parameters leave it no entry to compare checks nothing
+        (("check", "--suite", "commutes", "--k", "1"), None, 1, "k must be >= 2, got 1"),
+        (("check", "--suite", "psi", "--k", "0"), None, 1, "k must be >= 1, got 0"),
+        (("check", "--suite", "tau", "--n", "1"), None, 1, "n must be >= 2, got 1"),
+        (("check", "--suite", "sigma_n", "--k", "1"), None, 1, "k must be >= 2, got 1"),
     ]
 )
 
