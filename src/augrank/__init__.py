@@ -7,8 +7,11 @@ Library layout:
   sparse-polynomial core shared with the tensor products of the splitting map
 - :mod:`augrank.action` - the braid action and its left/right matrices
 - :mod:`augrank.splitting` - the cable-to-tensor splitting homomorphism
+- :mod:`augrank.checks` - the exact identity suites and their report type,
+  :class:`CheckReport`
 - :mod:`augrank.augment` - residuals, rank, the certificate search, and the
   deterministic satellite construction
+- :mod:`augrank.jsonio` - deterministic JSON output and strict number fields
 - :mod:`augrank.cli` - command-line front end
 """
 
@@ -52,6 +55,7 @@ from .splitting import (
     verify_commutes,
     verify_sum_collapse,
 )
+from .checks import check_block_structure
 from .augment import (
     ACCEPT_TOL,
     Certificate,
@@ -60,7 +64,6 @@ from .augment import (
     NotFound,
     SolveOptions,
     aug_rank,
-    check_block_structure,
     construct_satellite_aug,
     eval_phi_matrices,
     full_rank_residual,

@@ -30,11 +30,11 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .braids import BraidWord, Perm, component_count, perm, satellite_braid, tau_word, writhe
-from .braids import cable, include_bar
-from .action import fold_letters, phi_left
-from .freealg import Assignment, Gen, NCPoly
-from .reporting import CheckReport
+from .braids import BraidWord, Perm, component_count, perm, satellite_braid, writhe
+from .action import fold_letters
+# re-exported: perfbench/workloads.py, its only reader, imports the suite from here
+from .checks import check_block_structure  # noqa: F401
+from .freealg import Assignment, Gen
 from .splitting import split_gen
 from . import jsonio
 
@@ -277,8 +277,7 @@ def _accepted(ma: np.ndarray, stop: np.ndarray, tol: float) -> np.ndarray:
 class _Chunk:
     """The restarts of one chunk: points, residuals, costs, damping and stops.
 
-    jac[k] is the Jacobian at z[k] wherever fresh[k]; a row that moves to a
-    point folded without its Jacobian clears fresh, and folds it when next used.
+    jac[k] is the Jacobian at z[k] for every running row k.
     """
 
     def __init__(self, resid: Callable[[np.ndarray], np.ndarray], z0: np.ndarray):
@@ -286,18 +285,9 @@ class _Chunk:
         self.resid = resid
         self.z = z0.astype(complex)
         self.c, self.jac = _evaluate(resid, self.z)
-        self.fresh = np.ones(b, dtype=bool)
         self.cost, self.ma = _cost(self.c), np.abs(self.c).max(axis=1)
         self.lam = np.full(b, LAM_START)
         self.stop = np.zeros(b, dtype=np.int8)  # index into _STOP_NAMES
-
-    def jacobians(self, rows: np.ndarray) -> np.ndarray:
-        """The Jacobians at z[rows], in one fold of the rows that hold none."""
-        stale = rows[~self.fresh[rows]]
-        if stale.size:
-            self.jac[stale] = _evaluate(self.resid, self.z[stale])[1]
-            self.fresh[stale] = True
-        return self.jac[rows]
 
     def descend(self, rows, grad, jtj, dg, count: int, with_jac: bool) -> np.ndarray:
         """Try count damping levels lam, 10 lam, ... on each row, all in one solve and one fold.
@@ -308,7 +298,8 @@ class _Chunk:
         its max-abs residual stays at least POLISH_BELOW; a singular level goes
         on to the next one; a miss goes on unless the next level exceeds
         LAM_MAX, which stops the row as damping_overflow.  With
-        with_jac the trial points fold with their Jacobians.  Returns a mask
+        with_jac the trial points fold with their Jacobians; without it, the
+        rows that moved and still run fold theirs after.  Returns a mask
         of the rows that are still without a descent step after count levels.
         """
         k = len(rows)
@@ -339,9 +330,12 @@ class _Chunk:
             self.ma[h] = np.abs(ct[t]).max(axis=1)
             self.stop[h[stalled & (self.ma[h] >= POLISH_BELOW)]] = _STALLED
             self.lam[h] = np.maximum(lev[hit, first[hit]] / 3.0, LAM_MIN)
-            self.fresh[h] = with_jac
             if with_jac:
                 self.jac[h] = jt[t]
+            else:
+                go = h[self.stop[h] == 0]  # a stalled row needs no Jacobian again
+                if go.size:
+                    self.jac[go] = _evaluate(self.resid, self.z[go])[1]
         self.stop[rows[ended & ~hit]] = _DAMPING_OVERFLOW
         self.lam[rows[~ended]] = lev[~ended, -1]
         return ~ended
@@ -349,7 +343,7 @@ class _Chunk:
     def polish(self, rows: np.ndarray) -> None:
         """Up to two undamped Gauss-Newton steps per row of rows (not empty), kept while max-abs falls."""
         for _ in range(2):
-            jac, c = self.jacobians(rows), self.c[rows]
+            jac, c = self.jac[rows], self.c[rows]
             steps = np.array([np.linalg.lstsq(j.T, -r, rcond=None)[0] for j, r in zip(jac, c)])
             ct, jt = _evaluate(self.resid, self.z[rows] + steps)
             mt = np.abs(ct).max(axis=1)
@@ -376,7 +370,8 @@ def _lm_chunk(
     An iteration tries TRIALS damping levels per row in two rounds: the
     row's own level first, its trial point folded with its Jacobian so that
     a row moving there needs no Jacobian fold at the next iteration; then,
-    for the rows that found no descent, all remaining levels at once.
+    for the rows that found no descent, all remaining levels at once, a row
+    moving there folding its Jacobian after.
 
     A row that descends in either round by at most FTOL times its cost while
     its max-abs residual is at least POLISH_BELOW stops as stalled, keeping
@@ -400,7 +395,7 @@ def _lm_chunk(
             if it == MAX_ITER:
                 stop[live] = _MAX_ITER
             elif live.size:
-                grad, jtj = _normal_equations(chunk.jacobians(live), chunk.c[live])
+                grad, jtj = _normal_equations(chunk.jac[live], chunk.c[live])
                 bad = ~(np.isfinite(grad).all(axis=1) & np.isfinite(jtj).all(axis=(1, 2)))
                 stop[live[bad]] = _NON_FINITE
                 live, grad, jtj = live[~bad], grad[~bad], jtj[~bad]
@@ -523,9 +518,6 @@ class Certificate:
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"not a certificate object (missing {exc})") from exc
-
-    def to_json(self) -> str:
-        return jsonio.dumps(self.to_obj())
 
     def save(self, path: str) -> None:
         jsonio.dump_file(path, self.to_obj())
@@ -755,43 +747,8 @@ def construct_satellite_aug(cert_alpha: Certificate, cert_gamma: Certificate) ->
 
 
 # ---------------------------------------------------------------------------
-# Block structure and nonexistence evidence
+# Nonexistence evidence
 # ---------------------------------------------------------------------------
-
-
-def check_block_structure(n: int, p: int) -> CheckReport:
-    """Exact block facts about the cabled ascending word and the pattern row.
-
-    For tau = sigma_1..sigma_{n-1} the left matrix of its p-cable, cut into
-    p x p blocks, has (a) identity across block-rows < n and block-columns > 1,
-    (b) identity in the bottom-left block, (c) zero in the rest of the bottom
-    block-row; and (d) the left matrix of sigma_1..sigma_{p-1} included in
-    B_np has row p equal to the first standard basis vector.
-    """
-    if n < 2 or p < 1:
-        raise ValueError("need n >= 2 and p >= 1")
-    np_total = n * p
-    report = CheckReport(
-        claim="cabled ascending-word block structure and pattern row",
-        parameters={"n": n, "p": p},
-    )
-    big = phi_left(cable(tau_word(1, n - 1, n), p))
-    one, zero = NCPoly.one(np_total), NCPoly.zero(np_total)
-    for i in range(1, (n - 1) * p + 1):
-        for j in range(p + 1, np_total + 1):
-            report.compare(big.at(i, j), one if j - p == i else zero, claim="a", i=i, j=j)
-    for s in range(1, p + 1):
-        for t in range(1, p + 1):
-            i = (n - 1) * p + s
-            report.compare(big.at(i, t), one if s == t else zero, claim="b", i=i, j=t)
-    for s in range(1, p + 1):
-        for j in range(p + 1, np_total + 1):
-            i = (n - 1) * p + s
-            report.compare(big.at(i, j), zero, claim="c", i=i, j=j)
-    pattern = phi_left(include_bar(tau_word(1, p - 1, p), np_total))
-    for j in range(1, np_total + 1):
-        report.compare(pattern.at(p, j), one if j == 1 else zero, claim="d", i=p, j=j)
-    return report
 
 
 def nonexistence_search(

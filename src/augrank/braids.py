@@ -30,10 +30,6 @@ class BraidWord:
                 raise ValueError(f"letter {e} is out of range for B_{self.n}")
 
     @classmethod
-    def identity(cls, n: int) -> "BraidWord":
-        return cls(n)
-
-    @classmethod
     def from_text(cls, n: int, text: str) -> "BraidWord":
         """Parse the whitespace-separated signed-integer format, e.g. "1 1 1"."""
         return cls(n, tuple(int(tok) for tok in text.split()))
@@ -82,12 +78,6 @@ class Perm:
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
-    def compose(self, other: "Perm") -> "Perm":
-        """self after other: (self.compose(other))(i) == self(other(i))."""
-        if other.n != self.n:
-            raise ValueError("size mismatch")
-        return Perm(tuple(self(other(i)) for i in range(1, self.n + 1)))
-
     def cycles(self) -> list[tuple[int, ...]]:
         seen: set[int] = set()
         out = []
@@ -103,9 +93,6 @@ class Perm:
                 j = self(j)
             out.append(tuple(cyc))
         return out
-
-    def is_identity(self) -> bool:
-        return all(self(i) == i for i in range(1, self.n + 1))
 
 
 def writhe(beta: BraidWord) -> int:

@@ -2,12 +2,15 @@
 
 Each check returns a :class:`CheckReport`; a failing report names the claim,
 the parameters, and the offending entry so conventions can be debugged from
-the report alone.
+the report alone.  The splitting verifiers of :mod:`augrank.splitting`
+report through the same type.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+from dataclasses import dataclass, field
 
 from .action import (
     cabled_generator_closed_form,
@@ -19,7 +22,44 @@ from .action import (
 )
 from .braids import BraidWord, cable, include_bar, perm, tau_word
 from .freealg import NCPoly
-from .reporting import CheckReport
+
+
+@dataclass
+class CheckReport:
+    """Outcome of one exact claim check; diffs localize every failure."""
+
+    claim: str
+    parameters: dict
+    diffs: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.diffs
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.ok else "fail"
+
+    def compare(self, lhs, rhs, **where) -> None:
+        """Record ``{**where, "lhs": ..., "rhs": ...}`` (rendered) when lhs != rhs.
+
+        lhs and rhs are polynomials, or module elements: dicts from a basis
+        key to a polynomial, rendered with each key as its str.
+        """
+        if lhs != rhs:
+            self.diffs.append({**where, "lhs": _render(lhs), "rhs": _render(rhs)})
+
+    def to_obj(self) -> dict:
+        return {
+            "claim": self.claim,
+            "parameters": dict(self.parameters),
+            "status": self.status,
+            "diffs": list(self.diffs),
+        }
+
+
+def _render(x):
+    return {str(key): val.render() for key, val in x.items()} if isinstance(x, dict) else x.render()
 
 
 def random_word(rng: random.Random, n: int, max_len: int) -> BraidWord:
@@ -127,35 +167,74 @@ def check_braid_relations(n: int) -> CheckReport:
     )
 
 
+def _compare_closed_form(report: CheckReport, word: BraidWord, closed_form, **where) -> None:
+    """Compare closed_form(i, j, amb) with the action of word on a_ij, for every i < j.
+
+    The ambient amb is word.n and word.n + 1; there a j on the extra strand
+    is reported as "star".
+    """
+    n = word.n
+    for amb in (n, n + 1):
+        lifted = include_bar(word, amb)
+        for i in range(1, amb + 1):
+            for j in range(i + 1, amb + 1):
+                got = closed_form(i, j, amb)
+                want = phi(lifted, NCPoly.gen(amb, i, j))
+                report.compare(got, want, **where, i=i, j="star" if j > n else j)
+
+
 def check_tau_forms(n: int) -> CheckReport:
     """The ascending band word closed form matches the direct action."""
     require_at_least("n", n, 2)
     report = CheckReport(claim="ascending band word closed form", parameters={"n": n})
     for m in range(1, n):
         for p in range(1, n - m + 1):
-            w = tau_word(m, p, n)
-            for amb in (n, n + 1):
-                for i in range(1, amb + 1):
-                    for j in range(i + 1, amb + 1):
-                        got = tau_closed_form(m, p, i, j, amb)
-                        want = phi(include_bar(w, amb), NCPoly.gen(amb, i, j))
-                        j_key = "star" if j == n + 1 else j
-                        report.compare(got, want, m=m, p=p, i=i, j=j_key)
+            form = functools.partial(tau_closed_form, m, p)
+            _compare_closed_form(report, tau_word(m, p, n), form, m=m, p=p)
     return report
 
 
 def check_cabled_letter_forms(k: int, p: int) -> CheckReport:
     """The cabled-generator closed form matches the direct action, extra strand included."""
     require_at_least("k", k, 2)
-    kp = k * p
     report = CheckReport(claim="cabled generator closed form", parameters={"k": k, "p": p})
     for n_gen in range(1, k):
         cab = cable(BraidWord(k, (n_gen,)), p)
-        for amb in (kp, kp + 1):
-            for i in range(1, amb + 1):
-                for j in range(i + 1, amb + 1):
-                    got = cabled_generator_closed_form(n_gen, p, i, j, amb)
-                    want = phi(include_bar(cab, amb), NCPoly.gen(amb, i, j))
-                    j_key = "star" if j == kp + 1 else j
-                    report.compare(got, want, n_gen=n_gen, i=i, j=j_key)
+        form = functools.partial(cabled_generator_closed_form, n_gen, p)
+        _compare_closed_form(report, cab, form, n_gen=n_gen)
+    return report
+
+
+def check_block_structure(n: int, p: int) -> CheckReport:
+    """Exact block facts about the cabled ascending word and the pattern row.
+
+    For tau = sigma_1..sigma_{n-1} the left matrix of its p-cable, cut into
+    p x p blocks, has (a) identity across block-rows < n and block-columns > 1,
+    (b) identity in the bottom-left block, (c) zero in the rest of the bottom
+    block-row; and (d) the left matrix of sigma_1..sigma_{p-1} included in
+    B_np has row p equal to the first standard basis vector.
+    """
+    require_at_least("n", n, 2)
+    require_at_least("p", p, 1)
+    np_total = n * p
+    report = CheckReport(
+        claim="cabled ascending-word block structure and pattern row",
+        parameters={"n": n, "p": p},
+    )
+    big = phi_left(cable(tau_word(1, n - 1, n), p))
+    one, zero = NCPoly.one(np_total), NCPoly.zero(np_total)
+    for i in range(1, (n - 1) * p + 1):
+        for j in range(p + 1, np_total + 1):
+            report.compare(big.at(i, j), one if j - p == i else zero, claim="a", i=i, j=j)
+    for s in range(1, p + 1):
+        for t in range(1, p + 1):
+            i = (n - 1) * p + s
+            report.compare(big.at(i, t), one if s == t else zero, claim="b", i=i, j=t)
+    for s in range(1, p + 1):
+        for j in range(p + 1, np_total + 1):
+            i = (n - 1) * p + s
+            report.compare(big.at(i, j), zero, claim="c", i=i, j=j)
+    pattern = phi_left(include_bar(tau_word(1, p - 1, p), np_total))
+    for j in range(1, np_total + 1):
+        report.compare(pattern.at(p, j), one if j == 1 else zero, claim="d", i=p, j=j)
     return report

@@ -18,12 +18,12 @@ from .augment import (
     Certificate,
     ConstructionError,
     SolveOptions,
-    check_block_structure,
     construct_satellite_aug,
     solve_full_rank,
 )
 from .braids import BraidWord, component_count, iterated_torus_braid, satellite_braid, torus_braid
 from .checks import (
+    check_block_structure,
     check_cabled_letter_forms,
     check_chain_rule,
     check_tau_forms,

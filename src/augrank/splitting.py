@@ -28,8 +28,8 @@ from .action import (
     sum_desc,
 )
 from .braids import BraidWord, cable, include_bar
+from .checks import CheckReport
 from .freealg import Mon, NCPoly, SparsePoly, check_word, conj_word, mon_key, word_text
-from .reporting import CheckReport
 
 
 def split_index(i: int, p: int) -> tuple[int, int]:
@@ -90,11 +90,6 @@ class TensorPoly(SparsePoly):
 def tensor_embed_left(x: NCPoly, p: int) -> TensorPoly:
     """x (x) 1."""
     return TensorPoly(x.n, p, {(mon, ()): c for mon, c in x.terms.items()})
-
-
-def tensor_embed_right(x: NCPoly, k: int) -> TensorPoly:
-    """1 (x) x."""
-    return TensorPoly(k, x.n, {((), mon): c for mon, c in x.terms.items()})
 
 
 def split_gen(i: int, j: int, p: int) -> TensorMon | None:
@@ -230,23 +225,10 @@ def verify_sum_collapse(n_gen: int, k: int, p: int) -> CheckReport:
                 report.compare(lhs, rhs, case="ascending", i=i, j=j)
             elif i in first and j > (n_gen + 1) * p:
                 amb = max(j, kp)  # j = kp+1 is the extra strand of the module
-                lhs_poly = sum_desc(amb, i + p, j, m, p)
-                rhs_poly = g(i + p, j, amb) - g(i + p, i, amb) * g(i, j, amb)
-                if amb > kp:
-                    lhs, rhs = psi_star(lhs_poly, k, p), psi_star(rhs_poly, k, p)
-                    if lhs != rhs:
-                        report.diffs.append(
-                            {
-                                "case": "descending",
-                                "i": i,
-                                "j": "star",
-                                "lhs": {str(t): v.render() for t, v in lhs.items()},
-                                "rhs": {str(t): v.render() for t, v in rhs.items()},
-                            }
-                        )
-                else:
-                    lhs, rhs = psi(lhs_poly, k, p), psi(rhs_poly, k, p)
-                    report.compare(lhs, rhs, case="descending", i=i, j=j)
+                split = psi_star if amb > kp else psi
+                lhs = split(sum_desc(amb, i + p, j, m, p), k, p)
+                rhs = split(g(i + p, j, amb) - g(i + p, i, amb) * g(i, j, amb), k, p)
+                report.compare(lhs, rhs, case="descending", i=i, j="star" if amb > kp else j)
             elif i in first and j in second:
                 delta = 0 if i == j - p else (1 if i > j - p else -1)
                 lhs = psi(sum_crossing(kp, i + p, j - p, m, p), k, p)

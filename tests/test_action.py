@@ -21,7 +21,13 @@ from augrank.action import (
     tau_closed_form,
 )
 from augrank.braids import BraidWord, cable, include_bar, kappa_word, perm, tau_word
-from augrank.checks import check_braid_relations, check_chain_rule, check_monomial_structure, check_transpose
+from augrank.checks import (
+    check_braid_relations,
+    check_chain_rule,
+    check_monomial_structure,
+    check_tau_forms,
+    check_transpose,
+)
 from augrank.freealg import NCPoly, TermBudgetError
 
 from strategies import braid_word_pairs, braid_words, nc_polys
@@ -246,6 +252,20 @@ class TestClosedForms:
                             gen = a(amb, i, j)
                             want = phi(include_bar(w, amb), gen)
                             assert got == want, (n, m, p, i, j, amb)
+
+    def test_tau_star_failure_names_the_entry(self, monkeypatch):
+        # a wrong closed form on the extra strand shows as one diff naming
+        # the band word, the entry and j = "star"
+        def wrong(m, p, i, j, amb):
+            x = tau_closed_form(m, p, i, j, amb)
+            return x + a(amb, 1, 2) if (m, p, i, j, amb) == (1, 2, 2, 4, 4) else x
+
+        monkeypatch.setattr("augrank.checks.tau_closed_form", wrong)
+        diffs = check_tau_forms(3).diffs
+        assert diffs == [
+            {"m": 1, "p": 2, "i": 2, "j": "star", "lhs": "a12 + a34 - a31*a14", "rhs": "a34 - a31*a14"}
+        ]
+        assert list(diffs[0]) == ["m", "p", "i", "j", "lhs", "rhs"]
 
     def test_tau_rejects_bad_input(self):
         with pytest.raises(ValueError):

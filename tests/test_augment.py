@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
-from augrank import augment
+from augrank import augment, jsonio
 from augrank.action import phi_left, phi_matrices, phi_right
 from augrank.augment import (
     ACCEPT_TOL,
@@ -28,7 +28,6 @@ from augrank.augment import (
     _normal_equations,
     _sign_residual,
     aug_rank,
-    check_block_structure,
     construct_satellite_aug,
     eval_phi_matrices,
     full_rank_residual,
@@ -43,6 +42,7 @@ from augrank.augment import (
     values_to_array,
 )
 from augrank.braids import BraidWord, cable, perm, satellite_braid, torus_braid, writhe
+from augrank.checks import check_block_structure
 from augrank.freealg import Assignment, NCPoly, SparsePoly, term_budget
 from augrank.splitting import TensorPoly
 
@@ -309,7 +309,7 @@ class TestSolver:
     def test_determinism(self):
         c1 = solve_full_rank(torus_braid(2, 5), SolveOptions(seed=7))
         c2 = solve_full_rank(torus_braid(2, 5), SolveOptions(seed=7))
-        assert c1.to_json() == c2.to_json()
+        assert jsonio.dumps(c1.to_obj()) == jsonio.dumps(c2.to_obj())
 
     def test_lambda_mu_relation(self):
         cert = solve_full_rank(TREFOIL, SolveOptions(seed=3))
@@ -608,7 +608,7 @@ class TestFoldOracle:
             assert m.entries == entries
             assert term_lists(m.entries) == term_lists(entries)
 
-    @given(braid_words(min_n=2, max_n=4, max_len=8))
+    @given(braid_words(min_n=2, max_n=4, max_len=6))
     @example(BraidWord(1, ()))
     @example(BraidWord(2, ()))
     @example(BraidWord(2, (-1,)))
@@ -647,7 +647,7 @@ class TestCertificateSerialization:
         path = tmp_path / "cert.json"
         cert.save(str(path))
         loaded = Certificate.load(str(path))
-        assert loaded.to_json() == cert.to_json()
+        assert jsonio.dumps(loaded.to_obj()) == jsonio.dumps(cert.to_obj())
         assert loaded.assignment.value(1, 2) == cert.assignment.value(1, 2)
         loaded.save(str(tmp_path / "again.json"))
         assert (tmp_path / "again.json").read_text() == path.read_text()

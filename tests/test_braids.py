@@ -34,19 +34,19 @@ class TestBraidWord:
             BraidWord(0, ())
 
     def test_identity_is_empty(self):
-        assert BraidWord.identity(3).letters == ()
+        assert BraidWord(3).letters == ()
 
     def test_text_round_trip(self):
         b = BraidWord(4, (1, -3, 2, 2, -1))
         assert BraidWord.from_text(4, b.to_text()) == b
-        assert BraidWord.from_text(5, "") == BraidWord.identity(5)
+        assert BraidWord.from_text(5, "") == BraidWord(5)
 
     @given(braid_words(min_n=2, max_n=5))
     def test_obj_round_trip(self, b):
         obj = b.to_obj()
         assert list(obj) == ["n", "word"] and obj["n"] == b.n and obj["word"] == list(b.letters)
         assert BraidWord.from_obj(obj) == b
-        assert BraidWord.from_obj({"n": 1, "word": []}) == BraidWord.identity(1)
+        assert BraidWord.from_obj({"n": 1, "word": []}) == BraidWord(1)
 
     def test_concat_and_inverse(self):
         b = BraidWord(3, (1, -2))
@@ -65,11 +65,11 @@ class TestWrithePerm:
         assert perm(BraidWord(2, (1,))).images == (2, 1)
         # left-to-right convention: sigma1 sigma2 maps 1->2->3->1
         assert perm(BraidWord(3, (1, 2))).images == (2, 3, 1)
-        assert perm(BraidWord(3, ())).is_identity()
+        assert perm(BraidWord(3, ())).images == (1, 2, 3)
 
     def test_perm_is_homomorphism(self):
         b1, b2 = BraidWord(3, (1, 2, -1)), BraidWord(3, (2, 2))
-        assert perm(b1 * b2).images == perm(b1).compose(perm(b2)).images
+        assert perm(b1 * b2).images == tuple(perm(b1)(perm(b2)(i)) for i in range(1, 4))
 
     def test_component_count_examples(self):
         assert component_count(BraidWord(2, (1,))) == 1

@@ -309,6 +309,8 @@ BAD_INPUT_CASES = (
         (("check", "--suite", "psi", "--k", "0"), None, 1, "k must be >= 1, got 0"),
         (("check", "--suite", "tau", "--n", "1"), None, 1, "n must be >= 2, got 1"),
         (("check", "--suite", "sigma_n", "--k", "1"), None, 1, "k must be >= 2, got 1"),
+        (("check", "--suite", "blocks", "--n", "1"), None, 1, "n must be >= 2, got 1"),
+        (("check", "--suite", "blocks", "--p", "0"), None, 1, "p must be >= 1, got 0"),
     ]
 )
 

@@ -12,7 +12,6 @@ from augrank.splitting import (
     psi_star,
     split_index,
     tensor_embed_left,
-    tensor_embed_right,
     verify_cable_matrix_split,
     verify_commutes,
     verify_sum_collapse,
@@ -23,6 +22,11 @@ from strategies import braid_words, nc_polys
 
 def a(n, i, j):
     return NCPoly.gen(n, i, j)
+
+
+def tensor_embed_right(x, k):
+    """1 (x) x."""
+    return TensorPoly(k, x.n, {((), mon): c for mon, c in x.terms.items()})
 
 
 class TestIndexSplit:
@@ -128,6 +132,29 @@ class TestCableSplitting:
         for n_gen in range(1, k):
             report = verify_sum_collapse(n_gen, k, p)
             assert report.ok, report.to_obj()
+
+    def test_star_case_failure_names_the_entry(self, monkeypatch):
+        # a wrong descending sum on the extra strand shows as one diff whose
+        # sides are module elements, keyed by the str of (block, offset)
+        sum_desc = splitting.sum_desc
+
+        def wrong(amb, i, j, m, p):
+            x = sum_desc(amb, i, j, m, p)
+            return x + a(amb, 1, amb) if (amb, i, j) == (5, 3, 5) else x
+
+        monkeypatch.setattr("augrank.splitting.sum_desc", wrong)
+        report = verify_sum_collapse(1, 2, 2)
+        assert report.diffs == [
+            {
+                "case": "descending",
+                "i": 1,
+                "j": "star",
+                "lhs": {"(2, 1)": "1(x)1", "(1, 1)": "1(x)1 - a21(x)1"},
+                "rhs": {"(2, 1)": "1(x)1", "(1, 1)": "-a21(x)1"},
+            }
+        ]
+        assert list(report.diffs[0]) == ["case", "i", "j", "lhs", "rhs"]
+        assert list(report.diffs[0]["lhs"]) == ["(2, 1)", "(1, 1)"]
 
     def test_reports_carry_structure(self, monkeypatch):
         report = verify_cable_matrix_split(BraidWord(2, (1,)), 2)
