@@ -20,11 +20,8 @@ from .braids import (
     Perm,
     cable,
     component_count,
-    full_twist,
     include_bar,
     iterated_torus_braid,
-    kappa_word,
-    pattern_braid,
     perm,
     satellite_braid,
     tau_word,

@@ -34,7 +34,7 @@ from .braids import BraidWord, Perm, component_count, perm, satellite_braid, wri
 from .action import fold_letters
 # re-exported: perfbench/workloads.py, its only reader, imports the suite from here
 from .checks import check_block_structure  # noqa: F401
-from .freealg import Assignment, Gen
+from .freealg import Assignment, Gen, gen_order
 from .splitting import split_gen
 from . import jsonio
 
@@ -49,10 +49,6 @@ class MuOneError(ValueError):
 
 class ConstructionError(RuntimeError):
     """The deterministic satellite construction failed verification."""
-
-
-def gen_order(n: int) -> list[Gen]:
-    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
 
 
 def values_to_array(values: Mapping[Gen, complex], n: int) -> np.ndarray:
@@ -108,15 +104,10 @@ def matrix_a(n: int, eps: Assignment) -> np.ndarray:
     """The n x n matrix with a_ij above, -mu a_ij below, 1-mu on the diagonal, at eps."""
     if eps.n != n:
         raise ValueError("assignment ambient mismatch")
-    out = np.empty((n, n), dtype=complex)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                out[i - 1, j - 1] = 1 - eps.mu
-            elif i < j:
-                out[i - 1, j - 1] = eps.value(i, j)
-            else:
-                out[i - 1, j - 1] = -eps.mu * eps.value(i, j)
+    mu = eps.mu
+    # Python's complex product: numpy's may round differently in the last bit
+    out = values_to_array({(i, j): -mu * a if i > j else a for (i, j), a in eps.values.items()}, n)
+    out.flat[:: n + 1] = 1 - mu
     return out
 
 
@@ -136,19 +127,21 @@ def _relation_error(
     return float(max(np.abs(e1).max(), np.abs(e2).max()))
 
 
-def full_rank_residual(beta: BraidWord, eps: Assignment) -> tuple[float, float]:
-    """Max-abs entry error of each evaluated action matrix against the sign matrix."""
+def _fold_point(beta: BraidWord, eps: Assignment) -> tuple[np.ndarray, np.ndarray]:
+    """Both action matrices of beta evaluated at the generator values of eps."""
     if eps.n != beta.n:
         raise ValueError("assignment ambient mismatch")
-    return _sign_errors(beta, *eval_phi_matrices(beta, values_to_array(eps.values, beta.n)))
+    return eval_phi_matrices(beta, values_to_array(eps.values, beta.n))
+
+
+def full_rank_residual(beta: BraidWord, eps: Assignment) -> tuple[float, float]:
+    """Max-abs entry error of each evaluated action matrix against the sign matrix."""
+    return _sign_errors(beta, *_fold_point(beta, eps))
 
 
 def ideal_residual(beta: BraidWord, eps: Assignment) -> float:
     """Max-abs evaluated value over the 2n^2 defining relations of the closure."""
-    if eps.n != beta.n:
-        raise ValueError("assignment ambient mismatch")
-    ml, mr = eval_phi_matrices(beta, values_to_array(eps.values, beta.n))
-    return _relation_error(beta, eps, ml, mr, matrix_a(beta.n, eps))
+    return _relation_error(beta, eps, *_fold_point(beta, eps), matrix_a(beta.n, eps))
 
 
 def numerical_rank(m: np.ndarray) -> int:
@@ -186,9 +179,8 @@ LAM_START, LAM_MIN, LAM_MAX = 1e-3, 1e-14, 1e12
 LEAD_CHUNKS = (1, 8)
 CHUNK = 64
 STOP_REASONS = ("floor", "no_descent", "damping_overflow", "max_iter", "non_finite", "stalled")
-# _lm_chunk keeps a row's stop as an index into _STOP_NAMES; 0 is still running
-_STOP_NAMES = np.array(("",) + STOP_REASONS, dtype=object)
-_FLOOR, _NO_DESCENT, _DAMPING_OVERFLOW, _MAX_ITER, _NON_FINITE, _STALLED = range(1, len(_STOP_NAMES))
+# a row's stop code: 0 while it runs, then 1 + the index of its reason in STOP_REASONS
+_FLOOR, _NO_DESCENT, _DAMPING_OVERFLOW, _MAX_ITER, _NON_FINITE, _STALLED = range(1, len(STOP_REASONS) + 1)
 
 
 def _chunks(restarts: int):
@@ -270,8 +262,9 @@ def _damped_steps(
         return steps, ok
 
 
-def _accepted(ma: np.ndarray, stop: np.ndarray, tol: float) -> np.ndarray:
-    return (stop != "") & (stop != "non_finite") & (ma <= tol)
+def _accepted(ma: np.ndarray, codes: np.ndarray, tol: float) -> np.ndarray:
+    """The rows that stopped finite with max-abs residual at most tol."""
+    return (codes != 0) & (codes != _NON_FINITE) & (ma <= tol)
 
 
 class _Chunk:
@@ -287,7 +280,7 @@ class _Chunk:
         self.c, self.jac = _evaluate(resid, self.z)
         self.cost, self.ma = _cost(self.c), np.abs(self.c).max(axis=1)
         self.lam = np.full(b, LAM_START)
-        self.stop = np.zeros(b, dtype=np.int8)  # index into _STOP_NAMES
+        self.stop = np.zeros(b, dtype=np.int8)  # stop codes, 0 while running
 
     def descend(self, rows, grad, jtj, dg, count: int, with_jac: bool) -> np.ndarray:
         """Try count damping levels lam, 10 lam, ... on each row, all in one solve and one fold.
@@ -364,8 +357,8 @@ def _lm_chunk(
     running rows enter a fold, and no row's arithmetic reads another row, so
     a row ends where it would end alone.  The chunk ends once every row has
     stopped, or once some row is accepted (max-abs residual <= tol) and every
-    row before it has stopped; rows cut off there keep the stop reason "".
-    Returns the final points, their max-abs residuals and the stop reasons.
+    row before it has stopped; rows cut off there keep the stop code 0.
+    Returns the final points, their max-abs residuals and the stop codes.
 
     An iteration tries TRIALS damping levels per row in two rounds: the
     row's own level first, its trial point folded with its Jacobian so that
@@ -404,16 +397,15 @@ def _lm_chunk(
                 if rest.size:
                     stuck = chunk.descend(live[rest], grad[rest], jtj[rest], dg[rest], TRIALS - 1, with_jac=False)
                     stop[live[rest[stuck]]] = _NO_DESCENT
-            finite = (stop != 0) & (stop != _NON_FINITE)
-            just = (running & finite).nonzero()[0]
+            just = (running & (stop != 0) & (stop != _NON_FINITE)).nonzero()[0]
             just = just[ma[just] < POLISH_BELOW]
             if just.size:
                 chunk.polish(just)
             done = stop != 0
-            won = (finite & (ma <= tol)).nonzero()[0]  # _accepted on the codes
+            won = _accepted(ma, stop, tol).nonzero()[0]
             if done.all() or (won.size and done[: won[0]].all()):
                 break
-        return chunk.z, ma, _STOP_NAMES[stop]
+        return chunk.z, ma, stop
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +444,7 @@ class Certificate:
         cls, beta: BraidWord, eps: Assignment, seed: int, restarts: int, tol: float
     ) -> "Certificate":
         """The certificate of eps for beta, its residuals and rank from one fold and one matrix_a."""
-        if eps.n != beta.n:
-            raise ValueError("assignment ambient mismatch")
-        ml, mr = eval_phi_matrices(beta, values_to_array(eps.values, beta.n))
+        ml, mr = _fold_point(beta, eps)
         res_l, res_r = _sign_errors(beta, ml, mr)
         a0 = matrix_a(beta.n, eps)
         ideal = _relation_error(beta, eps, ml, mr, a0)
@@ -516,8 +506,10 @@ class Certificate:
                 restarts=jsonio.integer(obj["restarts"], "restarts"),
                 tol=jsonio.number(obj["tol"], "tol"),
             )
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ValueError(f"not a certificate object (missing {exc})") from exc
+        except TypeError as exc:
+            raise ValueError(f"not a certificate object (malformed: {exc})") from exc
 
     def save(self, path: str) -> None:
         jsonio.dump_file(path, self.to_obj())
@@ -525,11 +517,6 @@ class Certificate:
     @classmethod
     def load(cls, path: str) -> "Certificate":
         return cls.from_obj(jsonio.load_file(path))
-
-
-def _finite_or_none(x: float) -> float | None:
-    """A best residual with no finite restart behind it is written as null."""
-    return x if math.isfinite(x) else None
 
 
 @dataclass(frozen=True)
@@ -545,13 +532,17 @@ class NotFound:
     """
 
     braid: BraidWord
-    best_residual: float
     seed: int
     restarts: int
     tol: float
     residual_summary: dict
 
     found = False
+
+    @property
+    def best_residual(self) -> float:
+        """The lowest final residual of a finite restart; inf when there is none (null in JSON)."""
+        return self.residual_summary.get("min", math.inf)
 
     @property
     def label(self) -> str:
@@ -565,7 +556,7 @@ class NotFound:
             {
                 "found": self.found,
                 "label": self.label,
-                "best_residual": _finite_or_none(self.best_residual),
+                "best_residual": self.residual_summary.get("min"),
                 "residual_summary": dict(self.residual_summary),
             },
         )
@@ -583,18 +574,19 @@ class SolveOptions:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def _summary(finals: list[float], stops: list[str]) -> dict:
+def _summary(finals: np.ndarray, codes: np.ndarray) -> dict:
     """Quartiles of the final residuals of the restarts that stayed finite, and the stop counts.
 
     ``count`` is the number of restarts run; ``non_finite`` restarts are
     counted in ``stops`` but are not evidence, so they stay out of the quartiles.
     """
     out: dict = {"count": len(finals)}
-    arr = np.sort(np.array([r for r, why in zip(finals, stops) if why != "non_finite"]))
+    arr = np.sort(finals[codes != _NON_FINITE])
     if arr.size:
         q = lambda t: float(arr[min(len(arr) - 1, int(t * (len(arr) - 1)))])
         out.update(min=float(arr[0]), q25=q(0.25), median=q(0.5), q75=q(0.75), max=float(arr[-1]))
-    out["stops"] = {why: stops.count(why) for why in STOP_REASONS}
+    counts = np.bincount(codes, minlength=len(STOP_REASONS) + 1)[1:].tolist()
+    out["stops"] = dict(zip(STOP_REASONS, counts))
     return out
 
 
@@ -643,29 +635,22 @@ def solve_full_rank(beta: BraidWord, options: SolveOptions = SolveOptions()) -> 
 
     resid = _sign_residual(beta)
     seeds = np.random.SeedSequence(options.seed)
-    finals: list[float] = []
-    stops: list[str] = []
+    # one empty array each, so that a search with no chunk summarises zero restarts
+    finals, codes = [np.empty(0)], [np.empty(0, dtype=np.int8)]
     for size in _chunks(options.restarts):
         # spawning continues the numbering, so chunk by chunk gives the same substreams
         rngs = [np.random.default_rng(child) for child in seeds.spawn(size)]
         x0 = np.array([rng.standard_normal(2 * m) for rng in rngs])
-        z, ma, stop = _lm_chunk(resid, x0[:, :m] + 1j * x0[:, m:], ACCEPT_TOL)
-        won = np.flatnonzero(_accepted(ma, stop, ACCEPT_TOL))
+        z, ma, code = _lm_chunk(resid, x0[:, :m] + 1j * x0[:, m:], ACCEPT_TOL)
+        won = np.flatnonzero(_accepted(ma, code, ACCEPT_TOL))
         if won.size:
             k = won[0]
             values = {g: complex(val) for g, val in zip(gen_order(n), z[k])}
             return _certificate_from_values(beta, values, rngs[k], options.seed, options.restarts)
-        finals.extend(ma.tolist())
-        stops.extend(stop.tolist())
-    summary = _summary(finals, stops)
-    return NotFound(
-        braid=beta,
-        best_residual=summary.get("min", math.inf),
-        seed=options.seed,
-        restarts=options.restarts,
-        tol=ACCEPT_TOL,
-        residual_summary=summary,
-    )
+        finals.append(ma)
+        codes.append(code)
+    summary = _summary(np.concatenate(finals), np.concatenate(codes))
+    return NotFound(beta, options.seed, options.restarts, ACCEPT_TOL, summary)
 
 
 # ---------------------------------------------------------------------------

@@ -172,17 +172,6 @@ def torus_braid(p: int, q: int) -> BraidWord:
     return full if q >= 0 else full.inverse()
 
 
-def full_twist(p: int) -> BraidWord:
-    """The full twist (sigma_1 ... sigma_{p-1})^p."""
-    return torus_braid(p, p)
-
-
-def pattern_braid(gamma: BraidWord, omega: int) -> BraidWord:
-    """The pattern word: omega full twists followed by gamma."""
-    p = gamma.n
-    return torus_braid(p, p * omega) * gamma
-
-
 def iterated_torus_braid(ps: Sequence[int], qs: Sequence[int]) -> BraidWord:
     """Fold of satellite_braid over torus braids; empty vectors give the unknot.
 
@@ -208,12 +197,3 @@ def tau_word(m: int, l: int, n: int) -> BraidWord:
         raise ValueError(f"tau word (m={m}, l={l}) does not fit in B_{n}")
     return BraidWord(n, tuple(range(m, m + l)))
 
-
-def kappa_word(m: int, l: int, p: int, n: int) -> BraidWord:
-    """The product of descending tau words of width p starting at m+l-1 down to m."""
-    if l < 1 or p < 1 or m < 1 or m + l + p - 2 > n - 1:
-        raise ValueError(f"kappa word (m={m}, l={l}, p={p}) does not fit in B_{n}")
-    letters: list[int] = []
-    for j in range(m + l - 1, m - 1, -1):
-        letters.extend(tau_word(j, p, n).letters)
-    return BraidWord(n, tuple(letters))

@@ -21,7 +21,7 @@ from .action import (
     tau_closed_form,
 )
 from .braids import BraidWord, cable, include_bar, perm, tau_word
-from .freealg import NCPoly
+from .freealg import NCPoly, gen_order
 
 
 @dataclass
@@ -146,9 +146,7 @@ def check_monomial_structure(n: int, count: int = 100, seed: int = 0, max_len: i
 def check_braid_relations(n: int) -> CheckReport:
     """Both braid relations hold on every generator of the algebra."""
     diffs = []
-    gens = [
-        NCPoly.gen(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j
-    ]
+    gens = [NCPoly.gen(n, i, j) for i, j in gen_order(n)]
     for i in range(1, n - 1):
         lhs_w, rhs_w = BraidWord(n, (i, i + 1, i)), BraidWord(n, (i + 1, i, i + 1))
         for g in gens:

@@ -277,6 +277,9 @@ def main(argv=None) -> int:
     except (TermBudgetError, ValueError, ConstructionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:  # e.g. lambda's mu ** writhe overflowing on a long word
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -25,10 +25,16 @@ import operator
 import os
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 Gen = tuple[int, int]
 Mon = tuple[Gen, ...]
+
+
+def gen_order(n: int) -> Iterator[Gen]:
+    """The generators a_ij of the n-strand algebra, row by row; lazy: n can come from a file."""
+    return ((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
+
 
 DEFAULT_TERM_BUDGET = 1_000_000
 TERM_BUDGET_ENV = "KCH_TERM_BUDGET"
@@ -352,8 +358,7 @@ class Assignment:
         extra = sorted(g for g in values if not (g[0] != g[1] and 1 <= min(g) and max(g) <= n))
         if extra or len(values) != wanted:
             # name a few generators only: n comes from input and n^2 can be huge
-            gens = ((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
-            missing = list(itertools.islice((g for g in gens if g not in values), 3))
+            missing = list(itertools.islice((g for g in gen_order(n) if g not in values), 3))
             raise ValueError(
                 f"assignment must cover exactly the {wanted} generators of the ambient "
                 f"algebra, got {len(values)} (missing {wanted - len(values) + len(extra)} "

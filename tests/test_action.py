@@ -20,7 +20,7 @@ from augrank.action import (
     sum_desc,
     tau_closed_form,
 )
-from augrank.braids import BraidWord, cable, include_bar, kappa_word, perm, tau_word
+from augrank.braids import BraidWord, cable, include_bar, perm, tau_word
 from augrank.checks import (
     check_braid_relations,
     check_chain_rule,
@@ -35,6 +35,16 @@ from strategies import braid_word_pairs, braid_words, nc_polys
 
 def a(n, i, j):
     return NCPoly.gen(n, i, j)
+
+
+def kappa_word(m: int, l: int, p: int, n: int) -> BraidWord:
+    """The product of descending tau words of width p starting at m+l-1 down to m."""
+    if l < 1 or p < 1 or m < 1 or m + l + p - 2 > n - 1:
+        raise ValueError(f"kappa word (m={m}, l={l}, p={p}) does not fit in B_{n}")
+    letters: list[int] = []
+    for j in range(m + l - 1, m - 1, -1):
+        letters.extend(tau_word(j, p, n).letters)
+    return BraidWord(n, tuple(letters))
 
 
 class TestLetterAction:
@@ -272,6 +282,18 @@ class TestClosedForms:
             tau_closed_form(1, 2, 2, 1, 3)  # i >= j
         with pytest.raises(ValueError):
             tau_closed_form(2, 3, 1, 2, 4)  # window does not fit
+
+    def test_kappa_single_factor_is_tau(self):
+        for m, p, n in [(1, 2, 4), (2, 3, 6), (3, 1, 5)]:
+            assert kappa_word(m, 1, p, n).letters == tau_word(m, p, n).letters
+
+    def test_kappa_word_shape(self):
+        # descending product of width-p ascending runs
+        assert kappa_word(1, 2, 2, 4).letters == (2, 3, 1, 2)
+
+    def test_kappa_word_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            kappa_word(2, 2, 2, 4)
 
     @pytest.mark.parametrize("n,p", [(4, 1), (5, 2), (7, 3)])
     def test_kappa_matches_action(self, n, p):

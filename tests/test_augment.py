@@ -31,7 +31,6 @@ from augrank.augment import (
     construct_satellite_aug,
     eval_phi_matrices,
     full_rank_residual,
-    gen_order,
     ideal_residual,
     matrix_a,
     matrix_delta,
@@ -43,7 +42,7 @@ from augrank.augment import (
 )
 from augrank.braids import BraidWord, cable, perm, satellite_braid, torus_braid, writhe
 from augrank.checks import check_block_structure
-from augrank.freealg import Assignment, NCPoly, SparsePoly, term_budget
+from augrank.freealg import Assignment, NCPoly, SparsePoly, gen_order, term_budget
 from augrank.splitting import TensorPoly
 
 from strategies import braid_words, nc_polys
@@ -74,6 +73,16 @@ class TestMatrices:
         m = matrix_a(2, trefoil_assignment())
         assert np.allclose(m, [[2, 1], [1, 2]])
         assert numerical_rank(m) == 2
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_matrix_a_entries_bitwise(self, n):
+        eps = random_assignment(n, n, mu=complex(0.3, -1.7))
+        want = [
+            [1 - eps.mu if i == j else eps.value(i, j) if i < j else -eps.mu * eps.value(i, j)
+             for j in range(1, n + 1)]
+            for i in range(1, n + 1)
+        ]
+        assert matrix_a(n, eps).tobytes() == np.array(want, dtype=complex).tobytes()
 
     def test_matrix_delta(self):
         assert np.allclose(matrix_delta(TREFOIL), np.diag([-1.0, 1.0]))
@@ -239,8 +248,7 @@ class TestSolver:
         assert isinstance(out, NotFound)
         summary = out.residual_summary
         assert summary["count"] == 4
-        assert summary["stops"]["non_finite"] == 2 and summary["stops"]["max_iter"] == 2
-        assert sum(summary["stops"].values()) == 4
+        assert summary["stops"] == {**dict.fromkeys(STOP_REASONS, 0), "max_iter": 2, "non_finite": 2}
         assert np.isfinite(out.best_residual)
         assert out.best_residual == summary["min"]
         assert np.isfinite(summary["max"])
@@ -259,7 +267,7 @@ class TestSolver:
         # a stalled restart ended at a local minimum: evidence, not a breakdown
         stops = dict.fromkeys(STOP_REASONS, 0)
         stops.update(no_descent=4 - broken - stalled, stalled=stalled, max_iter=broken - 1, non_finite=1)
-        out = NotFound(TREFOIL, 0.5, 0, 4, ACCEPT_TOL, {"count": 4, "stops": stops})
+        out = NotFound(TREFOIL, 0, 4, ACCEPT_TOL, {"count": 4, "min": 0.5, "stops": stops})
         assert out.label == out.to_obj()["label"] == label
 
     def test_no_finite_restart_writes_null_best(self):
@@ -267,6 +275,7 @@ class TestSolver:
         assert isinstance(out, NotFound)
         assert out.residual_summary["count"] == 0
         assert not any(out.residual_summary["stops"].values())
+        assert out.best_residual == np.inf
         assert out.to_obj()["best_residual"] is None
         assert nonexistence_search(TREFOIL, SolveOptions(restarts=0)).to_obj()["best_residual"] is None
 
@@ -331,6 +340,18 @@ class TestSolver:
             assert aug_rank(eps, 3) == 3
 
 
+STOP_NAMES = ("",) + STOP_REASONS  # _lm_chunk's stop code k names STOP_NAMES[k]; "" is still running
+
+
+def stop_names(codes):
+    return [STOP_NAMES[k] for k in codes]
+
+
+def reference_accepted(ma, stop, tol):
+    """_accepted on stop names."""
+    return (stop != "") & (stop != "non_finite") & (ma <= tol)
+
+
 def reference_chunk(resid, z0, tol, stall=True):
     """_lm_chunk's sequential rule: per iteration, a Jacobian fold, then one fold per damping level.
 
@@ -393,7 +414,7 @@ def reference_chunk(resid, z0, tol, stall=True):
                 stop[live[pending]] = "no_descent"
             just = np.flatnonzero(running & (stop != "") & (stop != "non_finite"))
             polish(z, c, ma, just[ma[just] < POLISH_BELOW])
-            won = np.flatnonzero(_accepted(ma, stop, tol))
+            won = np.flatnonzero(reference_accepted(ma, stop, tol))
             if (stop != "").all() or (won.size and (stop[: won[0]] != "").all()):
                 break
         return z, ma, stop
@@ -404,8 +425,8 @@ def assert_matches_reference(resid, z0, tol):
     z_ref, ma_ref, stop_ref = reference_chunk(resid, z0, tol)
     assert np.array_equal(z, z_ref)
     assert np.array_equal(ma, ma_ref)
-    assert list(stop) == list(stop_ref)
-    return list(stop)
+    assert stop_names(stop) == list(stop_ref)
+    return list(stop_ref)
 
 
 C10_WORD = satellite_braid(BraidWord(2, (1,) * 5), BraidWord(2, (1,)))
@@ -417,8 +438,24 @@ OVERFLOW_WORD = BraidWord(4, (2, -3, -2, 3, -2, 2, 2, -2, -3, 2, -1))
 TORUS_PQ = ((2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (4, 5))
 
 
+def test_overflow_word_stop_counts():
+    out = solve_full_rank(OVERFLOW_WORD, SolveOptions(restarts=16, seed=0))
+    assert isinstance(out, NotFound)
+    stops = {**dict.fromkeys(STOP_REASONS, 0), "no_descent": 4, "damping_overflow": 2, "stalled": 10}
+    assert out.residual_summary["stops"] == stops
+    assert out.best_residual == out.residual_summary["min"] == 1.0
+    assert out.to_obj()["best_residual"] == 1.0
+    assert out.label == "evidence-only"
+
+
 class TestTrialRounds:
     """_lm_chunk against the one-level-per-fold reference: equal points, residuals and stops."""
+
+    def test_accepted_codes_match_names(self):
+        codes = np.arange(len(STOP_NAMES), dtype=np.int8).repeat(2)
+        ma = np.tile([0.0, 1.0], len(STOP_NAMES))
+        names = np.array(stop_names(codes), dtype=object)
+        assert np.array_equal(_accepted(ma, codes, 0.5), reference_accepted(ma, names, 0.5))
 
     @pytest.mark.parametrize(
         "beta, restarts, tol, stops",
@@ -447,11 +484,11 @@ class TestTrialRounds:
         resid, z0 = _sign_residual(beta), restart_starts(beta, 0, range(32))
         z, ma, stop = _lm_chunk(resid, z0, -np.inf)
         z_old, ma_old, stop_old = reference_chunk(resid, z0, -np.inf, stall=False)
-        won = _accepted(ma_old, stop_old, ACCEPT_TOL)
+        won = reference_accepted(ma_old, stop_old, ACCEPT_TOL)
         assert won.any()
         assert np.array_equal(z[won], z_old[won])
         assert np.array_equal(ma[won], ma_old[won])
-        assert list(stop[won]) == list(stop_old[won])
+        assert stop_names(stop[won]) == list(stop_old[won])
 
     def test_no_stall_below_polish(self):
         # a nonzero minimum with max-abs residual 2e-7, below POLISH_BELOW:

@@ -9,11 +9,8 @@ from augrank.braids import (
     Perm,
     cable,
     component_count,
-    full_twist,
     include_bar,
     iterated_torus_braid,
-    kappa_word,
-    pattern_braid,
     perm,
     satellite_braid,
     tau_word,
@@ -197,32 +194,11 @@ class TestTorusAndPatterns:
         with pytest.raises(ValueError):
             iterated_torus_braid((2, 2), (3,))
 
-    def test_pattern_examples(self):
-        gamma = BraidWord(3, (2, -1))
-        assert pattern_braid(gamma, 0) == gamma
-        assert pattern_braid(BraidWord(2, ()), 1) == BraidWord(2, (1, 1))
-        assert full_twist(3).letters == (1, 2) * 3
-
-    @given(braid_words(max_n=4, max_len=5), st.integers(-2, 3))
-    def test_pattern_writhe(self, gamma, omega):
-        p = gamma.n
-        assert writhe(pattern_braid(gamma, omega)) == p * (p - 1) * omega + writhe(gamma)
-
 
 class TestTauKappaWords:
     def test_tau_example(self):
         assert tau_word(1, 2, 3).letters == (1, 2)
 
-    def test_kappa_single_factor_is_tau(self):
-        for m, p, n in [(1, 2, 4), (2, 3, 6), (3, 1, 5)]:
-            assert kappa_word(m, 1, p, n).letters == tau_word(m, p, n).letters
-
-    def test_kappa_word_shape(self):
-        # descending product of width-p ascending runs
-        assert kappa_word(1, 2, 2, 4).letters == (2, 3, 1, 2)
-
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             tau_word(3, 3, 4)
-        with pytest.raises(ValueError):
-            kappa_word(2, 2, 2, 4)

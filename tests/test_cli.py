@@ -275,6 +275,12 @@ def _set_first_re(value):
     return lambda obj: obj["generators"][0].update(re=value)
 
 
+def _overflow_mu(obj):
+    # mu ** writhe = 3 ** 701 is past the largest double
+    obj["braid"]["word"] = [1] * 701
+    obj["mu"] = {"re": 3.0, "im": 0.0}
+
+
 # (argv, edit applied to a good trefoil certificate, exit code, what stderr says);
 # a usage error exits 1 like any other bad input, never 2 ("not found")
 BAD_INPUT_CASES = (
@@ -311,6 +317,9 @@ BAD_INPUT_CASES = (
         (("check", "--suite", "sigma_n", "--k", "1"), None, 1, "k must be >= 2, got 1"),
         (("check", "--suite", "blocks", "--n", "1"), None, 1, "n must be >= 2, got 1"),
         (("check", "--suite", "blocks", "--p", "0"), None, 1, "p must be >= 1, got 0"),
+        (VERIFY, lambda obj: obj.update(generators=5), 1, "(malformed: 'int' object is not iterable)"),
+        (VERIFY, lambda obj: obj.pop("rank"), 1, "(missing 'rank')"),
+        (VERIFY, _overflow_mu, 1, "error: OverflowError: complex exponentiation\n"),
     ]
 )
 
