@@ -389,31 +389,31 @@ def chain_compose(m1: PhiMatrix, m2: PhiMatrix, beta1: BraidWord) -> PhiMatrix:
     return mat_mul(m1, moved)
 
 
+def _direct(beta: BraidWord, side: str) -> tuple[tuple[NCPoly, ...], ...]:
+    """Row i: the action of beta, included in B_{n+1}, on a_{i,n+1} (side "L")
+    or a_{n+1,i} (side "R"), decomposed over the top strand."""
+    n = beta.n
+    lifted = include_bar(beta, n + 1)
+    zero = NCPoly.zero(n)
+    rows = []
+    for i in range(1, n + 1):
+        gen = NCPoly.gen(n + 1, i, n + 1) if side == "L" else NCPoly.gen(n + 1, n + 1, i)
+        coeffs = star_decompose(phi(lifted, gen), side)
+        rows.append(tuple(coeffs.get(j, zero) for j in range(1, n + 1)))
+    return tuple(rows)
+
+
 def phi_left_direct(beta: BraidWord) -> PhiMatrix:
     """Left matrix via acting in B_{n+1} on each a_{i,n+1} and decomposing.
 
     Independent of the chain-rule fold; used to cross-check it.
     """
-    n = beta.n
-    zero = NCPoly.zero(n)
-    rows = []
-    for i in range(1, n + 1):
-        img = phi(include_bar(beta, n + 1), NCPoly.gen(n + 1, i, n + 1))
-        coeffs = star_decompose(img, "L")
-        rows.append(tuple(coeffs.get(j, zero) for j in range(1, n + 1)))
-    return PhiMatrix(n, "L", tuple(rows))
+    return PhiMatrix(beta.n, "L", _direct(beta, "L"))
 
 
 def phi_right_direct(beta: BraidWord) -> PhiMatrix:
     """Right matrix via acting in B_{n+1} on each a_{n+1,i} and decomposing."""
-    n = beta.n
-    zero = NCPoly.zero(n)
-    grid = [[zero] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        img = phi(include_bar(beta, n + 1), NCPoly.gen(n + 1, n + 1, i))
-        for j, coeff in star_decompose(img, "R").items():
-            grid[j - 1][i - 1] = coeff
-    return PhiMatrix(n, "R", tuple(tuple(row) for row in grid))
+    return PhiMatrix(beta.n, "R", tuple(zip(*_direct(beta, "R"))))
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +421,9 @@ def phi_right_direct(beta: BraidWord) -> PhiMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _chain_asc(i: int, ys: tuple[int, ...], j: int) -> Mon:
+def _chain(i: int, ys: tuple[int, ...], j: int) -> Mon:
+    """The monomial a_{i y1} a_{y1 y2} ... a_{yl j} along i, ys, j."""
     pts = (i,) + ys + (j,)
-    return tuple((pts[t], pts[t + 1]) for t in range(len(pts) - 1))
-
-
-def _chain_desc(i: int, ys: tuple[int, ...], j: int) -> Mon:
-    pts = (i,) + tuple(reversed(ys)) + (j,)
     return tuple((pts[t], pts[t + 1]) for t in range(len(pts) - 1))
 
 
@@ -441,7 +437,7 @@ def sum_asc(n_amb: int, i: int, j: int, m: int, l: int) -> NCPoly:
     """Alternating sum over subsets of the window, indices ascending inside."""
     terms: dict[Mon, int] = {}
     for ys in _subsets(m, l):
-        terms[_chain_asc(i, ys, j)] = (-1) ** len(ys)
+        terms[_chain(i, ys, j)] = (-1) ** len(ys)
     return NCPoly(n_amb, terms)
 
 
@@ -449,7 +445,7 @@ def sum_desc(n_amb: int, i: int, j: int, m: int, l: int) -> NCPoly:
     """Alternating sum over subsets of the window, indices descending inside."""
     terms: dict[Mon, int] = {}
     for ys in _subsets(m, l):
-        terms[_chain_desc(i, ys, j)] = (-1) ** len(ys)
+        terms[_chain(i, ys[::-1], j)] = (-1) ** len(ys)
     return NCPoly(n_amb, terms)
 
 
@@ -469,7 +465,7 @@ def sum_crossing(n_amb: int, i: int, j: int, m: int, l: int) -> NCPoly:
         else:
             # min element is < j because subsets with min exactly j are skipped
             c = (-1) ** len(ys)
-        terms[_chain_desc(i, ys, j)] = c  # distinct subsets give distinct monomials
+        terms[_chain(i, ys[::-1], j)] = c  # distinct subsets give distinct monomials
     return NCPoly(n_amb, terms)
 
 

@@ -591,10 +591,9 @@ def _summary(finals: np.ndarray, codes: np.ndarray) -> dict:
 
 
 def _sample_mu(rng: np.random.Generator) -> complex:
-    while True:
-        mu = complex(rng.standard_normal(), rng.standard_normal())
-        if 0.3 <= abs(mu) <= 3.0 and abs(mu - 1) >= 0.3:
-            return mu
+    """exp(i theta), theta uniform in [0.3, 2 pi - 0.3]: |lambda| = |mu|^-w = 1 at any writhe w."""
+    theta = rng.uniform(0.3, 2 * math.pi - 0.3)
+    return complex(math.cos(theta), math.sin(theta))
 
 
 def _certificate_from_values(

@@ -62,12 +62,6 @@ def _render(x):
     return {str(key): val.render() for key, val in x.items()} if isinstance(x, dict) else x.render()
 
 
-def random_word(rng: random.Random, n: int, max_len: int) -> BraidWord:
-    length = rng.randint(0, max_len)
-    pool = [e for e in range(-(n - 1), n) if e != 0]
-    return BraidWord(n, tuple(rng.choice(pool) for _ in range(length)))
-
-
 def require_at_least(name: str, value: int, least: int) -> int:
     """value, or a ValueError naming name when it is below least: there a suite compares nothing."""
     if value < least:
@@ -75,53 +69,47 @@ def require_at_least(name: str, value: int, least: int) -> int:
     return value
 
 
-def _check_sample(n: int, count: int) -> None:
-    """A randomized check draws count words from the generators of B_n; an empty draw checks nothing."""
+def _sampled(claim: str, n: int, count: int, seed: int, max_len: int, diffs_of) -> CheckReport:
+    """A randomized check: diffs_of(idx, draw) lists the diffs of sample idx, whose
+    words draw() takes from one random.Random(seed).  An empty draw checks nothing."""
     require_at_least("n", n, 2)
     require_at_least("count", count, 1)
+    rng = random.Random(seed)
+    pool = [e for e in range(-(n - 1), n) if e != 0]
+    draw = lambda: BraidWord(n, tuple(rng.choice(pool) for _ in range(rng.randint(0, max_len))))
+    return CheckReport(
+        claim=claim,
+        parameters={"n": n, "count": count, "seed": seed, "max_len": max_len},
+        diffs=[diff for idx in range(count) for diff in diffs_of(idx, draw)],
+    )
 
 
 def check_chain_rule(n: int, count: int = 200, seed: int = 0, max_len: int = 5) -> CheckReport:
     """Action matrices of a product agree with the letter-fold composition."""
-    _check_sample(n, count)
-    rng = random.Random(seed)
-    diffs = []
-    for idx in range(count):
-        b1, b2 = random_word(rng, n, max_len), random_word(rng, n, max_len)
+    def diffs_of(idx, draw):
+        b1, b2 = draw(), draw()
         for side, m1, m2, m12 in zip("LR", phi_matrices(b1), phi_matrices(b2), phi_matrices(b1 * b2)):
             if chain_compose(m1, m2, b1) != m12:
-                diffs.append({"pair": idx, "side": side, "beta1": b1.to_text(), "beta2": b2.to_text()})
-    return CheckReport(
-        claim="chain rule for action matrices",
-        parameters={"n": n, "count": count, "seed": seed, "max_len": max_len},
-        diffs=diffs,
-    )
+                yield {"pair": idx, "side": side, "beta1": b1.to_text(), "beta2": b2.to_text()}
+
+    return _sampled("chain rule for action matrices", n, count, seed, max_len, diffs_of)
 
 
 def check_transpose(n: int, count: int = 200, seed: int = 0, max_len: int = 6) -> CheckReport:
     """Right matrix equals the transpose of the entrywise conjugate of the left."""
-    _check_sample(n, count)
-    rng = random.Random(seed)
-    diffs = []
-    for idx in range(count):
-        b = random_word(rng, n, max_len)
+    def diffs_of(idx, draw):
+        b = draw()
         left, right = phi_matrices(b)
         if right != left.conj_transpose():
-            diffs.append({"word": b.to_text(), "index": idx})
-    return CheckReport(
-        claim="transpose symmetry between left and right matrices",
-        parameters={"n": n, "count": count, "seed": seed, "max_len": max_len},
-        diffs=diffs,
-    )
+            yield {"word": b.to_text(), "index": idx}
+
+    return _sampled("transpose symmetry between left and right matrices", n, count, seed, max_len, diffs_of)
 
 
 def check_monomial_structure(n: int, count: int = 100, seed: int = 0, max_len: int = 5) -> CheckReport:
     """Every left-matrix entry is a sum of index chains from perm(beta)(i) to j."""
-    _check_sample(n, count)
-    rng = random.Random(seed)
-    diffs = []
-    for idx in range(count):
-        b = random_word(rng, n, max_len)
+    def diffs_of(idx, draw):
+        b = draw()
         pm = perm(b)
         m = phi_left(b)
         for i in range(1, n + 1):
@@ -129,35 +117,27 @@ def check_monomial_structure(n: int, count: int = 100, seed: int = 0, max_len: i
                 for mon in m.at(i, j).terms:
                     if not mon:
                         if pm(i) != j:
-                            diffs.append({"word": b.to_text(), "i": i, "j": j, "bad": "constant"})
+                            yield {"word": b.to_text(), "i": i, "j": j, "bad": "constant"}
                         continue
                     chain_ok = all(mon[t][1] == mon[t + 1][0] for t in range(len(mon) - 1))
                     if mon[0][0] != pm(i) or mon[-1][1] != j or not chain_ok:
-                        diffs.append(
-                            {"word": b.to_text(), "i": i, "j": j, "bad": str(mon)}
-                        )
-    return CheckReport(
-        claim="left-matrix monomials are chains from the permuted row index",
-        parameters={"n": n, "count": count, "seed": seed, "max_len": max_len},
-        diffs=diffs,
-    )
+                        yield {"word": b.to_text(), "i": i, "j": j, "bad": str(mon)}
+
+    claim = "left-matrix monomials are chains from the permuted row index"
+    return _sampled(claim, n, count, seed, max_len, diffs_of)
 
 
 def check_braid_relations(n: int) -> CheckReport:
     """Both braid relations hold on every generator of the algebra."""
-    diffs = []
     gens = [NCPoly.gen(n, i, j) for i, j in gen_order(n)]
-    for i in range(1, n - 1):
-        lhs_w, rhs_w = BraidWord(n, (i, i + 1, i)), BraidWord(n, (i + 1, i, i + 1))
-        for g in gens:
-            if phi(lhs_w, g) != phi(rhs_w, g):
-                diffs.append({"relation": f"adjacent {i}", "generator": g.render()})
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            lhs_w, rhs_w = BraidWord(n, (i, j)), BraidWord(n, (j, i))
-            for g in gens:
-                if phi(lhs_w, g) != phi(rhs_w, g):
-                    diffs.append({"relation": f"commuting {i},{j}", "generator": g.render()})
+    relations = [(f"adjacent {i}", (i, i + 1, i), (i + 1, i, i + 1)) for i in range(1, n - 1)]
+    relations += [(f"commuting {i},{j}", (i, j), (j, i)) for i in range(1, n) for j in range(i + 2, n)]
+    diffs = [
+        {"relation": name, "generator": g.render()}
+        for name, lhs, rhs in relations
+        for g in gens
+        if phi(BraidWord(n, lhs), g) != phi(BraidWord(n, rhs), g)
+    ]
     return CheckReport(
         claim="braid relations hold for the action",
         parameters={"n": n},

@@ -65,6 +65,8 @@ def cmd_phi(args) -> int:
 
 def cmd_satellite(args) -> int:
     if args.iterated_torus:
+        if args.p is None:
+            raise ValueError("satellite --iterated-torus needs --p")
         ps = [int(t) for t in args.p.split(",")]
         qs = [int(t) for t in (args.q or "").split(",") if t.strip()]
         braid = iterated_torus_braid(ps, qs)

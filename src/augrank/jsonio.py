@@ -25,7 +25,10 @@ def dump_file(path: str, obj: Any) -> None:
 
 def load_file(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:  # the decoder recurses once per open bracket
+            raise ValueError(f"{path}: JSON nested too deeply to load") from None
 
 
 def loads(text: str) -> Any:

@@ -8,6 +8,10 @@ from augrank.action import phi_left
 from augrank.braids import BraidWord
 
 
+def _complex(obj):
+    return complex(obj["re"], obj["im"])
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -102,6 +106,9 @@ class TestSearchVerifyConstruct:
         obj = jsonio.load_file(str(path))
         assert obj["rank"] == 2
         assert obj["braid"] == {"n": 2, "word": [1, 1, 1]}
+        # mu is drawn on the unit circle, so lambda = (-1)^w mu^-w is on it too
+        assert abs(abs(_complex(obj["mu"])) - 1) < 1e-15
+        assert abs(abs(_complex(obj["lambda"])) - 1) < 1e-15
 
     def test_search_is_byte_deterministic(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -239,6 +246,30 @@ class TestSearchVerifyConstruct:
         assert "over 1e-09" in err
         assert "failed verification" not in err
 
+    def test_deep_satellite_chain_stays_on_unit_circle(self, capsys, tmp_path):
+        # the trefoil, then its satellite with T(2,5) as pattern, again and
+        # again up to B64 (4777 letters): a mu off the unit circle made
+        # lambda = (-1)^w mu^-w overflow there
+        t25, companion = tmp_path / "t25.json", tmp_path / "b2.json"
+        run(capsys, "ar-search", "--n", "2", "--word", "1 1 1 1 1", "--output", str(t25))
+        run(capsys, "ar-search", "--n", "2", "--word", "1 1 1", "--output", str(companion))
+        for n in (4, 8, 16, 32, 64):
+            sat = tmp_path / f"b{n}.json"
+            code, _, err = run(
+                capsys,
+                "construct-aug", "--alpha-cert", str(companion), "--gamma-cert", str(t25),
+                "--output", str(sat),
+            )
+            assert code == 0, err
+            code, out, err = run(capsys, "verify", "--cert", str(sat), "--format", "json")
+            assert code == 0, err
+            assert json.loads(out)["recomputed"]["rank"] == n
+            obj = jsonio.load_file(str(sat))
+            assert obj["braid"]["n"] == obj["rank"] == n
+            assert abs(abs(_complex(obj["mu"])) - 1) < 1e-15
+            assert abs(abs(_complex(obj["lambda"])) - 1) < 1e-12
+            companion = sat
+
     def test_construct_from_files(self, capsys, tmp_path):
         a_path, g_path, out_path = (
             tmp_path / "a.json",
@@ -275,6 +306,10 @@ def _set_first_re(value):
     return lambda obj: obj["generators"][0].update(re=value)
 
 
+def _deep_nesting(obj):
+    return "[" * 100000  # the file's text in place of the certificate's JSON
+
+
 def _overflow_mu(obj):
     # mu ** writhe = 3 ** 701 is past the largest double
     obj["braid"]["word"] = [1] * 701
@@ -282,6 +317,7 @@ def _overflow_mu(obj):
 
 
 # (argv, edit applied to a good trefoil certificate, exit code, what stderr says);
+# an edit that returns a str writes that text in place of the edited JSON;
 # a usage error exits 1 like any other bad input, never 2 ("not found")
 BAD_INPUT_CASES = (
     [
@@ -320,6 +356,8 @@ BAD_INPUT_CASES = (
         (VERIFY, lambda obj: obj.update(generators=5), 1, "(malformed: 'int' object is not iterable)"),
         (VERIFY, lambda obj: obj.pop("rank"), 1, "(missing 'rank')"),
         (VERIFY, _overflow_mu, 1, "error: OverflowError: complex exponentiation\n"),
+        (VERIFY, _deep_nesting, 1, "JSON nested too deeply to load\n"),
+        (("satellite", "--iterated-torus", "--q", "3"), None, 1, "error: satellite --iterated-torus needs --p\n"),
     ]
 )
 
@@ -330,8 +368,8 @@ def test_bad_input_is_rejected_up_front(capsys, tmp_path, argv, edit, code, mess
     run(capsys, *SEARCH, "--output", str(path))
     if edit is not None:
         obj = jsonio.load_file(str(path))
-        edit(obj)
-        path.write_text(json.dumps(obj))
+        text = edit(obj)
+        path.write_text(text if isinstance(text, str) else json.dumps(obj))
     got, out, err = run(capsys, *(arg.format(cert=path) for arg in argv))
     assert got == code
     if code == 1:

@@ -156,6 +156,24 @@ class TestCableSplitting:
         assert list(report.diffs[0]) == ["case", "i", "j", "lhs", "rhs"]
         assert list(report.diffs[0]["lhs"]) == ["(2, 1)", "(1, 1)"]
 
+    def test_commutes_failure_names_the_entry(self, monkeypatch):
+        # a cable that drops its last letter: each diff names the entry (i, j)
+        # of the big left matrix whose split differs from small (x) identity
+        cable = splitting.cable
+        monkeypatch.setattr(
+            splitting, "cable", lambda b, p: BraidWord(b.n * p, cable(b, p).letters[:-1])
+        )
+        report = verify_commutes(1, 2, 2)
+        assert report.diffs == [
+            {"i": 2, "j": 1, "lhs": "1(x)1", "rhs": "0"},
+            {"i": 2, "j": 2, "lhs": "0", "rhs": "-a21(x)1"},
+            {"i": 2, "j": 4, "lhs": "0", "rhs": "1(x)1"},
+            {"i": 3, "j": 1, "lhs": "0", "rhs": "1(x)1"},
+            {"i": 3, "j": 2, "lhs": "-a21(x)1", "rhs": "0"},
+            {"i": 3, "j": 4, "lhs": "1(x)1", "rhs": "0"},
+        ]
+        assert list(report.diffs[0]) == ["i", "j", "lhs", "rhs"]
+
     def test_reports_carry_structure(self, monkeypatch):
         report = verify_cable_matrix_split(BraidWord(2, (1,)), 2)
         obj = report.to_obj()
