@@ -48,13 +48,16 @@ updated; this keeps the fold from building images far larger than any
 matrix entry.
 
 :func:`_letter_step` is that step, written once for numpy arrays over any
-ring, and :func:`fold_letters` runs it with the ring's in-place y -= a*b
-chosen once per fold: NCPoly objects here, assigned elementwise from the
-fused :meth:`augrank.freealg.SparsePoly.sub_product` (one term map per
-update, one budget read per fold), and batched complex numbers (batch axes
-last) in :func:`augrank.augment.eval_phi_matrices`.  In the free algebra the
-order of the factors matters: rows are multiplied on the left, columns on
-the right.
+ring, and :func:`fold_block` the whole fold for every ring: the seed (batch
+axes last; the lower-left block, which nothing reads, left unset), the
+trimmed last letter and the read-out through the final order.  A ring
+enters with its one, its zero and its in-place y -= a*b: NCPoly objects
+here, assigned elementwise from the fused
+:meth:`augrank.freealg.SparsePoly.sub_product` (one term map per update,
+one budget read per fold), and batched complex numbers in
+:func:`augrank.augment.eval_phi_matrices`.  In the free algebra the order
+of the factors matters: rows are multiplied on the left, columns on the
+right.
 
 A caller that wants one side folds only part of the array.  PhiL reads v
 and its own rows, never PhiR, so :func:`phi_left` folds the top part
@@ -84,7 +87,7 @@ from typing import Iterable
 import numpy as np
 
 from .braids import BraidWord, include_bar
-from .freealg import Gen, Mon, NCPoly, _check_budget, term_budget
+from .freealg import Gen, Mon, NCPoly, _check_budget, gen_order, term_budget
 
 # ---------------------------------------------------------------------------
 # The action on polynomials
@@ -282,7 +285,7 @@ def _letter_step(x: np.ndarray, e: int, sub_mul, order: list[int], last: bool = 
     column j of [v ; PhiR] at x[:, order[j] - n] (a letter relabels rows s, t
     and those columns s, t alike, so one list serves both), and the step
     updates order.  sub_mul(y, a, b) sets y to the ring's y - a*b in place,
-    with a or b broadcast over y; the caller of :func:`fold_letters` picks it
+    with a or b broadcast over y; the caller of :func:`fold_block` picks it
     once per fold.  sigma_k^-1 is sigma_k with the roles of strands k and
     k+1 swapped, so both signs share the update below: one row operation on
     rows s, t (PhiL and the row images; the new row s is row_t - v_ts row_s,
@@ -317,64 +320,61 @@ def _letter_step(x: np.ndarray, e: int, sub_mul, order: list[int], last: bool = 
         x[pt, qs], x[ps, qt] = -v_ts, -v_st
 
 
-def fold_letters(x: np.ndarray, letters: tuple[int, ...], sub_mul) -> np.ndarray:
-    """Run :func:`_letter_step` over the letters in place, trimming the last.
+def fold_block(beta: BraidWord, v: np.ndarray, one, zero, sub_mul, part=np.s_[:]) -> tuple[np.ndarray, np.ndarray]:
+    """PhiL and PhiR of beta over the ring of v, one, zero and sub_mul (see :func:`_letter_step`).
 
-    x is the block array or its top or right part.  Returns the final order
-    as an index array: on the whole array PhiL is x[order, :n] and PhiR is
-    x[n:, n + order].
+    v[..., i-1, j-1] is the value of a_ij, batch axes first; v's diagonal is
+    ignored.  The block array is seeded with the batch axes last, x[part]
+    folds (the whole array, [PhiL | v] or [v ; PhiR]; a block outside it comes
+    back as the identity), and both matrices are read out through the final
+    order, batch axes first and C-contiguous.
     """
-    order = list(range(max(x.shape[:2]) // 2))
-    for e in letters[:-1]:
-        _letter_step(x, e, sub_mul, order)
-    if letters:
-        _letter_step(x, letters[-1], sub_mul, order, last=True)
-    return np.array(order)
+    n, k = beta.n, v.ndim - 2
+    # the step never reads or writes the lower-left block, so it stays unset
+    x = np.empty((2 * n, 2 * n) + v.shape[:k], dtype=v.dtype)
+    x[:n, :n] = x[n:, n:] = zero
+    x[:n, n:] = v.transpose(k, k + 1, *range(k))
+    flat = x.reshape((4 * n * n,) + v.shape[:k])
+    flat[n : 2 * n * n : 2 * n + 1] = zero  # v's diagonal
+    flat[:: 2 * n + 1] = one
+    y, order = x[part], list(range(n))
+    for e in beta.letters[:-1]:
+        _letter_step(y, e, sub_mul, order)
+    if beta.letters:
+        _letter_step(y, beta.letters[-1], sub_mul, order, last=True)
+    order = np.array(order)
+    batch_first = lambda block: np.ascontiguousarray(block.transpose(*range(2, k + 2), 0, 1))
+    return batch_first(x[order, :n]), batch_first(x[n:, n + order])
 
 
-def _fold(beta: BraidWord, part: slice | tuple[slice, slice]) -> tuple[np.ndarray, np.ndarray]:
-    """Seed beta's block array over the free algebra and fold x[part] of it.
-
-    Returns the whole array x, of which only x[part] moved, and the final
-    order.
-    """
+def _free_fold(beta: BraidWord, part=np.s_[:]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`fold_block` over the free algebra, v holding the generators themselves."""
     n = beta.n
-    one = NCPoly.one(n)
-    x = np.full((2 * n, 2 * n), NCPoly.zero(n), dtype=object)
-    for i in range(n):
-        x[i, i] = x[n + i, n + i] = one
-        for j in range(n):
-            if i != j:
-                x[i, n + j] = NCPoly.gen(n, i + 1, j + 1)
+    v = np.empty((n, n), dtype=object)
+    for i, j in gen_order(n):
+        v[i - 1, j - 1] = NCPoly._raw((n,), {((i, j),): 1})  # valid by construction
     budget = term_budget()  # read once per fold, not once per update
     fused = np.frompyfunc(lambda y, a, b: y.sub_product(a, b, budget), 3, 1)
-    return x, fold_letters(x[part], beta.letters, lambda y, a, b: fused(y, a, b, out=y))
+    return fold_block(beta, v, NCPoly.one(n), NCPoly.zero(n), lambda y, a, b: fused(y, a, b, out=y), part)
 
 
-def _left(x: np.ndarray, order: np.ndarray) -> PhiMatrix:
-    n = len(order)
-    return PhiMatrix(n, "L", tuple(tuple(row) for row in x[order, :n]))
-
-
-def _right(x: np.ndarray, order: np.ndarray) -> PhiMatrix:
-    n = len(order)
-    return PhiMatrix(n, "R", tuple(tuple(row) for row in x[n:, n + order]))
+def _phi_matrix(block: np.ndarray, side: str) -> PhiMatrix:
+    return PhiMatrix(len(block), side, tuple(map(tuple, block)))
 
 
 def phi_matrices(beta: BraidWord) -> tuple[PhiMatrix, PhiMatrix]:
     """Left and right action matrices of beta, from one letter fold."""
-    x, order = _fold(beta, np.s_[:])
-    return _left(x, order), _right(x, order)
+    return tuple(map(_phi_matrix, _free_fold(beta), "LR"))
 
 
 def phi_left(beta: BraidWord) -> PhiMatrix:
     """Left action matrix, from a fold of the top part [PhiL | v] only."""
-    return _left(*_fold(beta, np.s_[: beta.n]))
+    return _phi_matrix(_free_fold(beta, np.s_[: beta.n])[0], "L")
 
 
 def phi_right(beta: BraidWord) -> PhiMatrix:
     """Right action matrix, from a fold of the right part [v ; PhiR] only."""
-    return _right(*_fold(beta, np.s_[:, beta.n :]))
+    return _phi_matrix(_free_fold(beta, np.s_[:, beta.n :])[1], "R")
 
 
 def chain_compose(m1: PhiMatrix, m2: PhiMatrix, beta1: BraidWord) -> PhiMatrix:

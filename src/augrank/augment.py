@@ -9,14 +9,15 @@ maximal-rank augmentation of a satellite directly from certificates for the
 companion and the pattern, with no search.
 
 Numeric fast path: evaluating the action matrices under an assignment never
-builds symbolic entries.  The word is folded letter by letter with the step
-that also builds the symbolic matrices (:func:`augrank.action._letter_step`),
-run on one complex block array [[PhiL, v], [0, PhiR]]: the evaluated
-matrices sit beside the generator values v pushed forward through each
-letter's substitution.  One letter is a row operation, a column operation
-and a 2 x 2 patch of v (the last letter skips v), O(n) scalar operations,
-and the whole fold is batched over many points at once (every restart of a
-chunk and its finite differences) along the array's trailing axes.
+builds symbolic entries.  The word is folded letter by letter by the fold
+that also builds the symbolic matrices (:func:`augrank.action.fold_block`,
+which alone seeds the block array [[PhiL, v], [0, PhiR]] and reads it out),
+given the complex numbers' one, zero and y -= a*b: the evaluated matrices
+sit beside the generator values v pushed forward through each letter's
+substitution.  One letter is a row operation, a column operation and a
+2 x 2 patch of v (the last letter skips v), O(n) scalar operations, and the
+whole fold is batched over many points at once (every restart of a chunk
+and its finite differences) along the array's trailing axes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .braids import BraidWord, Perm, component_count, perm, satellite_braid, writhe
-from .action import fold_letters
+from .action import fold_block
 # re-exported: perfbench/workloads.py, its only reader, imports the suite from here
 from .checks import check_block_structure  # noqa: F401
 from .freealg import Assignment, Gen, gen_order
@@ -67,22 +68,13 @@ def eval_phi_matrices(beta: BraidWord, values: np.ndarray) -> tuple[np.ndarray, 
     """Evaluate both action matrices of beta at the given generator values.
 
     values has shape (..., n, n) and its diagonal is ignored; both results
-    share the leading batch shape and are C-contiguous.  The fold itself runs
-    on the block array of :func:`augrank.action._letter_step`, batch axes last.
+    share the leading batch shape and are C-contiguous.  The fold is
+    :func:`augrank.action.fold_block` over the complex numbers.
     """
-    n = beta.n
     v = np.asarray(values, dtype=complex)
-    if v.shape[-2:] != (n, n):
-        raise ValueError(f"values must have trailing shape ({n}, {n})")
-    k = v.ndim - 2
-    x = np.zeros((2 * n, 2 * n) + v.shape[:k], dtype=complex)
-    x[:n, n:] = v.transpose(k, k + 1, *range(k))
-    flat = x.reshape((4 * n * n,) + v.shape[:k])
-    flat[n : 2 * n * n : 2 * n + 1] = 0  # v's diagonal
-    flat[:: 2 * n + 1] = 1
-    order = fold_letters(x, beta.letters, _sub_mul)
-    batch_first = lambda block: np.ascontiguousarray(block.transpose(*range(2, k + 2), 0, 1))
-    return batch_first(x[order, :n]), batch_first(x[n:, n + order])
+    if v.shape[-2:] != (beta.n, beta.n):
+        raise ValueError(f"values must have trailing shape ({beta.n}, {beta.n})")
+    return fold_block(beta, v, 1, 0, _sub_mul)
 
 
 def _sub_mul(y: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -198,7 +190,7 @@ def _sign_residual(beta: BraidWord) -> Callable[[np.ndarray], np.ndarray]:
     Every entry is a polynomial in z, so c is holomorphic.
     """
     n = beta.n
-    rows, cols = (np.array(t) - 1 for t in zip(*gen_order(n)))
+    rows, cols = np.array(list(gen_order(n)), dtype=int).reshape(-1, 2).T - 1  # empty on one strand
     on_diag = np.arange(n) * (n + 1)  # flat positions of an n x n diagonal
     diag, d = np.concatenate([on_diag, n * n + on_diag]), np.tile(delta_diag(beta), 2)
 
@@ -444,10 +436,11 @@ class Certificate:
         cls, beta: BraidWord, eps: Assignment, seed: int, restarts: int, tol: float
     ) -> "Certificate":
         """The certificate of eps for beta, its residuals and rank from one fold and one matrix_a."""
-        ml, mr = _fold_point(beta, eps)
-        res_l, res_r = _sign_errors(beta, ml, mr)
-        a0 = matrix_a(beta.n, eps)
-        ideal = _relation_error(beta, eps, ml, mr, a0)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite residual
+            ml, mr = _fold_point(beta, eps)
+            res_l, res_r = _sign_errors(beta, ml, mr)
+            a0 = matrix_a(beta.n, eps)
+            ideal = _relation_error(beta, eps, ml, mr, a0)
         _check_mu(eps)
         return cls(
             braid=beta,
@@ -627,11 +620,6 @@ def solve_full_rank(beta: BraidWord, options: SolveOptions = SolveOptions()) -> 
         raise ValueError("closure must be a knot")
     n = beta.n
     m = n * (n - 1)
-
-    if m == 0:
-        rng = np.random.default_rng(np.random.SeedSequence(options.seed))
-        return _certificate_from_values(beta, {}, rng, options.seed, options.restarts)
-
     resid = _sign_residual(beta)
     seeds = np.random.SeedSequence(options.seed)
     # one empty array each, so that a search with no chunk summarises zero restarts

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from . import jsonio
@@ -145,7 +146,8 @@ def cmd_verify(args) -> int:
     cert = Certificate.load(args.cert)
     rec = Certificate.measure(cert.braid, cert.assignment, cert.seed, cert.restarts, cert.tol)
     keys = ("residual_L", "residual_R", "ideal_residual", "rank")
-    numbers = lambda c: {key: getattr(c, key) for key in keys}
+    finite = lambda x: x if math.isfinite(x) else None  # an overflowing fold's inf or NaN: null
+    numbers = lambda c: {key: finite(getattr(c, key)) for key in keys}
     accepted = rec.accepted and rec.rank == cert.rank
     obj = {"stored": numbers(cert), "recomputed": numbers(rec), "accepted": accepted}
     _emit(

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import assume, example, given
 import hypothesis.strategies as st
@@ -7,11 +10,13 @@ from augrank.action import (
     StarDecompositionError,
     cabled_generator_closed_form,
     chain_compose,
+    fold_block,
     kappa_closed_form,
     phi,
     phi_left,
     phi_left_direct,
     phi_letter,
+    phi_matrices,
     phi_right,
     phi_right_direct,
     star_decompose,
@@ -20,7 +25,7 @@ from augrank.action import (
     sum_desc,
     tau_closed_form,
 )
-from augrank.braids import BraidWord, cable, include_bar, perm, tau_word
+from augrank.braids import BraidWord, cable, include_bar, perm, tau_word, torus_braid
 from augrank.checks import (
     check_braid_relations,
     check_chain_rule,
@@ -28,7 +33,7 @@ from augrank.checks import (
     check_tau_forms,
     check_transpose,
 )
-from augrank.freealg import NCPoly, TermBudgetError
+from augrank.freealg import NCPoly, TermBudgetError, gen_order
 
 from strategies import braid_word_pairs, braid_words, nc_polys
 
@@ -196,6 +201,35 @@ class TestMatrices:
                 for mon in m.at(i, j).terms:
                     if mon:
                         assert mon[0][0] == pm(i)
+
+
+def exact_value(x: NCPoly, values) -> int:
+    """x at integer generator values, multiplied out in Python integers."""
+    return sum(c * math.prod(values[g] for g in mon) for mon, c in x.terms.items())
+
+
+class TestFoldBlock:
+    """fold_block over a third ring, the integers: it must commute with evaluation."""
+
+    @pytest.mark.parametrize(
+        "beta",
+        [BraidWord(3, (1, -2, 1, 2, -1)), torus_braid(3, 4), cable(BraidWord(2, (1, -1, 1)), 2)],
+        ids=["B3-mixed", "T(3,4)", "cable"],
+    )
+    def test_integer_ring_matches_free_algebra(self, beta):
+        n = beta.n
+        rng = np.random.default_rng(n)
+        # object integers, never wrapped; the diagonal holds values the fold must ignore
+        v = rng.integers(-3, 4, size=(n, n)).astype(object)
+        values = {(i, j): v[i - 1, j - 1] for i, j in gen_order(n)}
+        sub_mul = lambda y, a, b: np.subtract(y, a * b, out=y)
+        fold = lambda part=np.s_[:]: fold_block(beta, v, 1, 0, sub_mul, part)
+        want = [[[exact_value(x, values) for x in row] for row in m.entries] for m in phi_matrices(beta)]
+        got = fold() + (fold(np.s_[:n])[0], fold(np.s_[:, n:])[1])
+        for m, entries in zip(got, want + want):
+            assert m.dtype == object and m.shape == (n, n) and m.flags.c_contiguous
+            assert m.tolist() == entries
+        assert any(abs(x) > 1 for row in want[0] for x in row)  # the values did multiply
 
 
 class TestChainCompose:

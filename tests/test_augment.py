@@ -834,6 +834,28 @@ class TestNonexistenceSearch:
         assert report.found
         assert report.rank == 4
 
+    @pytest.mark.parametrize(
+        "beta, label",
+        [
+            # Markov stabilizations of certified knots: bridge number below the strand count
+            (BraidWord(3, (1, 1, 1, 2)), "evidence-only"),
+            (BraidWord(3, (1, 1, 1, -2)), "evidence-only"),
+            (BraidWord(3, (1,) * 5 + (2,)), "evidence-only"),
+            (BraidWord(4, torus_braid(3, 4).letters + (3,)), "evidence-only"),
+            # the figure-eight knot, bridge number 2, and its stabilization; their
+            # restarts drift off to infinity, which the label does not yet tell apart
+            (BraidWord(3, (1, -2, 1, -2)), None),
+            (BraidWord(4, (1, -2, 1, -2, 3)), None),
+        ],
+        ids=["T(2,3)s2", "T(2,3)s2^-1", "T(2,5)s2", "T(3,4)s3", "fig8", "fig8s3"],
+    )
+    def test_known_negatives_are_never_found(self, beta, label):
+        report = nonexistence_search(beta, SolveOptions(restarts=64, seed=0))
+        assert not report.found
+        assert report.best_residual >= 0.5
+        if label is not None:
+            assert report.label == label
+
     def test_blocked_satellite_reports_evidence(self):
         beta = satellite_braid(TREFOIL, BraidWord(2, (1,)))
         report = nonexistence_search(beta, SolveOptions(restarts=8, seed=0))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -316,9 +317,10 @@ def _overflow_mu(obj):
     obj["mu"] = {"re": 3.0, "im": 0.0}
 
 
-# (argv, edit applied to a good trefoil certificate, exit code, what stderr says);
-# an edit that returns a str writes that text in place of the edited JSON;
-# a usage error exits 1 like any other bad input, never 2 ("not found")
+# (argv, edit applied to a good trefoil certificate, exit code, what stderr
+# says at exit 1 or stdout at exit 2); an edit that returns a str writes that
+# text in place of the edited JSON; a usage error exits 1 like any other bad
+# input, never 2 ("not found")
 BAD_INPUT_CASES = (
     [
         (SEARCH + ("--tol", "1e-3"), None, 1, "unrecognized arguments: --tol"),
@@ -358,6 +360,13 @@ BAD_INPUT_CASES = (
         (VERIFY, _overflow_mu, 1, "error: OverflowError: complex exponentiation\n"),
         (VERIFY, _deep_nesting, 1, "JSON nested too deeply to load\n"),
         (("satellite", "--iterated-torus", "--q", "3"), None, 1, "error: satellite --iterated-torus needs --p\n"),
+        # a finite value whose fold overflows: not accepted in either format, null in JSON
+        (VERIFY, _set_first_re(1e200), 2, "residual_R: inf"),
+        (VERIFY + ("--format", "json"), _set_first_re(1e200), 2, '"residual_R": null'),
+        (CONSTRUCT, _set_first_re(1e200), 1, "companion certificate is not accepted"),
+        # a 1-strand search runs its restarts like any other
+        (("ar-search", "--n", "1", "--word", "", "--restarts", "0"), None, 2,
+         "no certificate found after 0 restarts (inconclusive)"),
     ]
 )
 
@@ -370,13 +379,19 @@ def test_bad_input_is_rejected_up_front(capsys, tmp_path, argv, edit, code, mess
         obj = jsonio.load_file(str(path))
         text = edit(obj)
         path.write_text(text if isinstance(text, str) else json.dumps(obj))
-    got, out, err = run(capsys, *(arg.format(cert=path) for arg in argv))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, out, err = run(capsys, *(arg.format(cert=path) for arg in argv))
     assert got == code
+    assert not caught  # numpy's overflow warnings included
     if code == 1:
         assert out == ""
         assert message in err
     else:
-        assert "NOT accepted" in out
+        assert err == ""
+        assert message in out
+        if argv[0] == "verify":
+            assert ('"accepted": false' if "json" in argv else "NOT accepted") in out
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("ar-search", "--help")])
