@@ -80,6 +80,7 @@ entrywise conjugate of phi_left.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -87,28 +88,40 @@ from typing import Iterable
 import numpy as np
 
 from .braids import BraidWord, include_bar
-from .freealg import Gen, Mon, NCPoly, _check_budget, gen_order, term_budget
+from .freealg import (
+    Mon,
+    NCPoly,
+    Word,
+    _check_budget,
+    decode_gen,
+    encode_gen,
+    gen_order,
+    term_budget,
+    word_text,
+)
 
 # ---------------------------------------------------------------------------
 # The action on polynomials
 # ---------------------------------------------------------------------------
 
-_Image = tuple[tuple[int, Mon], ...]
+_Image = tuple[tuple[int, Word], ...]
 
 
-def _letter_images(n: int, k: int, inverse: bool) -> dict[Gen, _Image]:
-    """Substitution table for one letter, only for the generators it moves."""
+@functools.cache  # a constant table per (n, k, sign); phi_letter calls it once per letter
+def _letter_images(n: int, k: int, inverse: bool) -> dict[str, _Image]:
+    """Substitution table for one letter, keyed by character, only for the generators it moves."""
     others = [t for t in range(1, n + 1) if t not in (k, k + 1)]
     K, K1 = (k + 1, k) if inverse else (k, k + 1)  # sigma_k^-1 swaps strands k and k+1
-    imgs: dict[Gen, _Image] = {
-        (K, K1): ((-1, ((K1, K),)),),
-        (K1, K): ((-1, ((K, K1),)),),
+    g = encode_gen
+    imgs: dict[str, _Image] = {
+        g(K, K1): ((-1, g(K1, K)),),
+        g(K1, K): ((-1, g(K, K1)),),
     }
     for i in others:
-        imgs[(K1, i)] = ((1, ((K, i),)),)
-        imgs[(i, K1)] = ((1, ((i, K),)),)
-        imgs[(K, i)] = ((1, ((K1, i),)), (-1, ((K1, K), (K, i))))
-        imgs[(i, K)] = ((1, ((i, K1),)), (-1, ((i, K), (K, K1))))
+        imgs[g(K1, i)] = ((1, g(K, i)),)
+        imgs[g(i, K1)] = ((1, g(i, K)),)
+        imgs[g(K, i)] = ((1, g(K1, i)), (-1, g(K1, K) + g(K, i)))
+        imgs[g(i, K)] = ((1, g(i, K1)), (-1, g(i, K) + g(K, K1)))
     return imgs
 
 
@@ -119,21 +132,21 @@ def phi_letter(e: int, x: NCPoly) -> NCPoly:
         raise ValueError(f"letter {e} out of range for ambient {x.n}")
     imgs = _letter_images(x.n, k, e < 0)
     budget = term_budget()
-    out: dict[Mon, int] = {}
-    for mon, coeff in x.terms.items():
+    out: dict[Word, int] = {}
+    for w, coeff in x._terms.items():
         _check_budget(len(out), budget)
-        parts = [imgs.get(g) for g in mon]
+        parts = [imgs.get(ch) for ch in w]
         if all(p is None for p in parts):
-            acc = out.get(mon, 0) + coeff
+            acc = out.get(w, 0) + coeff
             if acc:
-                out[mon] = acc
+                out[w] = acc
             else:
-                out.pop(mon, None)
+                out.pop(w, None)
             continue
-        partial: list[tuple[Mon, int]] = [((), coeff)]
-        for g, img in zip(mon, parts):
+        partial: list[tuple[Word, int]] = [("", coeff)]
+        for ch, img in zip(w, parts):
             if img is None:
-                partial = [(m + (g,), c) for m, c in partial]
+                partial = [(m + ch, c) for m, c in partial]
             else:
                 partial = [(m + frag, c * ci) for m, c in partial for ci, frag in img]
         for m, c in partial:
@@ -176,19 +189,20 @@ def star_decompose(x: NCPoly, side: str) -> dict[int, NCPoly]:
     if side not in ("L", "R"):
         raise ValueError(f"side must be 'L' or 'R', got {side!r}")
     s = x.n
-    parts: dict[int, dict[Mon, int]] = {}
-    for mon, c in x.terms.items():
-        if not mon:
+    stars = {encode_gen(s, t) for t in range(1, s)} | {encode_gen(t, s) for t in range(1, s)}
+    parts: dict[int, dict[Word, int]] = {}
+    for w, c in x._terms.items():
+        if not w:
             raise StarDecompositionError(f"constant term {c} has no star slot")
         if side == "L":
-            rest, (j, slot) = mon[:-1], mon[-1]
+            rest, (j, slot) = w[:-1], decode_gen(w[-1])
         else:
-            (slot, j), rest = mon[0], mon[1:]
+            (slot, j), rest = decode_gen(w[0]), w[1:]
         if slot != s or j == s:
             shape = "end with a_{j,*}" if side == "L" else "start with a_{*,j}"
-            raise StarDecompositionError(f"monomial does not {shape}: {mon}")
-        if any(s in g for g in rest):
-            raise StarDecompositionError(f"extra star inside monomial: {mon}")
+            raise StarDecompositionError(f"monomial does not {shape}: {word_text(w)}")
+        if not stars.isdisjoint(rest):
+            raise StarDecompositionError(f"extra star inside monomial: {word_text(w)}")
         parts.setdefault(j, {})[rest] = c  # distinct monomials never merge
     return {j: NCPoly._raw((s - 1,), terms) for j, terms in parts.items()}
 
@@ -350,12 +364,13 @@ def fold_block(beta: BraidWord, v: np.ndarray, one, zero, sub_mul, part=np.s_[:]
 def _free_fold(beta: BraidWord, part=np.s_[:]) -> tuple[np.ndarray, np.ndarray]:
     """:func:`fold_block` over the free algebra, v holding the generators themselves."""
     n = beta.n
+    one, zero = NCPoly.one(n), NCPoly.zero(n)  # these check n before any generator is built
     v = np.empty((n, n), dtype=object)
     for i, j in gen_order(n):
-        v[i - 1, j - 1] = NCPoly._raw((n,), {((i, j),): 1})  # valid by construction
+        v[i - 1, j - 1] = NCPoly._raw((n,), {encode_gen(i, j): 1})  # valid by construction
     budget = term_budget()  # read once per fold, not once per update
     fused = np.frompyfunc(lambda y, a, b: y.sub_product(a, b, budget), 3, 1)
-    return fold_block(beta, v, NCPoly.one(n), NCPoly.zero(n), lambda y, a, b: fused(y, a, b, out=y), part)
+    return fold_block(beta, v, one, zero, lambda y, a, b: fused(y, a, b, out=y), part)
 
 
 def _phi_matrix(block: np.ndarray, side: str) -> PhiMatrix:

@@ -100,11 +100,12 @@ def cmd_torus(args) -> int:
 
 def _emit_certificate(args, cert: Certificate) -> int:
     """Write cert to --output if given and print it; the exit code of a found certificate."""
+    obj = cert.to_obj()
     if args.output:
-        cert.save(args.output)
+        jsonio.dump_file(args.output, obj)  # what cert.save writes
     _emit(
         args,
-        {"found": True, "certificate": cert.to_obj()},
+        {"found": True, "certificate": obj},
         [
             f"accepted certificate for closure of a {cert.braid.n}-strand word",
             f"residual_L: {cert.residual_L:.3e}  residual_R: {cert.residual_R:.3e}",
@@ -122,11 +123,12 @@ def cmd_ar_search(args) -> int:
     out = solve_full_rank(braid, options)
     if isinstance(out, Certificate):
         return _emit_certificate(args, out)
+    obj = out.to_obj()
     if args.output:
-        jsonio.dump_file(args.output, {"config": _config(args), **out.to_obj()})
+        jsonio.dump_file(args.output, {"config": _config(args), **obj})
     _emit(
         args,
-        out.to_obj(),
+        obj,
         [
             f"no certificate found after {args.restarts} restarts ({out.label})",
             f"best residual: {out.best_residual:.6e}",

@@ -16,6 +16,19 @@ passes it down.
 The ring arithmetic is written once, in :class:`SparsePoly`; :class:`NCPoly`
 supplies the free algebra's monomials (words of generators), and
 :class:`augrank.splitting.TensorPoly` supplies pairs of words.
+
+Inside a polynomial a word is a ``str`` with one character per generator:
+a_ij is ``chr(0x10000 + (i << 10 | j))``.  A str caches its hash and
+concatenates with one copy, so the term maps of products and folds hash
+and join words in C.  The code is monotone in (i, j), so comparing two
+words of one length compares their flat index sequences; the offset keeps
+every code above the surrogates, so any word encodes as UTF-8.  Ten bits
+per index cap the free algebra at :data:`MAX_STRANDS` = 1023 strands: a
+larger ambient is an error before any generator is built.  The public
+forms stay tuples of (i, j) pairs: constructors take them (:func:`check_word`
+validates and encodes), and :attr:`SparsePoly.terms` returns them
+(:func:`decode_word`).  The numeric pipeline never builds a polynomial and
+has no such limit.
 """
 
 from __future__ import annotations
@@ -28,7 +41,11 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 Gen = tuple[int, int]
-Mon = tuple[Gen, ...]
+Mon = tuple[Gen, ...]  # the public monomial
+Word = str  # the internal monomial: one character per generator
+
+MAX_STRANDS = 1023
+_CODE_BASE = 0x10000  # above the surrogates, which UTF-8 cannot encode
 
 
 def gen_order(n: int) -> Iterator[Gen]:
@@ -64,28 +81,66 @@ def _check_budget(size: int, budget: int | None = None) -> None:
         )
 
 
-def mon_key(mon: Mon) -> tuple:
-    """Total order on monomials: degree, then lexicographic on flat indices."""
-    return (len(mon), tuple(x for g in mon for x in g))
+def check_ambient(n: int, what: str = "ambient size") -> None:
+    """1 <= n <= MAX_STRANDS, or a ValueError naming what n is."""
+    if n < 1:
+        raise ValueError(f"{what} must be >= 1, got {n}")
+    if n > MAX_STRANDS:
+        raise ValueError(f"{what} {n} is over the free algebra's limit of {MAX_STRANDS} strands")
 
 
-def check_word(mon, top: int, where: str) -> Mon:
-    """A monomial as a tuple of int pairs; each a_ij needs i != j, both in 1..top."""
+def encode_gen(i: int, j: int) -> str:
+    """The character of a_ij; 1 <= i, j <= MAX_STRANDS."""
+    return chr(_CODE_BASE + (i << 10 | j))
+
+
+def decode_gen(ch: str) -> Gen:
+    code = ord(ch) - _CODE_BASE
+    return code >> 10, code & 1023
+
+
+def encode_word(mon: Mon) -> Word:
+    return "".join(encode_gen(i, j) for i, j in mon)
+
+
+def decode_word(w: Word) -> Mon:
+    return tuple(map(decode_gen, w))
+
+
+def mon_key(w: Word) -> tuple:
+    """Total order on words: degree, then lexicographic on flat indices."""
+    return (len(w), w)
+
+
+def check_word(mon, top: int, where: str) -> Word:
+    """A monomial given as int pairs, encoded; each a_ij needs i != j, both in 1..top."""
     mon = tuple((int(i), int(j)) for i, j in mon)
     for i, j in mon:
         if i == j or not (1 <= i <= top) or not (1 <= j <= top):
             raise ValueError(f"generator a_{i},{j} invalid {where}")
-    return mon
+    return encode_word(mon)
 
 
-def conj_word(mon: Mon) -> Mon:
+class _Swap(dict):
+    """str.translate table a_ij -> a_ji, filled one code at a time."""
+
+    def __missing__(self, code: int) -> int:
+        i, j = decode_gen(chr(code))
+        self[code] = swapped = ord(encode_gen(j, i))
+        return swapped
+
+
+_SWAP = _Swap()
+
+
+def conj_word(w: Word) -> Word:
     """Reverse the word and swap each a_ij to a_ji."""
-    return tuple((j, i) for i, j in reversed(mon))
+    return w[::-1].translate(_SWAP)
 
 
-def word_text(mon: Mon) -> str:
+def word_text(w: Word) -> str:
     """Generators joined by '*': a12, or a10,11 past one digit."""
-    return "*".join(f"a{i}{j}" if i < 10 and j < 10 else f"a{i},{j}" for i, j in mon)
+    return "*".join(f"a{i}{j}" if i < 10 and j < 10 else f"a{i},{j}" for i, j in map(decode_gen, w))
 
 
 def _int_coefficient(mon, c) -> int:
@@ -100,15 +155,20 @@ class SparsePoly:
     """A finite integer combination of monomials: the ring core of NCPoly and TensorPoly.
 
     A value is immutable and carries an ambient ``_amb`` (a tuple); operands
-    of a sum or product must share it.  Terms live in a dict from monomial to
-    nonzero coefficient.  A subclass supplies what depends on its monomials:
-    ``_unit`` (the empty monomial), ``_check_mon`` (validate and normalise a
-    monomial for an ambient), ``_cat`` (the monomial product), ``_conj_mon``
-    (conjugation), and ``_mon_key``/``_mon_text`` (render order and text).
+    of a sum or product must share it.  Terms live in a dict ``_terms`` from
+    monomial to nonzero coefficient.  A monomial is a str word with one
+    character per generator, as in the module docstring (a pair of words in
+    TensorPoly), so a term product is a str concatenation and a key lookup
+    hashes no tuple; ambients that hold words have at most MAX_STRANDS = 1023
+    strands.  A subclass supplies what depends on its monomials: ``_unit``
+    (the empty monomial), ``_check_mon`` (validate and encode a public
+    monomial for an ambient), ``_decode_mon`` (back to the public form),
+    ``_cat`` (the monomial product), ``_conj_mon`` (conjugation), and
+    ``_mon_key``/``_mon_text`` (render order and text).
     """
 
     __slots__ = ("_amb", "_terms")
-    _unit: tuple = ()
+    _unit = ""
 
     def _init(self, amb: tuple, terms: Mapping | None) -> None:
         clean: dict = {}
@@ -136,11 +196,9 @@ class SparsePoly:
 
     @property
     def terms(self) -> Mapping:
-        return MappingProxyType(self._terms)
-
-    def sorted_terms(self) -> list:
-        key = self._mon_key
-        return sorted(self._terms.items(), key=lambda mc: key(mc[0]))
+        """A read-only copy of the term map, in public monomials and insertion order."""
+        decode = self._decode_mon
+        return MappingProxyType({decode(m): c for m, c in self._terms.items()})
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -258,8 +316,8 @@ class SparsePoly:
     def render(self) -> str:
         if not self._terms:
             return "0"
-        out = ""
-        for mon, c in self.sorted_terms():
+        out, key = "", self._mon_key
+        for mon, c in sorted(self._terms.items(), key=lambda mc: key(mc[0])):
             body = self._mon_text(mon)
             mag = abs(c)
             if not body:
@@ -286,17 +344,17 @@ class NCPoly(SparsePoly):
 
     __slots__ = ()
     _cat = staticmethod(operator.add)
+    _decode_mon = staticmethod(decode_word)
     _conj_mon = staticmethod(conj_word)
     _mon_key = staticmethod(mon_key)
     _mon_text = staticmethod(word_text)
 
     def __init__(self, n: int, terms: Mapping[Mon, int] | None = None):
-        if n < 1:
-            raise ValueError(f"ambient size must be >= 1, got {n}")
+        check_ambient(n)
         self._init((n,), terms)
 
     @staticmethod
-    def _check_mon(amb: tuple[int], mon) -> Mon:
+    def _check_mon(amb: tuple[int], mon) -> Word:
         return check_word(mon, amb[0], f"in ambient {amb[0]}")
 
     # NCPoly's sum and product are bound in its own namespace, apart from
@@ -308,16 +366,19 @@ class NCPoly(SparsePoly):
 
     @classmethod
     def zero(cls, n: int) -> "NCPoly":
+        check_ambient(n)
         return cls._raw((n,), {})
 
     @classmethod
     def one(cls, n: int) -> "NCPoly":
-        return cls._raw((n,), {(): 1})
+        check_ambient(n)
+        return cls._raw((n,), {"": 1})
 
     @classmethod
     def const(cls, n: int, c: int) -> "NCPoly":
+        check_ambient(n)
         c = _int_coefficient((), c)
-        return cls._raw((n,), {(): c} if c else {})
+        return cls._raw((n,), {"": c} if c else {})
 
     @classmethod
     def gen(cls, n: int, i: int, j: int) -> "NCPoly":
@@ -330,9 +391,9 @@ class NCPoly(SparsePoly):
     def evaluate(self, values: Mapping[Gen, complex]) -> complex:
         """Substitute complex values for the generators and multiply out."""
         total = 0j
-        for mon, c in self._terms.items():
+        for w, c in self._terms.items():
             prod = complex(c)
-            for g in mon:
+            for g in map(decode_gen, w):
                 try:
                     prod *= values[g]
                 except KeyError:

@@ -17,6 +17,7 @@ facts exactly and report per-entry differences.
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping
 
 from .action import (
@@ -30,7 +31,20 @@ from .action import (
 )
 from .braids import BraidWord, cable
 from .checks import CheckReport
-from .freealg import Mon, NCPoly, SparsePoly, check_word, conj_word, mon_key, word_text
+from .freealg import (
+    Mon,
+    NCPoly,
+    SparsePoly,
+    Word,
+    check_ambient,
+    check_word,
+    conj_word,
+    decode_gen,
+    decode_word,
+    encode_word,
+    mon_key,
+    word_text,
+)
 
 
 def split_index(i: int, p: int) -> tuple[int, int]:
@@ -45,30 +59,32 @@ TensorMon = tuple[Mon, Mon]
 class TensorPoly(SparsePoly):
     """An element of (algebra on k) tensor (algebra on p), over the integers.
 
-    A monomial is a pair of words, one per tensor factor; the ring arithmetic
-    is :class:`augrank.freealg.SparsePoly`'s, applied factorwise.
+    A monomial is a pair of words, one per tensor factor, each encoded as in
+    :mod:`augrank.freealg`; the ring arithmetic is
+    :class:`augrank.freealg.SparsePoly`'s, applied factorwise.
     """
 
     __slots__ = ()
-    _unit = ((), ())
+    _unit = ("", "")
     _cat = staticmethod(lambda m1, m2: (m1[0] + m2[0], m1[1] + m2[1]))
+    _decode_mon = staticmethod(lambda mon: (decode_word(mon[0]), decode_word(mon[1])))
     _conj_mon = staticmethod(lambda mon: (conj_word(mon[0]), conj_word(mon[1])))
     _mon_key = staticmethod(lambda mon: (mon_key(mon[0]), mon_key(mon[1])))
 
     def __init__(self, k: int, p: int, terms: Mapping[TensorMon, int] | None = None):
-        if k < 1 or p < 1:
-            raise ValueError("tensor factor sizes must be >= 1")
+        check_ambient(k, "tensor factor size")
+        check_ambient(p, "tensor factor size")
         self._init((k, p), terms)
 
     @staticmethod
-    def _check_mon(amb: tuple[int, int], mon) -> TensorMon:
+    def _check_mon(amb: tuple[int, int], mon) -> tuple[Word, Word]:
         (k, p), (ma, mb) = amb, mon
         return (
             check_word(ma, k, f"in the left factor of size {k}"),
             check_word(mb, p, f"in the right factor of size {p}"),
         )
 
-    def _mon_text(self, mon: TensorMon) -> str:
+    def _mon_text(self, mon: tuple[Word, Word]) -> str:
         return f"{word_text(mon[0]) or '1'}(x){word_text(mon[1]) or '1'}"
 
     @classmethod
@@ -77,7 +93,7 @@ class TensorPoly(SparsePoly):
 
     @classmethod
     def one(cls, k: int, p: int) -> "TensorPoly":
-        return cls._raw((k, p), {((), ()): 1})
+        return cls._raw((k, p), {("", ""): 1})
 
     @property
     def k(self) -> int:
@@ -90,7 +106,7 @@ class TensorPoly(SparsePoly):
 
 def tensor_embed_left(x: NCPoly, p: int) -> TensorPoly:
     """x (x) 1."""
-    return TensorPoly(x.n, p, {(mon, ()): c for mon, c in x.terms.items()})
+    return TensorPoly._raw((x.n, p), {(w, ""): c for w, c in x._terms.items()})
 
 
 def split_gen(i: int, j: int, p: int) -> TensorMon | None:
@@ -107,16 +123,33 @@ def split_gen(i: int, j: int, p: int) -> TensorMon | None:
     return (((qi, qj),) if qi != qj else (), ((ri, rj),) if ri != rj else ())
 
 
+class _SplitTable(dict):
+    """Character of a_ij -> split_gen's image as a pair of words, or None; filled once per character."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def __missing__(self, ch: str) -> tuple[Word, Word] | None:
+        image = split_gen(*decode_gen(ch), self.p)
+        if image is not None:
+            image = (encode_word(image[0]), encode_word(image[1]))
+        self[ch] = image
+        return image
+
+
+_split_table = functools.cache(_SplitTable)  # one table per p
+
+
 def psi(x: NCPoly, k: int, p: int) -> TensorPoly:
     """Apply the splitting homomorphism to a polynomial on kp strands."""
     if x.n != k * p:
         raise ValueError(f"ambient {x.n} is not kp = {k * p}")
-    terms: dict[TensorMon, int] = {}
-    for mon, c in x.terms.items():
-        ma: Mon = ()
-        mb: Mon = ()
-        for i, j in mon:
-            image = split_gen(i, j, p)
+    table = _split_table(p)
+    terms: dict[tuple[Word, Word], int] = {}
+    for w, c in x._terms.items():
+        ma = mb = ""
+        for ch in w:
+            image = table[ch]
             if image is None:
                 break
             ma, mb = ma + image[0], mb + image[1]

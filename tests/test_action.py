@@ -139,6 +139,15 @@ class TestStarAction:
         with pytest.raises(StarDecompositionError):
             star_decompose(bad, "R")
 
+    def test_star_decompose_error_names_the_word(self):
+        # a55,54 and a56,55 encode past the surrogate block; the message decodes them
+        for x, side in ((a(56, 55, 54), "L"), (a(56, 56, 55) * a(56, 55, 56), "R")):
+            with pytest.raises(StarDecompositionError) as info:
+                star_decompose(x, side)
+            text = str(info.value)
+            assert ("a55,54" if side == "L" else "a56,55*a55,56") in text
+            assert text.encode("utf-8").decode("utf-8") == text
+
     def test_star_decompose_reads_rows(self):
         x = a(3, 2, 1) * a(3, 1, 3) - 2 * a(3, 2, 3)
         coeffs = star_decompose(x, "L")

@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 from augrank.cli import build_parser, main
-from augrank import augment, jsonio
+from augrank import action, augment, jsonio
 from augrank.action import phi_left
 from augrank.braids import BraidWord
 
@@ -45,6 +45,23 @@ class TestPhiCommand:
         code, _, err = run(capsys, "phi", "--n", "2", "--word", "5")
         assert code == 1
         assert "error" in err
+
+    def test_high_strand_indices_print(self, capsys):
+        code, out, _ = run(capsys, "phi", "--n", "56", "--word", "55 -54")
+        assert code == 0
+        assert "-a54,56 + a54,55*a55,56" in out
+        code, out, _ = run(capsys, "phi", "--n", "56", "--word", "55 -54", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["matrix"]["entries"][54][54] == "a54,56*a56,55 - a54,55*a55,56*a56,55"
+
+    def test_strand_limit_is_checked_before_any_generator(self, capsys, monkeypatch):
+        def no_generators(n):
+            raise AssertionError(f"generators of {n} strands built")
+
+        monkeypatch.setattr(action, "gen_order", no_generators)
+        code, out, err = run(capsys, "phi", "--n", "1024", "--word", "")
+        assert (code, out) == (1, "")
+        assert err == "error: ambient size 1024 is over the free algebra's limit of 1023 strands\n"
 
 
 class TestSatelliteCommand:
@@ -367,6 +384,9 @@ BAD_INPUT_CASES = (
         # a 1-strand search runs its restarts like any other
         (("ar-search", "--n", "1", "--word", "", "--restarts", "0"), None, 2,
          "no certificate found after 0 restarts (inconclusive)"),
+        # the free algebra encodes a strand index in ten bits
+        (("phi", "--n", "1024", "--word", ""), None, 1,
+         "error: ambient size 1024 is over the free algebra's limit of 1023 strands\n"),
     ]
 )
 

@@ -7,9 +7,13 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from augrank.freealg import (
+    MAX_STRANDS,
     Assignment,
     NCPoly,
     TermBudgetError,
+    check_word,
+    decode_word,
+    mon_key,
     term_budget,
 )
 from augrank.splitting import TensorPoly
@@ -252,3 +256,97 @@ class TestTermBudget:
         monkeypatch.setenv("KCH_TERM_BUDGET", raw)
         with pytest.raises(ValueError, match=f"KCH_TERM_BUDGET must be a positive integer, got '{raw}'"):
             term_budget()
+
+
+# A reference core on tuple monomials, the representation NCPoly used before
+# words were encoded as strings: the same algorithm, so the same term order.
+def _ref_accumulate(terms, pairs, sign=1):
+    for m, c in pairs:
+        acc = terms.get(m, 0) + sign * c
+        if acc:
+            terms[m] = acc
+        else:
+            del terms[m]
+    return terms
+
+
+def ref_add(x, y):
+    return _ref_accumulate(dict(x), y.items())
+
+
+def ref_sub_product(y, a, b, sign=-1):
+    return _ref_accumulate(dict(y), ((m1 + m2, c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items()), sign)
+
+
+def ref_mul(a, b):
+    return ref_sub_product({}, a, b, 1)
+
+
+def ref_conjugate(x):
+    return {tuple((j, i) for i, j in reversed(m)): c for m, c in x.items()}
+
+
+def ref_render(x):
+    items = []
+    for m, c in sorted(x.items(), key=lambda mc: (len(mc[0]), mc[0])):
+        body = "*".join(f"a{i}{j}" if i < 10 and j < 10 else f"a{i},{j}" for i, j in m)
+        items.append((c, body if abs(c) == 1 and body else f"{abs(c)}*{body}" if body else str(abs(c))))
+    text = "".join(f" {'-' if c < 0 else '+'} {t}" for c, t in items)
+    return "0" if not text else text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+class TestAgainstTupleReference:
+    @given(st.sampled_from([3, 12, MAX_STRANDS]).flatmap(lambda n: st.tuples(*[nc_polys(n=n, max_coeff=3)] * 3)))
+    def test_terms_and_order(self, polys):
+        y, x, z = polys
+        ref = lambda p: dict(p.terms)
+        for got, want in (
+            (x + z, ref_add(ref(x), ref(z))),
+            (x * z, ref_mul(ref(x), ref(z))),
+            (y.sub_product(x, z), ref_sub_product(ref(y), ref(x), ref(z))),
+            (x.conjugate(), ref_conjugate(ref(x))),
+        ):
+            assert list(got.terms.items()) == list(want.items())
+            assert got.render() == ref_render(want)
+
+    def test_terms_are_tuples_of_pairs(self):
+        x = a(12, 10, 11) * a(12, 11, 1) - 2
+        assert list(x.terms.items()) == [(((10, 11), (11, 1)), 1), ((), -2)]
+
+
+GEN_INDICES = st.integers(1, MAX_STRANDS)
+GENERATORS = st.tuples(GEN_INDICES, GEN_INDICES).filter(lambda g: g[0] != g[1])
+
+
+class TestWordEncoding:
+    @given(st.lists(GENERATORS, max_size=4), st.lists(GENERATORS, max_size=4))
+    def test_round_trip_and_order(self, m1, m2):
+        w1, w2 = (check_word(m, MAX_STRANDS, "") for m in (m1, m2))
+        assert decode_word(w1) == tuple(m1)
+        assert (mon_key(w1) < mon_key(w2)) == ((len(m1), m1) < (len(m2), m2))
+        assert w1.encode("utf-8").decode("utf-8") == w1
+
+    def test_boundary_codes(self):
+        edge = [1, 2, 54, 55, 56, 511, 512, 1022, MAX_STRANDS]
+        mons = [((i, j),) for i in edge for j in edge if i != j]
+        words = [check_word(m, MAX_STRANDS, "") for m in mons]
+        assert [decode_word(w) for w in words] == mons
+        assert sorted(words) == [check_word(m, MAX_STRANDS, "") for m in sorted(mons)]
+        assert all(not 0xD800 <= ord(w) <= 0xDFFF for w in words)  # no surrogate
+
+    def test_highest_generator(self):
+        x = NCPoly.gen(MAX_STRANDS, MAX_STRANDS, MAX_STRANDS - 1)
+        assert str(x) == "a1023,1022"
+        assert (x * x).conjugate().render() == "a1022,1023*a1022,1023"
+
+    @pytest.mark.parametrize("make", [
+        lambda: NCPoly(MAX_STRANDS + 1),
+        lambda: NCPoly.zero(MAX_STRANDS + 1),
+        lambda: NCPoly.one(MAX_STRANDS + 1),
+        lambda: NCPoly.const(MAX_STRANDS + 1, 2),
+        lambda: NCPoly.gen(MAX_STRANDS + 1, 1, 2),
+        lambda: TensorPoly(2, MAX_STRANDS + 1),
+    ])
+    def test_ambient_over_the_limit(self, make):
+        with pytest.raises(ValueError, match="over the free algebra's limit of 1023 strands"):
+            make()
