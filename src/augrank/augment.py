@@ -4,9 +4,10 @@ A rank-n augmentation of the closure of beta in B_n is determined by complex
 generator values under which both action matrices evaluate to the diagonal
 sign matrix of the writhe.  The solver looks for such values by damped
 Gauss-Newton (Levenberg-Marquardt style) least squares over seeded random
-restarts, a chunk of restarts at a time in lockstep; the satellite constructor instead produces the values of a
-maximal-rank augmentation of a satellite directly from certificates for the
-companion and the pattern, with no search.
+restarts, a chunk of restarts at a time in lockstep; the satellite
+constructor instead produces the values of a maximal-rank augmentation of a
+satellite directly from certificates for the companion and the pattern, with
+no search.
 
 Numeric fast path: evaluating the action matrices under an assignment never
 builds symbolic entries.  The word is folded letter by letter by the fold
@@ -144,6 +145,12 @@ def numerical_rank(m: np.ndarray) -> int:
     return int(np.count_nonzero(s > cutoff))
 
 
+def _require_knot(beta: BraidWord, message: str = "closure must be a knot") -> None:
+    """Raise ValueError(message) unless the closure of beta has one component."""
+    if component_count(beta) != 1:
+        raise ValueError(message)
+
+
 def _check_mu(eps: Assignment) -> None:
     if abs(eps.mu - 1) < MU_UNITY_GAP:
         raise MuOneError("augmentation rank is undefined at mu = 1")
@@ -274,56 +281,34 @@ class _Chunk:
         self.lam = np.full(b, LAM_START)
         self.stop = np.zeros(b, dtype=np.int8)  # stop codes, 0 while running
 
-    def descend(self, rows, grad, jtj, dg, count: int, with_jac: bool) -> np.ndarray:
-        """Try count damping levels lam, 10 lam, ... on each row, all in one solve and one fold.
+    def descend(self, rows, grad, jtj, dg) -> np.ndarray:
+        """Try each row at its own damping level lam, folding the trial points with their Jacobians.
 
-        Each row ends as the sequential rule would end it, trying its levels
-        in turn: it moves at the first level that lowers its cost, and stops
-        there as stalled if that lowers the cost by at most FTOL times it while
-        its max-abs residual stays at least POLISH_BELOW; a singular level goes
-        on to the next one; a miss goes on unless the next level exceeds
-        LAM_MAX, which stops the row as damping_overflow.  With
-        with_jac the trial points fold with their Jacobians; without it, the
-        rows that moved and still run fold theirs after.  Returns a mask
-        of the rows that are still without a descent step after count levels.
+        A row moves if its trial point lowers its cost, and its lam falls to
+        lam / 3; it stops there as stalled if the cost fell by at most FTOL
+        times it while its max-abs residual stays at least POLISH_BELOW.  Any
+        other row's lam rises tenfold, and a miss (not a singular system) that
+        takes it past LAM_MAX stops the row as damping_overflow.  Returns a
+        mask of the rows still without a descent step.
         """
-        k = len(rows)
-        if not k:
-            return np.zeros(0, dtype=bool)
-        # lev[:, j] is lam times 10 j times over, rounded as the sequential rule rounds it
-        lev = np.concatenate((self.lam[rows, None], np.full((k, count), 10.0)), axis=1)
-        np.multiply.accumulate(lev, axis=1, out=lev)
-        rep = (lambda a: a) if count == 1 else (lambda a: np.repeat(a, count, axis=0))
-        steps, ok = _damped_steps(rep(jtj), rep(dg), lev[:, :-1].ravel(), rep(grad))
-        tried = ok.nonzero()[0]  # (row, level) pairs with a step, flattened row-major
-        down = np.zeros(k * count, dtype=bool)
-        if tried.size:
-            owner = rows[tried // count]
-            zt = self.z[owner] + steps[tried]
-            ct, jt = _evaluate(self.resid, zt) if with_jac else (self.resid(zt), None)
+        steps, ok = _damped_steps(jtj, dg, self.lam[rows], grad)
+        down = np.zeros(len(rows), dtype=bool)
+        if ok.any():
+            zt = self.z[rows[ok]] + steps[ok]
+            ct, jt = _evaluate(self.resid, zt)
             costt = _cost(ct)
-            down[tried] = costt < self.cost[owner]
-        ok, down = ok.reshape(k, count), down.reshape(k, count)
-        end = ok & (down | (lev[:, 1:] > LAM_MAX))
-        ended, first = end.any(axis=1), end.argmax(axis=1)
-        hit = ended & down[np.arange(k), first]
-        if hit.any():
-            t = np.searchsorted(tried, hit.nonzero()[0] * count + first[hit])
-            h = rows[hit]
-            stalled = self.cost[h] - costt[t] <= FTOL * self.cost[h]
-            self.z[h], self.c[h], self.cost[h] = zt[t], ct[t], costt[t]
-            self.ma[h] = np.abs(ct[t]).max(axis=1)
+            hit = costt < self.cost[rows[ok]]
+            down[ok] = hit
+            h, zt, ct, costt = rows[down], zt[hit], ct[hit], costt[hit]
+            stalled = self.cost[h] - costt <= FTOL * self.cost[h]
+            self.z[h], self.c[h], self.cost[h], self.jac[h] = zt, ct, costt, jt[hit]
+            self.ma[h] = np.abs(ct).max(axis=1)
             self.stop[h[stalled & (self.ma[h] >= POLISH_BELOW)]] = _STALLED
-            self.lam[h] = np.maximum(lev[hit, first[hit]] / 3.0, LAM_MIN)
-            if with_jac:
-                self.jac[h] = jt[t]
-            else:
-                go = h[self.stop[h] == 0]  # a stalled row needs no Jacobian again
-                if go.size:
-                    self.jac[go] = _evaluate(self.resid, self.z[go])[1]
-        self.stop[rows[ended & ~hit]] = _DAMPING_OVERFLOW
-        self.lam[rows[~ended]] = lev[~ended, -1]
-        return ~ended
+            self.lam[h] = np.maximum(self.lam[h] / 3.0, LAM_MIN)
+        self.lam[rows[~down]] *= 10.0
+        over = ok & ~down & (self.lam[rows] > LAM_MAX)
+        self.stop[rows[over]] = _DAMPING_OVERFLOW
+        return ~down & ~over
 
     def polish(self, rows: np.ndarray) -> None:
         """Up to two undamped Gauss-Newton steps per row of rows (not empty), kept while max-abs falls."""
@@ -352,18 +337,15 @@ def _lm_chunk(
     row before it has stopped; rows cut off there keep the stop code 0.
     Returns the final points, their max-abs residuals and the stop codes.
 
-    An iteration tries TRIALS damping levels per row in two rounds: the
-    row's own level first, its trial point folded with its Jacobian so that
-    a row moving there needs no Jacobian fold at the next iteration; then,
-    for the rows that found no descent, all remaining levels at once, a row
-    moving there folding its Jacobian after.
+    An iteration tries up to TRIALS damping levels per row, one level per
+    fold, each trial point folded with its Jacobian (see _Chunk.descend).
 
-    A row that descends in either round by at most FTOL times its cost while
-    its max-abs residual is at least POLISH_BELOW stops as stalled, keeping
-    the step: Gauss-Newton converges only linearly at a nonzero minimum, so
-    it would crawl there until the damping gives out (the relative ftol test
-    of MINPACK's lmder).  Near a zero Gauss-Newton converges fast again, and
-    the POLISH_BELOW guard keeps the test off the rows that are there.
+    A row that descends by at most FTOL times its cost while its max-abs
+    residual is at least POLISH_BELOW stops as stalled, keeping the step:
+    Gauss-Newton converges only linearly at a nonzero minimum, so it would
+    crawl there until the damping gives out (the relative ftol test of
+    MINPACK's lmder).  Near a zero Gauss-Newton converges fast again, and the
+    POLISH_BELOW guard keeps the test off the rows that are there.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         chunk = _Chunk(resid, z0)
@@ -385,10 +367,11 @@ def _lm_chunk(
                 stop[live[bad]] = _NON_FINITE
                 live, grad, jtj = live[~bad], grad[~bad], jtj[~bad]
                 dg = np.maximum(np.diagonal(jtj, axis1=1, axis2=2).real, 1e-12)
-                rest = chunk.descend(live, grad, jtj, dg, 1, with_jac=True).nonzero()[0]
-                if rest.size:
-                    stuck = chunk.descend(live[rest], grad[rest], jtj[rest], dg[rest], TRIALS - 1, with_jac=False)
-                    stop[live[rest[stuck]]] = _NO_DESCENT
+                todo = np.arange(live.size)
+                for _ in range(TRIALS):
+                    if todo.size:
+                        todo = todo[chunk.descend(live[todo], grad[todo], jtj[todo], dg[todo])]
+                stop[live[todo]] = _NO_DESCENT
             just = (running & (stop != 0) & (stop != _NON_FINITE)).nonzero()[0]
             just = just[ma[just] < POLISH_BELOW]
             if just.size:
@@ -435,7 +418,8 @@ class Certificate:
     def measure(
         cls, beta: BraidWord, eps: Assignment, seed: int, restarts: int, tol: float
     ) -> "Certificate":
-        """The certificate of eps for beta, its residuals and rank from one fold and one matrix_a."""
+        """The certificate of eps for beta (a knot), its residuals and rank from one fold and one matrix_a."""
+        _require_knot(beta)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite residual
             ml, mr = _fold_point(beta, eps)
             res_l, res_r = _sign_errors(beta, ml, mr)
@@ -616,8 +600,7 @@ def solve_full_rank(beta: BraidWord, options: SolveOptions = SolveOptions()) -> 
     is a deterministic function of (seed, restarts).  A restart is accepted
     once its max-abs residual is at most ACCEPT_TOL.
     """
-    if component_count(beta) != 1:
-        raise ValueError("closure must be a knot")
+    _require_knot(beta)
     n = beta.n
     m = n * (n - 1)
     resid = _sign_residual(beta)
@@ -680,8 +663,7 @@ def construct_satellite_aug(cert_alpha: Certificate, cert_gamma: Certificate) ->
     alpha, gamma = cert_alpha.braid, cert_gamma.braid
     k, p = alpha.n, gamma.n
     for name, cert in (("companion", cert_alpha), ("pattern", cert_gamma)):
-        if component_count(cert.braid) != 1:
-            raise ValueError(f"{name} closure is not a knot")
+        _require_knot(cert.braid, f"{name} closure is not a knot")
         rec = Certificate.measure(cert.braid, cert.assignment, cert.seed, cert.restarts, ACCEPT_TOL)
         if not rec.accepted:
             raise ValueError(

@@ -466,8 +466,10 @@ class TestTrialRounds:
             (OVERFLOW_WORD, (4, 10, 13), ACCEPT_TOL, {"no_descent", "damping_overflow"}),
             (torus_braid(2, 601), range(4), ACCEPT_TOL, {"non_finite", "max_iter"}),
             (torus_braid(3, 4), range(8), ACCEPT_TOL, {"floor", ""}),
+            # heavy ladder traffic: 45% of its row-iterations go past the row's own level
+            (BraidWord(3, (1, -2, 1, -2)), range(8), ACCEPT_TOL, {"max_iter"}),
         ],
-        ids=["c10", "c10-no-accept", "c11", "overflow", "T(2,601)", "T(3,4)-cut-off"],
+        ids=["c10", "c10-no-accept", "c11", "overflow", "T(2,601)", "T(3,4)-cut-off", "figure-eight"],
     )
     def test_matches_reference(self, beta, restarts, tol, stops):
         z0 = restart_starts(beta, 0, restarts)

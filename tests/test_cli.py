@@ -387,6 +387,10 @@ BAD_INPUT_CASES = (
         # the free algebra encodes a strand index in ten bits
         (("phi", "--n", "1024", "--word", ""), None, 1,
          "error: ambient size 1024 is over the free algebra's limit of 1023 strands\n"),
+        # only a knot has a certificate: the empty B2 word closes to a 2-component unlink
+        (("ar-search", "--n", "2", "--word", ""), None, 1, "error: closure must be a knot\n"),
+        (CONSTRUCT, _set_word([]), 1, "error: companion closure is not a knot\n"),
+        (VERIFY, _set_word([]), 1, "error: closure must be a knot\n"),
     ]
 )
 
