@@ -24,7 +24,6 @@ and its finite differences) along the array's trailing axes.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -173,22 +172,17 @@ FTOL = 1e-8  # a step lowering the cost by at most this fraction of it stalls a 
 TRIALS = 10  # damping increases tried per iteration before a restart gives up
 MAX_ITER = 120  # Levenberg-Marquardt iterations per restart
 LAM_START, LAM_MIN, LAM_MAX = 1e-3, 1e-14, 1e12
-# Restarts run in chunks of 1, 8, 64, 64, ...: successful searches mostly
-# accept restart 0, while a nonexistence search spends its budget 64 at a time.
-LEAD_CHUNKS = (1, 8)
+# Restart 0 runs alone, then the rest CHUNK at a time: successful searches
+# mostly accept restart 0, while a nonexistence search spends its budget in full chunks.
 CHUNK = 64
 STOP_REASONS = ("floor", "no_descent", "damping_overflow", "max_iter", "non_finite", "stalled")
 # a row's stop code: 0 while it runs, then 1 + the index of its reason in STOP_REASONS
 _FLOOR, _NO_DESCENT, _DAMPING_OVERFLOW, _MAX_ITER, _NON_FINITE, _STALLED = range(1, len(STOP_REASONS) + 1)
 
 
-def _chunks(restarts: int):
-    """Sizes of the successive chunks of a search with this many restarts."""
-    for size in itertools.chain(LEAD_CHUNKS, itertools.repeat(CHUNK)):
-        if restarts <= 0:
-            return
-        yield min(size, restarts)
-        restarts -= size
+def _chunks(restarts: int) -> list[int]:
+    """Sizes of the successive chunks of a search with this many restarts: 1, CHUNK, CHUNK, ..."""
+    return [1] * (restarts > 0) + [min(CHUNK, restarts - k) for k in range(1, restarts, CHUNK)]
 
 
 def _sign_residual(beta: BraidWord) -> Callable[[np.ndarray], np.ndarray]:
@@ -332,10 +326,13 @@ def _lm_chunk(
 
     Each row keeps its own damping and stops for one of STOP_REASONS.  Only
     running rows enter a fold, and no row's arithmetic reads another row, so
-    a row ends where it would end alone.  The chunk ends once every row has
-    stopped, or once some row is accepted (max-abs residual <= tol) and every
-    row before it has stopped; rows cut off there keep the stop code 0.
-    Returns the final points, their max-abs residuals and the stop codes.
+    a row ends where it would end alone.  Once some row is accepted (max-abs
+    residual <= tol), the rows after the lowest accepted row enter no further
+    fold: the lowest-index accepted restart wins, so they cannot change the
+    outcome.  The chunk ends once every row before the lowest accepted one
+    has stopped (every row, while none is accepted); rows cut off there keep
+    the stop code 0.  Returns the final points, their max-abs residuals and
+    the stop codes.
 
     An iteration tries up to TRIALS damping levels per row, one level per
     fold, each trial point folded with its Jacobian (see _Chunk.descend).
@@ -350,8 +347,10 @@ def _lm_chunk(
     with np.errstate(over="ignore", invalid="ignore"):
         chunk = _Chunk(resid, z0)
         ma, stop = chunk.ma, chunk.stop
+        cut = len(stop)  # the lowest accepted row; no row from it on runs
         for it in range(MAX_ITER + 1):
             running = stop == 0
+            running[cut:] = False
             live = running.nonzero()[0]
             bad = ~np.isfinite(chunk.cost[live])
             stop[live[bad]] = _NON_FINITE
@@ -376,9 +375,9 @@ def _lm_chunk(
             just = just[ma[just] < POLISH_BELOW]
             if just.size:
                 chunk.polish(just)
-            done = stop != 0
             won = _accepted(ma, stop, tol).nonzero()[0]
-            if done.all() or (won.size and done[: won[0]].all()):
+            cut = won[0] if won.size else cut
+            if stop[:cut].all():
                 break
         return chunk.z, ma, stop
 
@@ -412,7 +411,8 @@ class Certificate:
 
     @property
     def accepted(self) -> bool:
-        return self.residual_L <= self.tol and self.residual_R <= self.tol
+        """Both sign residuals and the ideal residual at most tol; inf or NaN never is."""
+        return all(r <= self.tol for r in (self.residual_L, self.residual_R, self.ideal_residual))
 
     @classmethod
     def measure(
@@ -420,7 +420,8 @@ class Certificate:
     ) -> "Certificate":
         """The certificate of eps for beta (a knot), its residuals and rank from one fold and one matrix_a."""
         _require_knot(beta)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite residual
+        # an overflow, or a division by a lambda mu^w that underflowed, is a non-finite residual
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             ml, mr = _fold_point(beta, eps)
             res_l, res_r = _sign_errors(beta, ml, mr)
             a0 = matrix_a(beta.n, eps)
@@ -594,11 +595,13 @@ def _certificate_from_values(
 def solve_full_rank(beta: BraidWord, options: SolveOptions = SolveOptions()) -> Certificate | NotFound:
     """Multi-start search for generator values satisfying the sign-matrix equations.
 
-    Restart t starts from the t-th substream spawned from the seed.  Restarts
-    run in chunks (see LEAD_CHUNKS) and the lowest-index accepted restart wins,
-    the one a restart-by-restart search would return first; so the outcome
-    is a deterministic function of (seed, restarts).  A restart is accepted
-    once its max-abs residual is at most ACCEPT_TOL.
+    Restart t starts from the t-th substream spawned from the seed.  Restart
+    0 runs alone, then the rest CHUNK at a time (see _chunks), and the
+    lowest-index accepted restart wins, the one a restart-by-restart search
+    would return first; so the outcome is a deterministic function of (seed,
+    restarts), whatever the chunk sizes.  A restart is accepted once its
+    max-abs residual is at most ACCEPT_TOL; a chunk stops running the
+    restarts after its lowest accepted one (see _lm_chunk).
     """
     _require_knot(beta)
     n = beta.n
@@ -668,7 +671,8 @@ def construct_satellite_aug(cert_alpha: Certificate, cert_gamma: Certificate) ->
         if not rec.accepted:
             raise ValueError(
                 f"{name} certificate is not accepted: recomputed residuals "
-                f"({rec.residual_L:.3e}, {rec.residual_R:.3e}) over {ACCEPT_TOL:g}"
+                f"({rec.residual_L:.3e}, {rec.residual_R:.3e}, ideal {rec.ideal_residual:.3e}) "
+                f"over {ACCEPT_TOL:g}"
             )
 
     if writhe(alpha) % 2 == 0:
@@ -695,7 +699,7 @@ def construct_satellite_aug(cert_alpha: Certificate, cert_gamma: Certificate) ->
     if not cert.accepted:
         raise ConstructionError(
             f"constructed satellite assignment failed verification: "
-            f"residuals ({cert.residual_L:.3e}, {cert.residual_R:.3e})"
+            f"residuals ({cert.residual_L:.3e}, {cert.residual_R:.3e}, ideal {cert.ideal_residual:.3e})"
         )
     return cert
 

@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -7,6 +10,7 @@ from augrank import augment, jsonio
 from augrank.action import phi_left, phi_matrices, phi_right
 from augrank.augment import (
     ACCEPT_TOL,
+    CHUNK,
     FD_STEP,
     FLOOR,
     FTOL,
@@ -355,7 +359,9 @@ def reference_accepted(ma, stop, tol):
 def reference_chunk(resid, z0, tol, stall=True):
     """_lm_chunk's sequential rule: per iteration, a Jacobian fold, then one fold per damping level.
 
-    With stall=False a row never stops as stalled: the rule before FTOL.
+    Once a row is accepted, the rows after the lowest accepted one stop
+    running and keep "".  With stall=False a row never stops as stalled:
+    the rule before FTOL.
     """
     def jacobian(z, c):  # forward differences, shape (B, m, d)
         h = FD_STEP * np.maximum(1.0, np.abs(z))
@@ -377,8 +383,10 @@ def reference_chunk(resid, z0, tol, stall=True):
     with np.errstate(over="ignore", invalid="ignore"):
         c = resid(z := z0.astype(complex))
         cost, ma, lam, stop = _cost(c), np.abs(c).max(axis=1), np.full(len(z), LAM_START), np.full(len(z), "", object)
+        order = np.arange(len(z))
         for it in range(MAX_ITER + 1):
-            running = stop == ""
+            won = np.flatnonzero(reference_accepted(ma, stop, tol))
+            running = (stop == "") & (order < won.min(initial=len(z)))
             live = np.flatnonzero(running)
             stop[live[~np.isfinite(cost[live])]] = "non_finite"
             stop[live[np.isfinite(cost[live]) & (ma[live] < FLOOR)]] = "floor"
@@ -460,7 +468,8 @@ class TestTrialRounds:
     @pytest.mark.parametrize(
         "beta, restarts, tol, stops",
         [
-            (C10_WORD, range(8), ACCEPT_TOL, {"floor", "stalled", "max_iter"}),
+            # restart 2 is accepted while restart 1 runs on to max_iter; 3, 5 and 6 are cut off
+            (C10_WORD, range(8), ACCEPT_TOL, {"floor", "stalled", "max_iter", ""}),
             (C10_WORD, range(8), -np.inf, {"floor", "stalled", "max_iter"}),
             (C11_WORD, range(8), ACCEPT_TOL, {"stalled"}),
             (OVERFLOW_WORD, (4, 10, 13), ACCEPT_TOL, {"no_descent", "damping_overflow"}),
@@ -525,6 +534,101 @@ class TestTrialRounds:
         assert_matches_reference(resid, z0, ACCEPT_TOL)
         z0 = restart_starts(OVERFLOW_WORD, 0, (10, 13))
         assert_matches_reference(_sign_residual(OVERFLOW_WORD), z0, ACCEPT_TOL)
+
+
+def lead_then(*lead, rest):
+    """A chunk schedule for _chunks: the sizes in lead, then rest at a time, cut to the budget."""
+    def chunks(restarts):
+        sizes = []
+        for size in itertools.chain(lead, itertools.repeat(rest)):
+            if restarts <= 0:
+                return sizes
+            sizes.append(min(size, restarts))
+            restarts -= size
+    return chunks
+
+
+# each chunk schedule as the monkeypatch edits that set it; no edit is _chunks's own rule
+SCHEDULES = {
+    "1,64,64": [],
+    "1,8,64": [("_chunks", lead_then(1, 8, rest=64))],
+    "1,1,1": [("CHUNK", 1)],
+    "8,64": [("_chunks", lead_then(8, rest=64))],
+}
+# searches whose outcome the chunk schedule must leave byte for byte: criterion
+# 11's evidence, criterion 10's word at the seeds of 0-39 where restart 0 is
+# not the winner (restart 2 at seed 0, restart 1 at the others), a search with
+# every stop reason of OVERFLOW_WORD, and a certify search
+SCHEDULE_FREE = {
+    "c11": (C11_WORD, 64, 0),
+    **{f"c10-seed{seed}": (C10_WORD, 256, seed) for seed in (0, 6, 28, 36)},
+    "overflow": (OVERFLOW_WORD, 16, 0),
+    "T(3,4)": (torus_braid(3, 4), 256, 0),
+}
+
+
+@functools.cache
+def expected_search(name):
+    """The JSON of a SCHEDULE_FREE search under _chunks's own rule."""
+    beta, restarts, seed = SCHEDULE_FREE[name]
+    return jsonio.dumps(solve_full_rank(beta, SolveOptions(restarts=restarts, seed=seed)).to_obj())
+
+
+class TestChunkSchedule:
+    """The chunk sizes are a cost choice: they never change a search's outcome."""
+
+    @pytest.mark.parametrize(
+        "restarts, sizes",
+        [(0, []), (1, [1]), (2, [1, 1]), (64, [1, 63]), (65, [1, 64]), (66, [1, 64, 1]), (130, [1, 64, 64, 1])],
+    )
+    def test_restart_0_alone_then_full_chunks(self, restarts, sizes):
+        assert CHUNK == 64
+        assert augment._chunks(restarts) == sizes
+
+    @pytest.mark.parametrize("schedule", list(SCHEDULES))
+    @pytest.mark.parametrize("name", list(SCHEDULE_FREE))
+    def test_outcome_is_schedule_free(self, monkeypatch, schedule, name):
+        want = expected_search(name)
+        for attr, value in SCHEDULES[schedule]:
+            monkeypatch.setattr(augment, attr, value)
+        beta, restarts, seed = SCHEDULE_FREE[name]
+        assert jsonio.dumps(solve_full_rank(beta, SolveOptions(restarts=restarts, seed=seed)).to_obj()) == want
+
+    def test_cut_off_rows_enter_no_fold(self, monkeypatch):
+        # seed 0 on criterion 10's word with restarts 0-7 in one chunk: restart 2
+        # is accepted while restart 1 runs on to max_iter and restarts 3, 5 and
+        # 6 still run; from then on every fold point is one that restart 0 or 1
+        # folds when run alone
+        want, resid, accepted = expected_search("c10-seed0"), _sign_residual(C10_WORD), augment._accepted
+        alone = set()
+        for z0 in restart_starts(C10_WORD, 0, [0, 1]):
+            _lm_chunk(lambda z: alone.update(map(bytes, z)) or resid(z), z0[None], ACCEPT_TOL)
+        events = []  # ("fold", points) and ("won", the accepted rows), in call order
+
+        def counted(z):
+            events.append(("fold", z.copy()))
+            return resid(z)
+
+        def watched(ma, codes, tol):
+            won = accepted(ma, codes, tol)
+            events.append(("won", won.nonzero()[0]))
+            return won
+
+        monkeypatch.setattr(augment, "_sign_residual", lambda beta: counted)
+        monkeypatch.setattr(augment, "_accepted", watched)
+        monkeypatch.setattr(augment, "_chunks", lead_then(8, rest=64))
+        out = solve_full_rank(C10_WORD, SolveOptions(restarts=256, seed=0))
+        assert jsonio.dumps(out.to_obj()) == want
+        # restarts 7 and 4 are accepted first, each cutting off the rows after it
+        lowest = [won[0] for kind, won in events if kind == "won" and won.size]
+        assert lowest[0] > 2 and lowest[-1] == 2
+        first = next(k for k, (kind, won) in enumerate(events) if kind == "won" and won[:1].tolist() == [2])
+        later = [z for kind, z in events[first:] if kind == "fold"]
+        assert sum(map(len, later)) > 0
+        assert all(bytes(point) in alone for z in later for point in z)
+        # before the cut-off, restarts 3-7 folded points that restarts 0 and 1 never do
+        early = [z for kind, z in events[:first] if kind == "fold"]
+        assert not all(bytes(point) in alone for z in early for point in z)
 
 
 def reference_letter_step(x, e, sub_mul, last=False):

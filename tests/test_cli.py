@@ -391,6 +391,11 @@ BAD_INPUT_CASES = (
         (("ar-search", "--n", "2", "--word", ""), None, 1, "error: closure must be a knot\n"),
         (CONSTRUCT, _set_word([]), 1, "error: companion closure is not a knot\n"),
         (VERIFY, _set_word([]), 1, "error: closure must be a knot\n"),
+        # residuals at 1e-31 but the relations off: a lambda off its mu, and a
+        # lambda mu^w that underflows to 0 (the relations divide by it)
+        (VERIFY, lambda obj: obj.update({"lambda": {"re": 5.0, "im": 0.0}}), 2, "ideal_residual: 9.455e+00"),
+        (VERIFY, lambda obj: obj.update(mu={"re": 1e-300, "im": 0.0}), 2, "ideal_residual: inf"),
+        (CONSTRUCT, lambda obj: obj.update(mu={"re": 1e-300, "im": 0.0}), 1, "ideal inf) over 1e-09"),
     ]
 )
 
