@@ -223,7 +223,8 @@ def _evaluate(resid: Callable[[np.ndarray], np.ndarray], z: np.ndarray) -> tuple
     points = np.repeat(z[:, None, :], m + 1, axis=1)
     points.reshape(b, -1)[:, m :: m + 1] += h  # points[:, j + 1, j]
     out = resid(points.reshape(b * (m + 1), m)).reshape(b, m + 1, -1)
-    return out[:, 0].copy(), (out[:, 1:] - out[:, :1]) / h[:, :, None]
+    # times the real 1 / h: the same numbers as dividing by h, which numpy would promote to complex
+    return out[:, 0].copy(), (out[:, 1:] - out[:, :1]) * (1.0 / h)[:, :, None]
 
 
 def _normal_equations(jac: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,7 +264,9 @@ def _accepted(ma: np.ndarray, codes: np.ndarray, tol: float) -> np.ndarray:
 class _Chunk:
     """The restarts of one chunk: points, residuals, costs, damping and stops.
 
-    jac[k] is the Jacobian at z[k] for every running row k.
+    jac[k] is the Jacobian at z[k] for every running row k.  descend gives
+    each row it is passed one trial at that row's damping; where a row is in
+    its iteration is _lm_chunk's to track.
     """
 
     def __init__(self, resid: Callable[[np.ndarray], np.ndarray], z0: np.ndarray):
@@ -324,18 +327,20 @@ def _lm_chunk(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimize 0.5 |c(z)|^2 from every row of z0, the rows in lockstep.
 
-    Each row keeps its own damping and stops for one of STOP_REASONS.  Only
-    running rows enter a fold, and no row's arithmetic reads another row, so
-    a row ends where it would end alone.  Once some row is accepted (max-abs
+    Each row keeps its own damping, iteration count and normal equations,
+    and stops for one of STOP_REASONS.  A step gives every running row one
+    damping trial (see _Chunk.descend): a row either starts an iteration,
+    with its stop checks and its normal equations at its point, or retries
+    its current one at the tenfold damping of its last miss.  All of a
+    step's trials share one fold, and no row's arithmetic reads another row,
+    so a row ends where it would end alone.  An iteration ends with a descent
+    or after TRIALS misses (no_descent).  Once some row is accepted (max-abs
     residual <= tol), the rows after the lowest accepted row enter no further
-    fold: the lowest-index accepted restart wins, so they cannot change the
-    outcome.  The chunk ends once every row before the lowest accepted one
-    has stopped (every row, while none is accepted); rows cut off there keep
-    the stop code 0.  Returns the final points, their max-abs residuals and
-    the stop codes.
-
-    An iteration tries up to TRIALS damping levels per row, one level per
-    fold, each trial point folded with its Jacobian (see _Chunk.descend).
+    fold, frozen where that step left them: the lowest-index accepted
+    restart wins, so they cannot change the outcome.  The chunk ends once
+    every row before the lowest accepted one has stopped (every row, while
+    none is accepted); rows cut off there keep the stop code 0.  Returns the
+    final points, their max-abs residuals and the stop codes.
 
     A row that descends by at most FTOL times its cost while its max-abs
     residual is at least POLISH_BELOW stops as stalled, keeping the step:
@@ -347,38 +352,43 @@ def _lm_chunk(
     with np.errstate(over="ignore", invalid="ignore"):
         chunk = _Chunk(resid, z0)
         ma, stop = chunk.ma, chunk.stop
-        cut = len(stop)  # the lowest accepted row; no row from it on runs
-        for it in range(MAX_ITER + 1):
-            running = stop == 0
-            running[cut:] = False
-            live = running.nonzero()[0]
-            bad = ~np.isfinite(chunk.cost[live])
-            stop[live[bad]] = _NON_FINITE
-            live = live[~bad]
-            low = ma[live] < FLOOR
-            stop[live[low]] = _FLOOR
-            live = live[~low]
-            if it == MAX_ITER:
-                stop[live] = _MAX_ITER
-            elif live.size:
-                grad, jtj = _normal_equations(chunk.jac[live], chunk.c[live])
-                bad = ~(np.isfinite(grad).all(axis=1) & np.isfinite(jtj).all(axis=(1, 2)))
-                stop[live[bad]] = _NON_FINITE
-                live, grad, jtj = live[~bad], grad[~bad], jtj[~bad]
-                dg = np.maximum(np.diagonal(jtj, axis1=1, axis2=2).real, 1e-12)
-                todo = np.arange(live.size)
-                for _ in range(TRIALS):
-                    if todo.size:
-                        todo = todo[chunk.descend(live[todo], grad[todo], jtj[todo], dg[todo])]
-                stop[live[todo]] = _NO_DESCENT
-            just = (running & (stop != 0) & (stop != _NON_FINITE)).nonzero()[0]
-            just = just[ma[just] < POLISH_BELOW]
-            if just.size:
-                chunk.polish(just)
-            won = _accepted(ma, stop, tol).nonzero()[0]
-            cut = won[0] if won.size else cut
-            if stop[:cut].all():
-                break
+        b, m = chunk.z.shape
+        iters = np.zeros(b, dtype=int)  # descents so far
+        missed = np.zeros(b, dtype=int)  # levels missed in the current iteration; 0 starts a new one
+        grad, jtj, dg = np.empty((b, m), complex), np.empty((b, m, m), complex), np.empty((b, m))
+        cut = b  # the lowest accepted row; no row from it on runs
+        while not stop[:cut].all():
+            running = (stop[:cut] == 0).nonzero()[0]
+            new = running[missed[running] == 0]  # the rows starting an iteration
+            if new.size:
+                bad = ~np.isfinite(chunk.cost[new])
+                stop[new[bad]] = _NON_FINITE
+                new = new[~bad]
+                low = ma[new] < FLOOR
+                stop[new[low]] = _FLOOR
+                new = new[~low]
+                done = iters[new] == MAX_ITER
+                stop[new[done]] = _MAX_ITER
+                new = new[~done]
+                g, a = _normal_equations(chunk.jac[new], chunk.c[new])
+                bad = ~(np.isfinite(g).all(axis=1) & np.isfinite(a).all(axis=(1, 2)))
+                stop[new[bad]] = _NON_FINITE
+                grad[new], jtj[new] = g, a
+                dg[new] = np.maximum(np.diagonal(a, axis1=1, axis2=2).real, 1e-12)
+            live = running[stop[running] == 0]
+            if live.size:
+                miss = chunk.descend(live, grad[live], jtj[live], dg[live])
+                iters[live[~miss]] += 1
+                missed[live[~miss]] = 0
+                missed[live[miss]] += 1
+                stop[live[missed[live] == TRIALS]] = _NO_DESCENT
+            just = running[stop[running] != 0]
+            if just.size:  # only a row that stops in a step can be accepted in it
+                polish = just[(stop[just] != _NON_FINITE) & (ma[just] < POLISH_BELOW)]
+                if polish.size:
+                    chunk.polish(polish)
+                won = _accepted(ma, stop, tol).nonzero()[0]
+                cut = won[0] if won.size else cut
         return chunk.z, ma, stop
 
 
@@ -411,8 +421,9 @@ class Certificate:
 
     @property
     def accepted(self) -> bool:
-        """Both sign residuals and the ideal residual at most tol; inf or NaN never is."""
-        return all(r <= self.tol for r in (self.residual_L, self.residual_R, self.ideal_residual))
+        """Maximal rank, and both sign residuals and the ideal residual at most tol; inf or NaN never is."""
+        residuals = (self.residual_L, self.residual_R, self.ideal_residual)
+        return self.rank == self.braid.n and all(r <= self.tol for r in residuals)
 
     @classmethod
     def measure(
@@ -596,7 +607,8 @@ def solve_full_rank(beta: BraidWord, options: SolveOptions = SolveOptions()) -> 
     """Multi-start search for generator values satisfying the sign-matrix equations.
 
     Restart t starts from the t-th substream spawned from the seed.  Restart
-    0 runs alone, then the rest CHUNK at a time (see _chunks), and the
+    0 runs alone, then the rest CHUNK at a time (see _chunks), each chunk's
+    running restarts taking one damping trial each per fold, and the
     lowest-index accepted restart wins, the one a restart-by-restart search
     would return first; so the outcome is a deterministic function of (seed,
     restarts), whatever the chunk sizes.  A restart is accepted once its
@@ -672,7 +684,7 @@ def construct_satellite_aug(cert_alpha: Certificate, cert_gamma: Certificate) ->
             raise ValueError(
                 f"{name} certificate is not accepted: recomputed residuals "
                 f"({rec.residual_L:.3e}, {rec.residual_R:.3e}, ideal {rec.ideal_residual:.3e}) "
-                f"over {ACCEPT_TOL:g}"
+                f"over {ACCEPT_TOL:g}, rank {rec.rank} of {cert.braid.n}"
             )
 
     if writhe(alpha) % 2 == 0:

@@ -144,6 +144,38 @@ class TestResiduals:
                     assert abs(want - got) <= 1e-10 * max(1.0, abs(want))
 
 
+class TestJacobian:
+    """_evaluate's forward-difference quotient times 1 / h is the division by h."""
+
+    @staticmethod
+    def quotients(beta, z):
+        # _evaluate's Jacobian and the division form, from the same fold
+        outs, resid = [], _sign_residual(beta)
+        _, jac = augment._evaluate(lambda p: outs.append(resid(p)) or outs[-1], z)
+        out = outs[0].reshape(len(z), z.shape[1] + 1, -1)
+        h = FD_STEP * np.maximum(1.0, np.abs(z))
+        return jac, (out[:, 1:] - out[:, :1]) / h[:, :, None]
+
+    def test_equals_division(self):
+        # numpy divides by a real h promoted to complex as (re, im) times 1 / h
+        rng = np.random.default_rng(11)
+        z = 10 ** rng.uniform(-3, 3, (63, 12)) * np.exp(2j * np.pi * rng.uniform(size=(63, 12)))
+        jac, div = self.quotients(C11_WORD, z)
+        assert np.isfinite(div).all()
+        assert np.array_equal(jac, div)
+
+    def test_non_finite_entries_stay_non_finite(self):
+        # T(2,601)'s fold overflows past |z| near 3: the same entries break down
+        rng = np.random.default_rng(12)
+        z = rng.uniform(2, 5, (16, 2)) * np.exp(2j * np.pi * rng.uniform(size=(16, 2)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac, div = self.quotients(torus_braid(2, 601), z)
+        finite = np.isfinite(div)
+        assert 0 < finite.sum() < finite.size
+        assert np.array_equal(np.isfinite(jac), finite)
+        assert np.array_equal(jac[finite], div[finite])
+
+
 class TestFold:
     def test_batched_output_is_c_contiguous(self):
         # the solver's cost sums each residual row in memory order, so a
@@ -357,11 +389,15 @@ def reference_accepted(ma, stop, tol):
 
 
 def reference_chunk(resid, z0, tol, stall=True):
-    """_lm_chunk's sequential rule: per iteration, a Jacobian fold, then one fold per damping level.
+    """_lm_chunk's rule, step by step: every running row takes one damping trial per step.
 
-    Once a row is accepted, the rows after the lowest accepted one stop
-    running and keep "".  With stall=False a row never stops as stalled:
-    the rule before FTOL.
+    A row whose last trial descended (or that has not yet tried) starts an
+    iteration: its stop checks, then its normal equations from a Jacobian
+    fold of its own.  A row whose last trial missed retries its iteration
+    at its raised damping; after TRIALS trials it stops as no_descent.
+    After each step the rows after the lowest accepted row stop running,
+    frozen there, and keep "".  With stall=False a row never stops as
+    stalled: the rule before FTOL.
     """
     def jacobian(z, c):  # forward differences, shape (B, m, d)
         h = FD_STEP * np.maximum(1.0, np.abs(z))
@@ -384,48 +420,48 @@ def reference_chunk(resid, z0, tol, stall=True):
         c = resid(z := z0.astype(complex))
         cost, ma, lam, stop = _cost(c), np.abs(c).max(axis=1), np.full(len(z), LAM_START), np.full(len(z), "", object)
         order = np.arange(len(z))
-        for it in range(MAX_ITER + 1):
+        descents, tries = np.zeros(len(z), int), np.zeros(len(z), int)  # tries: trials of the current iteration
+        system = {}  # row -> (J^H c, J^H J, damping diagonal) of its current iteration
+        while True:
             won = np.flatnonzero(reference_accepted(ma, stop, tol))
             running = (stop == "") & (order < won.min(initial=len(z)))
-            live = np.flatnonzero(running)
-            stop[live[~np.isfinite(cost[live])]] = "non_finite"
-            stop[live[np.isfinite(cost[live]) & (ma[live] < FLOOR)]] = "floor"
-            live = live[np.isfinite(cost[live]) & (ma[live] >= FLOOR)]
-            if it == MAX_ITER:
-                stop[live] = "max_iter"
-            elif live.size:
-                grad, jtj = _normal_equations(jacobian(z[live], c[live]), c[live])
+            if not running.any():
+                return z, ma, stop
+            fresh = np.flatnonzero(running & (tries == 0))
+            stop[fresh[~np.isfinite(cost[fresh])]] = "non_finite"
+            stop[fresh[np.isfinite(cost[fresh]) & (ma[fresh] < FLOOR)]] = "floor"
+            fresh = fresh[np.isfinite(cost[fresh]) & (ma[fresh] >= FLOOR)]
+            stop[fresh[descents[fresh] == MAX_ITER]] = "max_iter"
+            fresh = fresh[descents[fresh] < MAX_ITER]
+            if fresh.size:
+                grad, jtj = _normal_equations(jacobian(z[fresh], c[fresh]), c[fresh])
                 bad = ~(np.isfinite(grad).all(axis=1) & np.isfinite(jtj).all(axis=(1, 2)))
-                stop[live[bad]] = "non_finite"
-                live, grad, jtj = live[~bad], grad[~bad], jtj[~bad]
-                dg = np.maximum(np.diagonal(jtj, axis1=1, axis2=2).real, 1e-12)
-                pending = np.arange(live.size)
-                for _ in range(TRIALS):
-                    if not pending.size:
-                        break
-                    rows = live[pending]
-                    steps, ok = augment._damped_steps(jtj[pending], dg[pending], lam[rows], grad[pending])
-                    lam[rows[~ok]] *= 10.0
-                    tried, rows = pending[ok], rows[ok]
-                    ct = resid(zt := z[rows] + steps[ok])
-                    costt = _cost(ct)
-                    down = costt < cost[rows]
-                    hit, miss = rows[down], rows[~down]
-                    small = cost[hit] - costt[down] <= FTOL * cost[hit]
-                    z[hit], c[hit], cost[hit], ma[hit] = zt[down], ct[down], costt[down], np.abs(ct[down]).max(axis=1)
-                    if stall:
-                        stop[hit[small & (ma[hit] >= POLISH_BELOW)]] = "stalled"
-                    lam[hit] = np.maximum(lam[hit] / 3.0, LAM_MIN)
-                    lam[miss] *= 10.0
-                    stop[miss[lam[miss] > LAM_MAX]] = "damping_overflow"
-                    pending = np.sort(np.concatenate([pending[~ok], tried[~down][lam[miss] <= LAM_MAX]]))
-                stop[live[pending]] = "no_descent"
+                stop[fresh[bad]] = "non_finite"
+                for k, g, a in zip(fresh[~bad], grad[~bad], jtj[~bad]):
+                    system[k] = g, a, np.maximum(np.diagonal(a).real, 1e-12)
+            rows = np.flatnonzero(running & (stop == ""))
+            if rows.size:
+                grad, jtj, dg = (np.array([system[k][part] for k in rows]) for part in range(3))
+                steps, ok = augment._damped_steps(jtj, dg, lam[rows], grad)
+                tries[rows] += 1
+                lam[rows[~ok]] *= 10.0
+                tried = rows[ok]
+                ct = resid(zt := z[tried] + steps[ok])
+                costt = _cost(ct)
+                down = costt < cost[tried]
+                hit, miss = tried[down], tried[~down]
+                small = cost[hit] - costt[down] <= FTOL * cost[hit]
+                z[hit], c[hit], cost[hit], ma[hit] = zt[down], ct[down], costt[down], np.abs(ct[down]).max(axis=1)
+                if stall:
+                    stop[hit[small & (ma[hit] >= POLISH_BELOW)]] = "stalled"
+                lam[hit] = np.maximum(lam[hit] / 3.0, LAM_MIN)
+                descents[hit] += 1
+                tries[hit] = 0
+                lam[miss] *= 10.0
+                stop[miss[lam[miss] > LAM_MAX]] = "damping_overflow"
+                stop[rows[(stop[rows] == "") & (tries[rows] == TRIALS)]] = "no_descent"
             just = np.flatnonzero(running & (stop != "") & (stop != "non_finite"))
             polish(z, c, ma, just[ma[just] < POLISH_BELOW])
-            won = np.flatnonzero(reference_accepted(ma, stop, tol))
-            if (stop != "").all() or (won.size and (stop[: won[0]] != "").all()):
-                break
-        return z, ma, stop
 
 
 def assert_matches_reference(resid, z0, tol):
@@ -535,6 +571,21 @@ class TestTrialRounds:
         z0 = restart_starts(OVERFLOW_WORD, 0, (10, 13))
         assert_matches_reference(_sign_residual(OVERFLOW_WORD), z0, ACCEPT_TOL)
 
+    def test_one_fold_per_step(self):
+        # criterion 11's word, restarts 0-63 of seed 0 in one chunk: every row
+        # stalls above POLISH_BELOW, so none is polished or accepted, and the
+        # chunk folds exactly as often as its longest row does alone
+        resid, z0 = _sign_residual(C11_WORD), restart_starts(C11_WORD, 0, range(64))
+
+        def folds(z0):
+            calls = []
+            _, ma, stop = _lm_chunk(lambda z: calls.append(len(z)) or resid(z), z0, ACCEPT_TOL)
+            assert stop_names(stop) == ["stalled"] * len(z0) and (ma >= POLISH_BELOW).all()
+            return len(calls)
+
+        alone = [folds(z0[k : k + 1]) for k in range(64)]
+        assert folds(z0) == max(alone) < sum(alone)
+
 
 def lead_then(*lead, rest):
     """A chunk schedule for _chunks: the sizes in lead, then rest at a time, cut to the budget."""
@@ -593,6 +644,17 @@ class TestChunkSchedule:
             monkeypatch.setattr(augment, attr, value)
         beta, restarts, seed = SCHEDULE_FREE[name]
         assert jsonio.dumps(solve_full_rank(beta, SolveOptions(restarts=restarts, seed=seed)).to_obj()) == want
+
+    @pytest.mark.parametrize("seed, winner", [(0, 2), (6, 1), (28, 1), (36, 1)])
+    def test_c10_winner_ends_where_it_ends_alone(self, seed, winner):
+        # the certificate is the point where the lowest restart accepted when
+        # run alone ends; every restart before it runs alone to a miss
+        resid = _sign_residual(C10_WORD)
+        alone = [_lm_chunk(resid, z0[None], ACCEPT_TOL) for z0 in restart_starts(C10_WORD, seed, range(winner + 1))]
+        assert [_accepted(ma, stop, ACCEPT_TOL)[0] for _, ma, stop in alone] == [False] * winner + [True]
+        cert = jsonio.loads(expected_search(f"c10-seed{seed}"))
+        assert [complex(g["re"], g["im"]) for g in cert["generators"]] == list(alone[winner][0][0])
+        assert (cert["seed"], cert["restarts"], cert["rank"]) == (seed, 256, 4)
 
     def test_cut_off_rows_enter_no_fold(self, monkeypatch):
         # seed 0 on criterion 10's word with restarts 0-7 in one chunk: restart 2

@@ -1,4 +1,6 @@
+import cmath
 import json
+import math
 import warnings
 
 import pytest
@@ -334,6 +336,14 @@ def _overflow_mu(obj):
     obj["mu"] = {"re": 3.0, "im": 0.0}
 
 
+def _rank_deficient(obj):
+    # the trefoil's a12 = a21 = 1 at mu = exp(i pi / 3), lambda = -mu^-3
+    mu = cmath.exp(1j * math.pi / 3)
+    obj["generators"] = [{"i": i, "j": j, "re": 1.0, "im": 0.0} for i, j in ((1, 2), (2, 1))]
+    obj["mu"], obj["lambda"] = {"re": mu.real, "im": mu.imag}, {"re": (-mu**-3).real, "im": (-mu**-3).imag}
+    obj["rank"] = 1
+
+
 # (argv, edit applied to a good trefoil certificate, exit code, what stderr
 # says at exit 1 or stdout at exit 2); an edit that returns a str writes that
 # text in place of the edited JSON; a usage error exits 1 like any other bad
@@ -396,6 +406,9 @@ BAD_INPUT_CASES = (
         (VERIFY, lambda obj: obj.update({"lambda": {"re": 5.0, "im": 0.0}}), 2, "ideal_residual: 9.455e+00"),
         (VERIFY, lambda obj: obj.update(mu={"re": 1e-300, "im": 0.0}), 2, "ideal_residual: inf"),
         (CONSTRUCT, lambda obj: obj.update(mu={"re": 1e-300, "im": 0.0}), 1, "ideal inf) over 1e-09"),
+        # an exact solution where det A(mu) = 1 - mu + mu^2 = 0: rank 1 of 2, as stored
+        (VERIFY, _rank_deficient, 2, "rank: 1\nNOT accepted"),
+        (CONSTRUCT, _rank_deficient, 1, "companion certificate is not accepted"),
     ]
 )
 
