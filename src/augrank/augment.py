@@ -261,65 +261,21 @@ def _accepted(ma: np.ndarray, codes: np.ndarray, tol: float) -> np.ndarray:
     return (codes != 0) & (codes != _NON_FINITE) & (ma <= tol)
 
 
-class _Chunk:
-    """The restarts of one chunk: points, residuals, costs, damping and stops.
+def _polish(resid, z, c, ma, jac, rows) -> None:
+    """Up to two undamped Gauss-Newton steps per row of rows (not empty), kept while max-abs falls.
 
-    jac[k] is the Jacobian at z[k] for every running row k.  descend gives
-    each row it is passed one trial at that row's damping; where a row is in
-    its iteration is _lm_chunk's to track.
+    z, c, ma and jac are _lm_chunk's arrays, updated in place.
     """
-
-    def __init__(self, resid: Callable[[np.ndarray], np.ndarray], z0: np.ndarray):
-        b = len(z0)
-        self.resid = resid
-        self.z = z0.astype(complex)
-        self.c, self.jac = _evaluate(resid, self.z)
-        self.cost, self.ma = _cost(self.c), np.abs(self.c).max(axis=1)
-        self.lam = np.full(b, LAM_START)
-        self.stop = np.zeros(b, dtype=np.int8)  # stop codes, 0 while running
-
-    def descend(self, rows, grad, jtj, dg) -> np.ndarray:
-        """Try each row at its own damping level lam, folding the trial points with their Jacobians.
-
-        A row moves if its trial point lowers its cost, and its lam falls to
-        lam / 3; it stops there as stalled if the cost fell by at most FTOL
-        times it while its max-abs residual stays at least POLISH_BELOW.  Any
-        other row's lam rises tenfold, and a miss (not a singular system) that
-        takes it past LAM_MAX stops the row as damping_overflow.  Returns a
-        mask of the rows still without a descent step.
-        """
-        steps, ok = _damped_steps(jtj, dg, self.lam[rows], grad)
-        down = np.zeros(len(rows), dtype=bool)
-        if ok.any():
-            zt = self.z[rows[ok]] + steps[ok]
-            ct, jt = _evaluate(self.resid, zt)
-            costt = _cost(ct)
-            hit = costt < self.cost[rows[ok]]
-            down[ok] = hit
-            h, zt, ct, costt = rows[down], zt[hit], ct[hit], costt[hit]
-            stalled = self.cost[h] - costt <= FTOL * self.cost[h]
-            self.z[h], self.c[h], self.cost[h], self.jac[h] = zt, ct, costt, jt[hit]
-            self.ma[h] = np.abs(ct).max(axis=1)
-            self.stop[h[stalled & (self.ma[h] >= POLISH_BELOW)]] = _STALLED
-            self.lam[h] = np.maximum(self.lam[h] / 3.0, LAM_MIN)
-        self.lam[rows[~down]] *= 10.0
-        over = ok & ~down & (self.lam[rows] > LAM_MAX)
-        self.stop[rows[over]] = _DAMPING_OVERFLOW
-        return ~down & ~over
-
-    def polish(self, rows: np.ndarray) -> None:
-        """Up to two undamped Gauss-Newton steps per row of rows (not empty), kept while max-abs falls."""
-        for _ in range(2):
-            jac, c = self.jac[rows], self.c[rows]
-            steps = np.array([np.linalg.lstsq(j.T, -r, rcond=None)[0] for j, r in zip(jac, c)])
-            ct, jt = _evaluate(self.resid, self.z[rows] + steps)
-            mt = np.abs(ct).max(axis=1)
-            down = mt < self.ma[rows]
-            rows = rows[down]
-            self.z[rows] += steps[down]
-            self.c[rows], self.ma[rows], self.jac[rows] = ct[down], mt[down], jt[down]
-            if not rows.size:
-                return
+    for _ in range(2):
+        steps = np.array([np.linalg.lstsq(j.T, -r, rcond=None)[0] for j, r in zip(jac[rows], c[rows])])
+        ct, jt = _evaluate(resid, z[rows] + steps)
+        mt = np.abs(ct).max(axis=1)
+        down = mt < ma[rows]
+        rows = rows[down]
+        z[rows] += steps[down]
+        c[rows], ma[rows], jac[rows] = ct[down], mt[down], jt[down]
+        if not rows.size:
+            return
 
 
 def _lm_chunk(
@@ -327,20 +283,24 @@ def _lm_chunk(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimize 0.5 |c(z)|^2 from every row of z0, the rows in lockstep.
 
-    Each row keeps its own damping, iteration count and normal equations,
-    and stops for one of STOP_REASONS.  A step gives every running row one
-    damping trial (see _Chunk.descend): a row either starts an iteration,
-    with its stop checks and its normal equations at its point, or retries
-    its current one at the tenfold damping of its last miss.  All of a
-    step's trials share one fold, and no row's arithmetic reads another row,
-    so a row ends where it would end alone.  An iteration ends with a descent
-    or after TRIALS misses (no_descent).  Once some row is accepted (max-abs
-    residual <= tol), the rows after the lowest accepted row enter no further
-    fold, frozen where that step left them: the lowest-index accepted
-    restart wins, so they cannot change the outcome.  The chunk ends once
-    every row before the lowest accepted one has stopped (every row, while
-    none is accepted); rows cut off there keep the stop code 0.  Returns the
-    final points, their max-abs residuals and the stop codes.
+    Each row keeps its own point, Jacobian, damping lam, iteration count and
+    normal equations, and stops for one of STOP_REASONS.  A step gives every
+    running row one damping trial: a row either starts an iteration, with
+    its stop checks and its normal equations at its point, or retries its
+    current one at its raised damping.  All of a step's trials share one
+    fold, and no row's arithmetic reads another row, so a row ends where it
+    would end alone.  A trial that lowers the row's cost is a descent: the
+    row moves there and lam falls to lam / 3.  Any other trial multiplies
+    lam by 10; a miss that takes it past LAM_MAX stops the row
+    (damping_overflow), but a singular level passes on with no overflow
+    check.  An iteration ends with a descent or after TRIALS trials
+    (no_descent).  Once some row is accepted (max-abs residual <= tol), the
+    rows after the lowest accepted row enter no further fold, frozen where
+    that step left them: the lowest-index accepted restart wins, so they
+    cannot change the outcome.  The chunk ends once every row before the
+    lowest accepted one has stopped (every row, while none is accepted);
+    rows cut off there keep the stop code 0.  Returns the final points,
+    their max-abs residuals and the stop codes.
 
     A row that descends by at most FTOL times its cost while its max-abs
     residual is at least POLISH_BELOW stops as stalled, keeping the step:
@@ -350,9 +310,12 @@ def _lm_chunk(
     POLISH_BELOW guard keeps the test off the rows that are there.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        chunk = _Chunk(resid, z0)
-        ma, stop = chunk.ma, chunk.stop
-        b, m = chunk.z.shape
+        z = z0.astype(complex)
+        c, jac = _evaluate(resid, z)  # jac[k] is the Jacobian at z[k] for every running row k
+        cost, ma = _cost(c), np.abs(c).max(axis=1)
+        b, m = z.shape
+        lam = np.full(b, LAM_START)
+        stop = np.zeros(b, dtype=np.int8)  # stop codes, 0 while running
         iters = np.zeros(b, dtype=int)  # descents so far
         missed = np.zeros(b, dtype=int)  # levels missed in the current iteration; 0 starts a new one
         grad, jtj, dg = np.empty((b, m), complex), np.empty((b, m, m), complex), np.empty((b, m))
@@ -361,7 +324,7 @@ def _lm_chunk(
             running = (stop[:cut] == 0).nonzero()[0]
             new = running[missed[running] == 0]  # the rows starting an iteration
             if new.size:
-                bad = ~np.isfinite(chunk.cost[new])
+                bad = ~np.isfinite(cost[new])
                 stop[new[bad]] = _NON_FINITE
                 new = new[~bad]
                 low = ma[new] < FLOOR
@@ -370,26 +333,41 @@ def _lm_chunk(
                 done = iters[new] == MAX_ITER
                 stop[new[done]] = _MAX_ITER
                 new = new[~done]
-                g, a = _normal_equations(chunk.jac[new], chunk.c[new])
+                g, a = _normal_equations(jac[new], c[new])
                 bad = ~(np.isfinite(g).all(axis=1) & np.isfinite(a).all(axis=(1, 2)))
                 stop[new[bad]] = _NON_FINITE
                 grad[new], jtj[new] = g, a
                 dg[new] = np.maximum(np.diagonal(a, axis1=1, axis2=2).real, 1e-12)
             live = running[stop[running] == 0]
             if live.size:
-                miss = chunk.descend(live, grad[live], jtj[live], dg[live])
-                iters[live[~miss]] += 1
-                missed[live[~miss]] = 0
-                missed[live[miss]] += 1
-                stop[live[missed[live] == TRIALS]] = _NO_DESCENT
+                steps, ok = _damped_steps(jtj[live], dg[live], lam[live], grad[live])
+                down = np.zeros(live.size, dtype=bool)
+                if ok.any():
+                    zt = z[live[ok]] + steps[ok]
+                    ct, jt = _evaluate(resid, zt)
+                    costt = _cost(ct)
+                    down[ok] = hit = costt < cost[live[ok]]
+                    h, zt, ct, costt = live[down], zt[hit], ct[hit], costt[hit]
+                    stalled = cost[h] - costt <= FTOL * cost[h]
+                    z[h], c[h], cost[h], jac[h], ma[h] = zt, ct, costt, jt[hit], np.abs(ct).max(axis=1)
+                    stop[h[stalled & (ma[h] >= POLISH_BELOW)]] = _STALLED
+                    lam[h] = np.maximum(lam[h] / 3.0, LAM_MIN)
+                    iters[h] += 1
+                    missed[h] = 0
+                    del zt, ct, jt, costt  # a step's trial arrays would otherwise live on through the next
+                miss = live[~down]
+                lam[miss] *= 10.0
+                missed[miss] += 1
+                stop[miss[missed[miss] == TRIALS]] = _NO_DESCENT
+                stop[miss[ok[~down] & (lam[miss] > LAM_MAX)]] = _DAMPING_OVERFLOW
             just = running[stop[running] != 0]
             if just.size:  # only a row that stops in a step can be accepted in it
                 polish = just[(stop[just] != _NON_FINITE) & (ma[just] < POLISH_BELOW)]
                 if polish.size:
-                    chunk.polish(polish)
+                    _polish(resid, z, c, ma, jac, polish)
                 won = _accepted(ma, stop, tol).nonzero()[0]
                 cut = won[0] if won.size else cut
-        return chunk.z, ma, stop
+        return z, ma, stop
 
 
 # ---------------------------------------------------------------------------

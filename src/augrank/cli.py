@@ -66,12 +66,16 @@ def cmd_phi(args) -> int:
 
 def cmd_satellite(args) -> int:
     if args.iterated_torus:
+        if args.alpha is not None or args.k is not None or args.gamma:
+            raise ValueError("satellite --iterated-torus takes no --alpha, --k or --gamma")
         if args.p is None:
             raise ValueError("satellite --iterated-torus needs --p")
         ps = [int(t) for t in args.p.split(",")]
         qs = [int(t) for t in (args.q or "").split(",") if t.strip()]
         braid = iterated_torus_braid(ps, qs)
     else:
+        if args.q is not None:
+            raise ValueError("satellite --q needs --iterated-torus")
         if args.alpha is None or args.k is None or args.p is None:
             raise ValueError("satellite needs --alpha, --k and --p (or --iterated-torus)")
         alpha = BraidWord.from_text(args.k, args.alpha)

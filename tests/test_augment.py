@@ -239,6 +239,28 @@ class TestRank:
         assert numerical_rank(m) == 1
         assert numerical_rank(np.zeros((2, 2))) == 0
 
+    @pytest.mark.parametrize(
+        "call, want",
+        [
+            (lambda: eval_phi_matrices(TREFOIL, np.zeros((3, 3))), ValueError("values must have trailing shape (2, 2)")),
+            (lambda: matrix_a(3, trefoil_assignment()), ValueError("assignment ambient mismatch")),
+            (
+                lambda: Certificate.measure(torus_braid(3, 4), trefoil_assignment(), 0, 1, ACCEPT_TOL),
+                ValueError("assignment ambient mismatch"),
+            ),
+            (lambda: numerical_rank(np.zeros((0, 0))), 0),
+        ],
+        ids=["fold-shape", "matrix_a-ambient", "measure-ambient", "empty-rank"],
+    )
+    def test_edge_inputs(self, call, want):
+        # values on the wrong number of strands are refused; an empty matrix has rank 0
+        if isinstance(want, Exception):
+            with pytest.raises(type(want)) as info:
+                call()
+            assert str(info.value) == str(want)
+        else:
+            assert call() == want
+
 
 class TestSolver:
     def test_trefoil_certificate(self):

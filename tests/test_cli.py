@@ -409,6 +409,11 @@ BAD_INPUT_CASES = (
         # an exact solution where det A(mu) = 1 - mu + mu^2 = 0: rank 1 of 2, as stored
         (VERIFY, _rank_deficient, 2, "rank: 1\nNOT accepted"),
         (CONSTRUCT, _rank_deficient, 1, "companion certificate is not accepted"),
+        # each satellite mode rejects the other mode's options rather than ignoring them
+        (("satellite", "--alpha", "1 1 1", "--k", "2", "--p", "2", "--q", "5"), None, 1,
+         "error: satellite --q needs --iterated-torus\n"),
+        (("satellite", "--iterated-torus", "--p", "2,2", "--q", "3,1", "--alpha", "1", "--k", "7"), None, 1,
+         "error: satellite --iterated-torus takes no --alpha, --k or --gamma\n"),
     ]
 )
 
