@@ -167,8 +167,8 @@ def aug_rank(eps: Assignment, n: int) -> int:
 
 FD_STEP = 1e-7
 FLOOR = 1e-14  # a restart whose max-abs residual falls below this stops
-POLISH_BELOW = 1e-6  # stopped restarts below this get up to two plain Gauss-Newton steps
-FTOL = 1e-8  # a step lowering the cost by at most this fraction of it stalls a restart above POLISH_BELOW
+STALL_ABOVE = 1e-6  # a restart can stall only while its max-abs residual is at least this
+FTOL = 1e-8  # a step lowering the cost by at most this fraction of it stalls a restart at or above STALL_ABOVE
 TRIALS = 10  # damping increases tried per iteration before a restart gives up
 MAX_ITER = 120  # Levenberg-Marquardt iterations per restart
 LAM_START, LAM_MIN, LAM_MAX = 1e-3, 1e-14, 1e12
@@ -261,23 +261,6 @@ def _accepted(ma: np.ndarray, codes: np.ndarray, tol: float) -> np.ndarray:
     return (codes != 0) & (codes != _NON_FINITE) & (ma <= tol)
 
 
-def _polish(resid, z, c, ma, jac, rows) -> None:
-    """Up to two undamped Gauss-Newton steps per row of rows (not empty), kept while max-abs falls.
-
-    z, c, ma and jac are _lm_chunk's arrays, updated in place.
-    """
-    for _ in range(2):
-        steps = np.array([np.linalg.lstsq(j.T, -r, rcond=None)[0] for j, r in zip(jac[rows], c[rows])])
-        ct, jt = _evaluate(resid, z[rows] + steps)
-        mt = np.abs(ct).max(axis=1)
-        down = mt < ma[rows]
-        rows = rows[down]
-        z[rows] += steps[down]
-        c[rows], ma[rows], jac[rows] = ct[down], mt[down], jt[down]
-        if not rows.size:
-            return
-
-
 def _lm_chunk(
     resid: Callable[[np.ndarray], np.ndarray], z0: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -303,11 +286,11 @@ def _lm_chunk(
     their max-abs residuals and the stop codes.
 
     A row that descends by at most FTOL times its cost while its max-abs
-    residual is at least POLISH_BELOW stops as stalled, keeping the step:
+    residual is at least STALL_ABOVE stops as stalled, keeping the step:
     Gauss-Newton converges only linearly at a nonzero minimum, so it would
     crawl there until the damping gives out (the relative ftol test of
     MINPACK's lmder).  Near a zero Gauss-Newton converges fast again, and the
-    POLISH_BELOW guard keeps the test off the rows that are there.
+    STALL_ABOVE guard keeps the test off the rows that are there.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         z = z0.astype(complex)
@@ -350,7 +333,7 @@ def _lm_chunk(
                     h, zt, ct, costt = live[down], zt[hit], ct[hit], costt[hit]
                     stalled = cost[h] - costt <= FTOL * cost[h]
                     z[h], c[h], cost[h], jac[h], ma[h] = zt, ct, costt, jt[hit], np.abs(ct).max(axis=1)
-                    stop[h[stalled & (ma[h] >= POLISH_BELOW)]] = _STALLED
+                    stop[h[stalled & (ma[h] >= STALL_ABOVE)]] = _STALLED
                     lam[h] = np.maximum(lam[h] / 3.0, LAM_MIN)
                     iters[h] += 1
                     missed[h] = 0
@@ -360,13 +343,8 @@ def _lm_chunk(
                 missed[miss] += 1
                 stop[miss[missed[miss] == TRIALS]] = _NO_DESCENT
                 stop[miss[ok[~down] & (lam[miss] > LAM_MAX)]] = _DAMPING_OVERFLOW
-            just = running[stop[running] != 0]
-            if just.size:  # only a row that stops in a step can be accepted in it
-                polish = just[(stop[just] != _NON_FINITE) & (ma[just] < POLISH_BELOW)]
-                if polish.size:
-                    _polish(resid, z, c, ma, jac, polish)
-                won = _accepted(ma, stop, tol).nonzero()[0]
-                cut = won[0] if won.size else cut
+            won = _accepted(ma, stop, tol).nonzero()[0]
+            cut = won[0] if won.size else cut
         return z, ma, stop
 
 

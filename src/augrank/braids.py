@@ -32,7 +32,12 @@ class BraidWord:
     @classmethod
     def from_text(cls, n: int, text: str) -> "BraidWord":
         """Parse the whitespace-separated signed-integer format, e.g. "1 1 1"."""
-        return cls(n, tuple(int(tok) for tok in text.split()))
+        try:
+            letters = tuple(int(tok) for tok in text.split())
+        except ValueError:
+            message = f"braid word must be integers separated by spaces, such as '1 -2 1', got {text!r}"
+            raise ValueError(message) from None
+        return cls(n, letters)
 
     def to_text(self) -> str:
         return " ".join(str(e) for e in self.letters)

@@ -64,14 +64,25 @@ def cmd_phi(args) -> int:
     return 0
 
 
+def _option(name: str, text: str, parse, form: str):
+    """parse(text), or a ValueError naming the option and the form it expects."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"{name} must be {form}, got {text!r}") from None
+
+
 def cmd_satellite(args) -> int:
     if args.iterated_torus:
         if args.alpha is not None or args.k is not None or args.gamma:
             raise ValueError("satellite --iterated-torus takes no --alpha, --k or --gamma")
         if args.p is None:
             raise ValueError("satellite --iterated-torus needs --p")
-        ps = [int(t) for t in args.p.split(",")]
-        qs = [int(t) for t in (args.q or "").split(",") if t.strip()]
+        ints = lambda text: [int(t) for t in text.split(",") if t.strip()]
+        form = "a comma list of integers such as 2,3"
+        ps, qs = _option("--p", args.p, ints, form), _option("--q", args.q or "", ints, form)
+        if len(ps) != len(qs):
+            raise ValueError(f"--p and --q must list as many integers, got {len(ps)} and {len(qs)}")
         braid = iterated_torus_braid(ps, qs)
     else:
         if args.q is not None:
@@ -79,7 +90,7 @@ def cmd_satellite(args) -> int:
         if args.alpha is None or args.k is None or args.p is None:
             raise ValueError("satellite needs --alpha, --k and --p (or --iterated-torus)")
         alpha = BraidWord.from_text(args.k, args.alpha)
-        gamma = BraidWord.from_text(int(args.p), args.gamma or "")
+        gamma = BraidWord.from_text(_option("--p", args.p, int, "one integer strand count such as 2"), args.gamma or "")
         braid = satellite_braid(alpha, gamma)
     obj = {"braid": braid.to_obj(), "components": component_count(braid), "note": MINIMALITY_NOTE}
     _emit(

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 
@@ -18,7 +19,7 @@ from augrank.augment import (
     LAM_MIN,
     LAM_START,
     MAX_ITER,
-    POLISH_BELOW,
+    STALL_ABOVE,
     TRIALS,
     Certificate,
     MuOneError,
@@ -52,6 +53,13 @@ from augrank.splitting import TensorPoly
 from strategies import braid_words, nc_polys
 
 TREFOIL = BraidWord(2, (1, 1, 1))
+C10_WORD = satellite_braid(BraidWord(2, (1,) * 5), BraidWord(2, (1,)))
+C11_WORD = satellite_braid(TREFOIL, BraidWord(2, (1,)))
+# a B4 knot word on which restarts 10 and 13 of seed 0 end at damping_overflow
+# and restart 4 at no_descent; every restart of criterion 11's word stalls
+OVERFLOW_WORD = BraidWord(4, (2, -3, -2, 3, -2, 2, 2, -2, -3, 2, -1))
+# the companions and patterns of the certify benchmark
+TORUS_PQ = ((2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (4, 5))
 
 
 def trefoil_assignment(lam=1.0, mu=-1.0, x=1.0, y=1.0):
@@ -274,6 +282,17 @@ class TestSolver:
         assert cert.rank == 2
         assert cert.ideal_residual <= 1e-9
 
+    @pytest.mark.parametrize(
+        "beta",
+        [torus_braid(p, q) for p, q in TORUS_PQ] + [C10_WORD],
+        ids=[f"T({p},{q})" for p, q in TORUS_PQ] + ["c10"],
+    )
+    def test_certificate_precision(self, beta):
+        # a found restart runs on to the floor: every residual ends far below ACCEPT_TOL
+        cert = solve_full_rank(beta, SolveOptions(seed=0))
+        assert isinstance(cert, Certificate) and cert.rank == beta.n
+        assert max(cert.residual_L, cert.residual_R, cert.ideal_residual) <= 1e-12
+
     def test_unknot_certificate(self):
         cert = solve_full_rank(BraidWord(1, ()), SolveOptions(seed=0))
         assert isinstance(cert, Certificate)
@@ -426,18 +445,6 @@ def reference_chunk(resid, z0, tol, stall=True):
         cp = resid((z[:, None, :] + h[:, :, None] * np.eye(z.shape[1])).reshape(-1, z.shape[1]))
         return (cp.reshape(*z.shape, -1) - c[:, None, :]) / h[:, :, None]
 
-    def polish(z, c, ma, rows):
-        for _ in range(2):
-            if rows.size:
-                jac = jacobian(z[rows], c[rows])
-                steps = np.array([np.linalg.lstsq(j.T, -r, rcond=None)[0] for j, r in zip(jac, c[rows])])
-                ct = resid(z[rows] + steps)
-                mt = np.abs(ct).max(axis=1)
-                down = mt < ma[rows]
-                rows = rows[down]
-                z[rows] += steps[down]
-                c[rows], ma[rows] = ct[down], mt[down]
-
     with np.errstate(over="ignore", invalid="ignore"):
         c = resid(z := z0.astype(complex))
         cost, ma, lam, stop = _cost(c), np.abs(c).max(axis=1), np.full(len(z), LAM_START), np.full(len(z), "", object)
@@ -475,15 +482,13 @@ def reference_chunk(resid, z0, tol, stall=True):
                 small = cost[hit] - costt[down] <= FTOL * cost[hit]
                 z[hit], c[hit], cost[hit], ma[hit] = zt[down], ct[down], costt[down], np.abs(ct[down]).max(axis=1)
                 if stall:
-                    stop[hit[small & (ma[hit] >= POLISH_BELOW)]] = "stalled"
+                    stop[hit[small & (ma[hit] >= STALL_ABOVE)]] = "stalled"
                 lam[hit] = np.maximum(lam[hit] / 3.0, LAM_MIN)
                 descents[hit] += 1
                 tries[hit] = 0
                 lam[miss] *= 10.0
                 stop[miss[lam[miss] > LAM_MAX]] = "damping_overflow"
                 stop[rows[(stop[rows] == "") & (tries[rows] == TRIALS)]] = "no_descent"
-            just = np.flatnonzero(running & (stop != "") & (stop != "non_finite"))
-            polish(z, c, ma, just[ma[just] < POLISH_BELOW])
 
 
 def assert_matches_reference(resid, z0, tol):
@@ -493,15 +498,6 @@ def assert_matches_reference(resid, z0, tol):
     assert np.array_equal(ma, ma_ref)
     assert stop_names(stop) == list(stop_ref)
     return list(stop_ref)
-
-
-C10_WORD = satellite_braid(BraidWord(2, (1,) * 5), BraidWord(2, (1,)))
-C11_WORD = satellite_braid(TREFOIL, BraidWord(2, (1,)))
-# a B4 knot word on which restarts 10 and 13 of seed 0 end at damping_overflow
-# and restart 4 at no_descent; every restart of criterion 11's word stalls
-OVERFLOW_WORD = BraidWord(4, (2, -3, -2, 3, -2, 2, 2, -2, -3, 2, -1))
-# the companions and patterns of the certify benchmark
-TORUS_PQ = ((2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (4, 5))
 
 
 def test_overflow_word_stop_counts():
@@ -559,10 +555,10 @@ class TestTrialRounds:
         assert np.array_equal(ma[won], ma_old[won])
         assert stop_names(stop[won]) == list(stop_old[won])
 
-    def test_no_stall_below_polish(self):
-        # a nonzero minimum with max-abs residual 2e-7, below POLISH_BELOW:
+    def test_no_stall_below_stall_guard(self):
+        # a nonzero minimum with max-abs residual 2e-7, below STALL_ABOVE:
         # rows 1 and 2 take steps there that lower the cost by at most FTOL
-        # of it, yet they run on to no_descent and the polish, not stalling
+        # of it, yet they run on to no_descent, not stalling
         resid = lambda z: np.concatenate([z - 1, 1e-7 * (1 + z**2)], axis=1)
         z0 = np.array([[0.3 + 0.2j], [2 - 1j], [-0.5j]])
         assert assert_matches_reference(resid, z0, ACCEPT_TOL) == ["no_descent"] * 3
@@ -595,14 +591,14 @@ class TestTrialRounds:
 
     def test_one_fold_per_step(self):
         # criterion 11's word, restarts 0-63 of seed 0 in one chunk: every row
-        # stalls above POLISH_BELOW, so none is polished or accepted, and the
+        # stalls above STALL_ABOVE, so none is accepted, and the
         # chunk folds exactly as often as its longest row does alone
         resid, z0 = _sign_residual(C11_WORD), restart_starts(C11_WORD, 0, range(64))
 
         def folds(z0):
             calls = []
             _, ma, stop = _lm_chunk(lambda z: calls.append(len(z)) or resid(z), z0, ACCEPT_TOL)
-            assert stop_names(stop) == ["stalled"] * len(z0) and (ma >= POLISH_BELOW).all()
+            assert stop_names(stop) == ["stalled"] * len(z0) and (ma >= STALL_ABOVE).all()
             return len(calls)
 
         alone = [folds(z0[k : k + 1]) for k in range(64)]
@@ -679,40 +675,40 @@ class TestChunkSchedule:
         assert (cert["seed"], cert["restarts"], cert["rank"]) == (seed, 256, 4)
 
     def test_cut_off_rows_enter_no_fold(self, monkeypatch):
-        # seed 0 on criterion 10's word with restarts 0-7 in one chunk: restart 2
-        # is accepted while restart 1 runs on to max_iter and restarts 3, 5 and
-        # 6 still run; from then on every fold point is one that restart 0 or 1
-        # folds when run alone
-        want, resid, accepted = expected_search("c10-seed0"), _sign_residual(C10_WORD), augment._accepted
-        alone = set()
-        for z0 in restart_starts(C10_WORD, 0, [0, 1]):
-            _lm_chunk(lambda z: alone.update(map(bytes, z)) or resid(z), z0[None], ACCEPT_TOL)
-        events = []  # ("fold", points) and ("won", the accepted rows), in call order
+        # seed 0 on criterion 10's word with restarts 0-7 in one chunk.  Every
+        # point the chunk folds is one that exactly one restart folds when run
+        # alone, so the folds show how far each row ran.  Restarts 4 and 7 are
+        # accepted in one step, which cuts off 5 and 6; restart 2 is accepted
+        # later and cuts off 3; from then on only restarts 0 and 1 fold
+        want, resid = expected_search("c10-seed0"), _sign_residual(C10_WORD)
+        owner, alone = {}, []  # fold point -> the restart folding it alone; each restart's point count
+        for k, z0 in enumerate(restart_starts(C10_WORD, 0, range(8))):
+            points = []
+            _lm_chunk(lambda z: points.extend(map(bytes, z)) or resid(z), z0[None], ACCEPT_TOL)
+            assert not owner.keys() & points
+            owner.update(dict.fromkeys(points, k))
+            alone.append(len(points))
+        folds = []  # the restart of each point, fold by fold
 
         def counted(z):
-            events.append(("fold", z.copy()))
+            folds.append([owner[bytes(point)] for point in z])
             return resid(z)
 
-        def watched(ma, codes, tol):
-            won = accepted(ma, codes, tol)
-            events.append(("won", won.nonzero()[0]))
-            return won
-
         monkeypatch.setattr(augment, "_sign_residual", lambda beta: counted)
-        monkeypatch.setattr(augment, "_accepted", watched)
         monkeypatch.setattr(augment, "_chunks", lead_then(8, rest=64))
         out = solve_full_rank(C10_WORD, SolveOptions(restarts=256, seed=0))
         assert jsonio.dumps(out.to_obj()) == want
-        # restarts 7 and 4 are accepted first, each cutting off the rows after it
-        lowest = [won[0] for kind, won in events if kind == "won" and won.size]
-        assert lowest[0] > 2 and lowest[-1] == 2
-        first = next(k for k, (kind, won) in enumerate(events) if kind == "won" and won[:1].tolist() == [2])
-        later = [z for kind, z in events[first:] if kind == "fold"]
-        assert sum(map(len, later)) > 0
-        assert all(bytes(point) in alone for z in later for point in z)
-        # before the cut-off, restarts 3-7 folded points that restarts 0 and 1 never do
-        early = [z for kind, z in events[:first] if kind == "fold"]
-        assert not all(bytes(point) in alone for z in early for point in z)
+        count = collections.Counter(k for rows in folds for k in rows)
+        last = {k: max(i for i, rows in enumerate(folds) if k in rows) for k in range(8)}
+        # the rows that fold fewer points than alone are the cut-off ones
+        assert [k for k in range(8) if count[k] < alone[k]] == [3, 5, 6]
+        assert [k for k in range(8) if count[k] == alone[k]] == [0, 1, 2, 4, 7]
+        # 5 and 6 are cut off first, right after 4 and 7 end; 3 after 2 ends
+        assert last[4] == last[7] < last[5] == last[6] < last[2] < last[3]
+        later = folds[last[3] + 1 :]
+        assert later and {k for rows in later for k in rows} == {0, 1}
+        # before the final cut, restarts 2-7 folded points that restarts 0 and 1 never do
+        assert {k for rows in folds[: last[3] + 1] for k in rows} == set(range(8))
 
 
 def reference_letter_step(x, e, sub_mul, last=False):

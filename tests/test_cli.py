@@ -414,6 +414,19 @@ BAD_INPUT_CASES = (
          "error: satellite --q needs --iterated-torus\n"),
         (("satellite", "--iterated-torus", "--p", "2,2", "--q", "3,1", "--alpha", "1", "--k", "7"), None, 1,
          "error: satellite --iterated-torus takes no --alpha, --k or --gamma\n"),
+        # a malformed list or word names its option, or the word, and the form it takes
+        (("satellite", "--alpha", "1", "--k", "2", "--p", "2,2"), None, 1,
+         "error: --p must be one integer strand count such as 2, got '2,2'\n"),
+        (("satellite", "--iterated-torus", "--p", "2,x", "--q", "3"), None, 1,
+         "error: --p must be a comma list of integers such as 2,3, got '2,x'\n"),
+        (("satellite", "--iterated-torus", "--p", "2,2", "--q", "3,1.5"), None, 1,
+         "error: --q must be a comma list of integers such as 2,3, got '3,1.5'\n"),
+        (("satellite", "--iterated-torus", "--p", "2,2", "--q", "3"), None, 1,
+         "error: --p and --q must list as many integers, got 2 and 1\n"),
+        (("ar-search", "--n", "2", "--word", "1,1"), None, 1,
+         "error: braid word must be integers separated by spaces, such as '1 -2 1', got '1,1'\n"),
+        (("phi", "--n", "2", "--word", "x"), None, 1,
+         "error: braid word must be integers separated by spaces, such as '1 -2 1', got 'x'\n"),
     ]
 )
 
