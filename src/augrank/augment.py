@@ -27,7 +27,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -180,9 +180,11 @@ STOP_REASONS = ("floor", "no_descent", "damping_overflow", "max_iter", "non_fini
 _FLOOR, _NO_DESCENT, _DAMPING_OVERFLOW, _MAX_ITER, _NON_FINITE, _STALLED = range(1, len(STOP_REASONS) + 1)
 
 
-def _chunks(restarts: int) -> list[int]:
-    """Sizes of the successive chunks of a search with this many restarts: 1, CHUNK, CHUNK, ..."""
-    return [1] * (restarts > 0) + [min(CHUNK, restarts - k) for k in range(1, restarts, CHUNK)]
+def _chunks(restarts: int) -> Iterator[int]:
+    """Sizes of the successive chunks of a search with this many restarts, lazily: 1, CHUNK, CHUNK, ..."""
+    if restarts > 0:
+        yield 1
+    yield from (min(CHUNK, restarts - k) for k in range(1, restarts, CHUNK))
 
 
 def _sign_residual(beta: BraidWord) -> Callable[[np.ndarray], np.ndarray]:
@@ -233,27 +235,25 @@ def _normal_equations(jac: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.nd
     return (jh @ c[:, :, None])[:, :, 0], jh @ jac.transpose(0, 2, 1)
 
 
-def _damped_steps(
-    jtj: np.ndarray, dg: np.ndarray, lam: np.ndarray, grad: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve (J^H J + lam diag J^H J) s = -J^H c per row; ok is False where singular.
+def _damped_steps(jtj: np.ndarray, lam: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Solve (J^H J + lam D) s = -J^H c per row, D = max(Re diag J^H J, 1e-12); NaN where singular.
 
     This is the real 2m x 2m damped system in its complex form.
     """
     a = jtj.copy()
-    a.reshape(len(a), -1)[:, :: a.shape[-1] + 1] += lam[:, None] * dg
+    diag = a.reshape(len(a), -1)[:, :: a.shape[-1] + 1]
+    diag += lam[:, None] * np.maximum(diag.real, 1e-12)
     rhs = -grad[:, :, None]
-    ok = np.ones(len(a), dtype=bool)
     try:
-        return np.linalg.solve(a, rhs)[:, :, 0], ok
+        return np.linalg.solve(a, rhs)[:, :, 0]
     except np.linalg.LinAlgError:
-        steps = np.zeros_like(grad)
+        steps = np.full_like(grad, np.nan)
         for k in range(len(a)):
             try:
                 steps[k] = np.linalg.solve(a[k : k + 1], rhs[k : k + 1])[0, :, 0]
             except np.linalg.LinAlgError:
-                ok[k] = False
-        return steps, ok
+                pass
+        return steps
 
 
 def _accepted(ma: np.ndarray, codes: np.ndarray, tol: float) -> np.ndarray:
@@ -273,17 +273,17 @@ def _lm_chunk(
     current one at its raised damping.  All of a step's trials share one
     fold, and no row's arithmetic reads another row, so a row ends where it
     would end alone.  A trial that lowers the row's cost is a descent: the
-    row moves there and lam falls to lam / 3.  Any other trial multiplies
-    lam by 10; a miss that takes it past LAM_MAX stops the row
-    (damping_overflow), but a singular level passes on with no overflow
-    check.  An iteration ends with a descent or after TRIALS trials
-    (no_descent).  Once some row is accepted (max-abs residual <= tol), the
-    rows after the lowest accepted row enter no further fold, frozen where
-    that step left them: the lowest-index accepted restart wins, so they
-    cannot change the outcome.  The chunk ends once every row before the
-    lowest accepted one has stopped (every row, while none is accepted);
-    rows cut off there keep the stop code 0.  Returns the final points,
-    their max-abs residuals and the stop codes.
+    row moves there and lam falls to lam / 3.  Any other trial, the NaN step
+    of a singular damped system among them, multiplies lam by 10; a miss
+    that takes it past LAM_MAX stops the row (damping_overflow).  An
+    iteration ends with a descent or after TRIALS trials (no_descent).  Once
+    some row is accepted (max-abs residual <= tol), the rows after the
+    lowest accepted row enter no further fold, frozen where that step left
+    them: the lowest-index accepted restart wins, so they cannot change the
+    outcome.  The chunk ends once every row before the lowest accepted one
+    has stopped (every row, while none is accepted); rows cut off there keep
+    the stop code 0.  Returns the final points, their max-abs residuals and
+    the stop codes.
 
     A row that descends by at most FTOL times its cost while its max-abs
     residual is at least STALL_ABOVE stops as stalled, keeping the step:
@@ -301,7 +301,7 @@ def _lm_chunk(
         stop = np.zeros(b, dtype=np.int8)  # stop codes, 0 while running
         iters = np.zeros(b, dtype=int)  # descents so far
         missed = np.zeros(b, dtype=int)  # levels missed in the current iteration; 0 starts a new one
-        grad, jtj, dg = np.empty((b, m), complex), np.empty((b, m, m), complex), np.empty((b, m))
+        grad, jtj = np.empty((b, m), complex), np.empty((b, m, m), complex)
         cut = b  # the lowest accepted row; no row from it on runs
         while not stop[:cut].all():
             running = (stop[:cut] == 0).nonzero()[0]
@@ -320,29 +320,25 @@ def _lm_chunk(
                 bad = ~(np.isfinite(g).all(axis=1) & np.isfinite(a).all(axis=(1, 2)))
                 stop[new[bad]] = _NON_FINITE
                 grad[new], jtj[new] = g, a
-                dg[new] = np.maximum(np.diagonal(a, axis1=1, axis2=2).real, 1e-12)
             live = running[stop[running] == 0]
             if live.size:
-                steps, ok = _damped_steps(jtj[live], dg[live], lam[live], grad[live])
-                down = np.zeros(live.size, dtype=bool)
-                if ok.any():
-                    zt = z[live[ok]] + steps[ok]
-                    ct, jt = _evaluate(resid, zt)
-                    costt = _cost(ct)
-                    down[ok] = hit = costt < cost[live[ok]]
-                    h, zt, ct, costt = live[down], zt[hit], ct[hit], costt[hit]
-                    stalled = cost[h] - costt <= FTOL * cost[h]
-                    z[h], c[h], cost[h], jac[h], ma[h] = zt, ct, costt, jt[hit], np.abs(ct).max(axis=1)
-                    stop[h[stalled & (ma[h] >= STALL_ABOVE)]] = _STALLED
-                    lam[h] = np.maximum(lam[h] / 3.0, LAM_MIN)
-                    iters[h] += 1
-                    missed[h] = 0
-                    del zt, ct, jt, costt  # a step's trial arrays would otherwise live on through the next
+                zt = z[live] + _damped_steps(jtj[live], lam[live], grad[live])
+                ct, jt = _evaluate(resid, zt)
+                costt = _cost(ct)
+                down = costt < cost[live]  # a NaN trial is never a descent
+                h, zt, ct, costt = live[down], zt[down], ct[down], costt[down]
+                stalled = cost[h] - costt <= FTOL * cost[h]
+                z[h], c[h], cost[h], jac[h], ma[h] = zt, ct, costt, jt[down], np.abs(ct).max(axis=1)
+                stop[h[stalled & (ma[h] >= STALL_ABOVE)]] = _STALLED
+                lam[h] = np.maximum(lam[h] / 3.0, LAM_MIN)
+                iters[h] += 1
+                missed[h] = 0
+                del zt, ct, jt, costt  # a step's trial arrays would otherwise live on through the next
                 miss = live[~down]
                 lam[miss] *= 10.0
                 missed[miss] += 1
                 stop[miss[missed[miss] == TRIALS]] = _NO_DESCENT
-                stop[miss[ok[~down] & (lam[miss] > LAM_MAX)]] = _DAMPING_OVERFLOW
+                stop[miss[lam[miss] > LAM_MAX]] = _DAMPING_OVERFLOW
             won = _accepted(ma, stop, tol).nonzero()[0]
             cut = won[0] if won.size else cut
         return z, ma, stop
@@ -461,7 +457,11 @@ class Certificate:
 
     @classmethod
     def load(cls, path: str) -> "Certificate":
-        return cls.from_obj(jsonio.load_file(path))
+        """The certificate in the JSON file at path; an error that it does not load names the file."""
+        try:
+            return cls.from_obj(jsonio.load_file(path))
+        except ValueError as exc:  # json.JSONDecodeError among them
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

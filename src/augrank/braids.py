@@ -61,9 +61,6 @@ class BraidWord:
     def inverse(self) -> "BraidWord":
         return BraidWord(self.n, tuple(-e for e in reversed(self.letters)))
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
 
 @dataclass(frozen=True)
 class Perm:

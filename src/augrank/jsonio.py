@@ -28,7 +28,7 @@ def load_file(path: str) -> Any:
         try:
             return json.load(fh)
         except RecursionError:  # the decoder recurses once per open bracket
-            raise ValueError(f"{path}: JSON nested too deeply to load") from None
+            raise ValueError("JSON nested too deeply to load") from None
 
 
 def loads(text: str) -> Any:

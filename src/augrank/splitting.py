@@ -95,14 +95,6 @@ class TensorPoly(SparsePoly):
     def one(cls, k: int, p: int) -> "TensorPoly":
         return cls._raw((k, p), {("", ""): 1})
 
-    @property
-    def k(self) -> int:
-        return self._amb[0]
-
-    @property
-    def p(self) -> int:
-        return self._amb[1]
-
 
 def tensor_embed_left(x: NCPoly, p: int) -> TensorPoly:
     """x (x) 1."""

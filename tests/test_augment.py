@@ -386,11 +386,19 @@ class TestSolver:
         jtj = j.conj().transpose(0, 2, 1) @ j
         jtj[1] = 0.0
         grad = rng.standard_normal((3, 4)) + 0j
-        steps, ok = _damped_steps(jtj, np.ones((3, 4)), np.array([0.1, 0.0, 0.1]), grad)
-        assert list(ok) == [True, False, True]
+        # row 1's damped system is 0 + 0 * max(0, 1e-12) on the diagonal: singular
+        steps = _damped_steps(jtj, np.array([0.1, 0.0, 0.1]), grad)
+        assert np.isnan(steps[1]).all()
+        assert np.array_equal(steps[[0, 2]], _damped_steps(jtj[[0, 2]], np.array([0.1, 0.1]), grad[[0, 2]]))
         for k in (0, 2):
-            want = np.linalg.solve(jtj[k] + 0.1 * np.eye(4), -grad[k])
+            want = np.linalg.solve(jtj[k] + 0.1 * np.diag(np.diagonal(jtj[k]).real), -grad[k])
             assert np.allclose(steps[k], want, rtol=1e-12, atol=0)
+
+    def test_huge_budget_stops_at_restart_0(self):
+        # the chunk schedule is lazy: a search accepted at restart 0 never walks the rest of its budget
+        cert = solve_full_rank(TREFOIL, SolveOptions(restarts=10**20))
+        assert isinstance(cert, Certificate) and cert.accepted
+        assert cert.to_obj() == {**solve_full_rank(TREFOIL, SolveOptions(restarts=1)).to_obj(), "restarts": 10**20}
 
     def test_determinism(self):
         c1 = solve_full_rank(torus_braid(2, 5), SolveOptions(seed=7))
@@ -450,7 +458,7 @@ def reference_chunk(resid, z0, tol, stall=True):
         cost, ma, lam, stop = _cost(c), np.abs(c).max(axis=1), np.full(len(z), LAM_START), np.full(len(z), "", object)
         order = np.arange(len(z))
         descents, tries = np.zeros(len(z), int), np.zeros(len(z), int)  # tries: trials of the current iteration
-        system = {}  # row -> (J^H c, J^H J, damping diagonal) of its current iteration
+        system = {}  # row -> (J^H c, J^H J) of its current iteration
         while True:
             won = np.flatnonzero(reference_accepted(ma, stop, tol))
             running = (stop == "") & (order < won.min(initial=len(z)))
@@ -467,18 +475,15 @@ def reference_chunk(resid, z0, tol, stall=True):
                 bad = ~(np.isfinite(grad).all(axis=1) & np.isfinite(jtj).all(axis=(1, 2)))
                 stop[fresh[bad]] = "non_finite"
                 for k, g, a in zip(fresh[~bad], grad[~bad], jtj[~bad]):
-                    system[k] = g, a, np.maximum(np.diagonal(a).real, 1e-12)
+                    system[k] = g, a
             rows = np.flatnonzero(running & (stop == ""))
             if rows.size:
-                grad, jtj, dg = (np.array([system[k][part] for k in rows]) for part in range(3))
-                steps, ok = augment._damped_steps(jtj, dg, lam[rows], grad)
+                grad, jtj = (np.array([system[k][part] for k in rows]) for part in range(2))
                 tries[rows] += 1
-                lam[rows[~ok]] *= 10.0
-                tried = rows[ok]
-                ct = resid(zt := z[tried] + steps[ok])
+                ct = resid(zt := z[rows] + augment._damped_steps(jtj, lam[rows], grad))
                 costt = _cost(ct)
-                down = costt < cost[tried]
-                hit, miss = tried[down], tried[~down]
+                down = costt < cost[rows]  # a singular system's NaN step misses
+                hit, miss = rows[down], rows[~down]
                 small = cost[hit] - costt[down] <= FTOL * cost[hit]
                 z[hit], c[hit], cost[hit], ma[hit] = zt[down], ct[down], costt[down], np.abs(ct[down]).max(axis=1)
                 if stall:
@@ -573,13 +578,14 @@ class TestTrialRounds:
         ids=["flat-row", "light-damping", "heavy-damping"],
     )
     def test_singular_levels(self, monkeypatch, singular):
-        # declare some damped systems singular: a singular level raises the
-        # damping with no overflow check and the row tries the next level
+        # declare some damped systems singular: their NaN steps are ordinary
+        # misses, raising the damping up to its overflow check
         solve = augment._damped_steps
 
-        def solve_or_fail(jtj, dg, lam, grad):
-            steps, ok = solve(jtj, dg, lam, grad)
-            return steps, ok & ~singular(jtj, lam)
+        def solve_or_fail(jtj, lam, grad):
+            steps = solve(jtj, lam, grad)
+            steps[singular(jtj, lam)] = np.nan
+            return steps
 
         monkeypatch.setattr(augment, "_damped_steps", solve_or_fail)
         # row 0 sits where this residual is constant, so its J^H J is zero
@@ -652,7 +658,7 @@ class TestChunkSchedule:
     )
     def test_restart_0_alone_then_full_chunks(self, restarts, sizes):
         assert CHUNK == 64
-        assert augment._chunks(restarts) == sizes
+        assert list(augment._chunks(restarts)) == sizes
 
     @pytest.mark.parametrize("schedule", list(SCHEDULES))
     @pytest.mark.parametrize("name", list(SCHEDULE_FREE))

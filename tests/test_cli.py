@@ -454,6 +454,28 @@ def test_bad_input_is_rejected_up_front(capsys, tmp_path, argv, edit, code, mess
             assert ('"accepted": false' if "json" in argv else "NOT accepted") in out
 
 
+def _drop_generators(text):
+    obj = json.loads(text)
+    del obj["generators"]
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(lambda text: text[:50], "Expecting"), (_drop_generators, "not a certificate object (missing 'generators')")],
+    ids=["truncated", "no-generators"],
+)
+def test_load_error_names_the_bad_file(capsys, tmp_path, edit, message):
+    # construct-aug reads two certificates: its error names the one that does not load, once
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    run(capsys, *SEARCH, "--output", str(good))
+    bad.write_text(edit(good.read_text()))
+    code, out, err = run(capsys, "construct-aug", "--alpha-cert", str(good), "--gamma-cert", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {bad}: ") and message in err
+    assert err.count(str(bad)) == 1 and str(good) not in err
+
+
 @pytest.mark.parametrize("argv", [("--help",), ("ar-search", "--help")])
 def test_help_exits_0(capsys, argv):
     code, out, _ = run(capsys, *argv)
