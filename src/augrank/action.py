@@ -136,12 +136,8 @@ def phi_letter(e: int, x: NCPoly) -> NCPoly:
     for w, coeff in x._terms.items():
         _check_budget(len(out), budget)
         parts = [imgs.get(ch) for ch in w]
-        if all(p is None for p in parts):
-            acc = out.get(w, 0) + coeff
-            if acc:
-                out[w] = acc
-            else:
-                out.pop(w, None)
+        if all(p is None for p in parts):  # every moved word's image holds strand k or k + 1: w is new
+            out[w] = coeff
             continue
         partial: list[tuple[Word, int]] = [("", coeff)]
         for ch, img in zip(w, parts):

@@ -175,9 +175,9 @@ LAM_START, LAM_MIN, LAM_MAX = 1e-3, 1e-14, 1e12
 # Restart 0 runs alone, then the rest CHUNK at a time: successful searches
 # mostly accept restart 0, while a nonexistence search spends its budget in full chunks.
 CHUNK = 64
-STOP_REASONS = ("floor", "no_descent", "damping_overflow", "max_iter", "non_finite", "stalled")
+STOP_REASONS = ("floor", "no_descent", "damping_overflow", "max_iter", "non_finite", "stalled", "rejected")
 # a row's stop code: 0 while it runs, then 1 + the index of its reason in STOP_REASONS
-_FLOOR, _NO_DESCENT, _DAMPING_OVERFLOW, _MAX_ITER, _NON_FINITE, _STALLED = range(1, len(STOP_REASONS) + 1)
+_FLOOR, _NO_DESCENT, _DAMPING_OVERFLOW, _MAX_ITER, _NON_FINITE, _STALLED, _REJECTED = range(1, len(STOP_REASONS) + 1)
 
 
 def _chunks(restarts: int) -> Iterator[int]:
@@ -256,14 +256,9 @@ def _damped_steps(jtj: np.ndarray, lam: np.ndarray, grad: np.ndarray) -> np.ndar
         return steps
 
 
-def _accepted(ma: np.ndarray, codes: np.ndarray, tol: float) -> np.ndarray:
-    """The rows that stopped finite with max-abs residual at most tol."""
-    return (codes != 0) & (codes != _NON_FINITE) & (ma <= tol)
-
-
 def _lm_chunk(
-    resid: Callable[[np.ndarray], np.ndarray], z0: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    resid: Callable[[np.ndarray], np.ndarray], z0: np.ndarray, accept: Callable[[int, np.ndarray], Certificate | None]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Certificate | None]:
     """Minimize 0.5 |c(z)|^2 from every row of z0, the rows in lockstep.
 
     Each row keeps its own point, Jacobian, damping lam, iteration count and
@@ -276,14 +271,16 @@ def _lm_chunk(
     row moves there and lam falls to lam / 3.  Any other trial, the NaN step
     of a singular damped system among them, multiplies lam by 10; a miss
     that takes it past LAM_MAX stops the row (damping_overflow).  An
-    iteration ends with a descent or after TRIALS trials (no_descent).  Once
-    some row is accepted (max-abs residual <= tol), the rows after the
-    lowest accepted row enter no further fold, frozen where that step left
-    them: the lowest-index accepted restart wins, so they cannot change the
-    outcome.  The chunk ends once every row before the lowest accepted one
-    has stopped (every row, while none is accepted); rows cut off there keep
-    the stop code 0.  Returns the final points, their max-abs residuals and
-    the stop codes.
+    iteration ends with a descent or after TRIALS trials (no_descent).  A row
+    that stops finite with max-abs residual at most ACCEPT_TOL, as every
+    accepted certificate's is, goes to accept(k, z_k), lowest row first: it
+    returns the row's accepted certificate, or None and the row stops as
+    rejected.  Once some row is accepted, the rows after the lowest one enter
+    no further fold, frozen where that step left them: the lowest-index
+    accepted restart wins, so they cannot change the outcome.  The chunk ends
+    once every row before it has stopped (every row, while none is accepted);
+    rows cut off there keep the stop code 0.  Returns the final points, their
+    max-abs residuals, the stop codes and the winner's certificate (or None).
 
     A row that descends by at most FTOL times its cost while its max-abs
     residual is at least STALL_ABOVE stops as stalled, keeping the step:
@@ -302,7 +299,7 @@ def _lm_chunk(
         iters = np.zeros(b, dtype=int)  # descents so far
         missed = np.zeros(b, dtype=int)  # levels missed in the current iteration; 0 starts a new one
         grad, jtj = np.empty((b, m), complex), np.empty((b, m, m), complex)
-        cut = b  # the lowest accepted row; no row from it on runs
+        cut, won = b, None  # the lowest accepted row and its certificate; no row from it on runs
         while not stop[:cut].all():
             running = (stop[:cut] == 0).nonzero()[0]
             new = running[missed[running] == 0]  # the rows starting an iteration
@@ -339,9 +336,13 @@ def _lm_chunk(
                 missed[miss] += 1
                 stop[miss[missed[miss] == TRIALS]] = _NO_DESCENT
                 stop[miss[lam[miss] > LAM_MAX]] = _DAMPING_OVERFLOW
-            won = _accepted(ma, stop, tol).nonzero()[0]
-            cut = won[0] if won.size else cut
-        return z, ma, stop
+            offered = [k for k in (ma[:cut] <= ACCEPT_TOL).nonzero()[0] if stop[k] not in (0, _NON_FINITE, _REJECTED)]
+            for k in offered:
+                if (cert := accept(k, z[k])) is not None:
+                    cut, won = k, cert
+                    break
+                stop[k] = _REJECTED
+        return z, ma, stop, won
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +473,9 @@ class NotFound:
     says so with ``"label": "evidence-only"``.  When no restart ran, or more
     than half of the restarts broke down (``max_iter`` or ``non_finite``), the
     label is ``"inconclusive"``: the search failed, which says nothing about
-    the braid.  A ``stalled`` restart ended at a local minimum and counts as
-    evidence, like ``no_descent``.
+    the braid.  So is a search with a ``rejected`` restart, which reached a
+    zero of the sign equations.  A ``stalled`` restart ended at a local
+    minimum and counts as evidence, like ``no_descent``.
     """
 
     braid: BraidWord
@@ -493,7 +495,7 @@ class NotFound:
     def label(self) -> str:
         stops, count = self.residual_summary["stops"], self.residual_summary["count"]
         broken = stops["max_iter"] + stops["non_finite"]
-        return "inconclusive" if count == 0 or 2 * broken > count else "evidence-only"
+        return "inconclusive" if count == 0 or stops["rejected"] or 2 * broken > count else "evidence-only"
 
     def to_obj(self) -> dict:
         return _search_obj(
@@ -522,11 +524,11 @@ class SolveOptions:
 def _summary(finals: np.ndarray, codes: np.ndarray) -> dict:
     """Quartiles of the final residuals of the restarts that stayed finite, and the stop counts.
 
-    ``count`` is the number of restarts run; ``non_finite`` restarts are
-    counted in ``stops`` but are not evidence, so they stay out of the quartiles.
+    ``count`` is the number of restarts run; ``stops`` counts ``non_finite`` and
+    ``rejected`` ones too, but they are not evidence and stay out of the quartiles.
     """
     out: dict = {"count": len(finals)}
-    arr = np.sort(finals[codes != _NON_FINITE])
+    arr = np.sort(finals[~np.isin(codes, (_NON_FINITE, _REJECTED))])
     if arr.size:
         q = lambda t: float(arr[min(len(arr) - 1, int(t * (len(arr) - 1)))])
         out.update(min=float(arr[0]), q25=q(0.25), median=q(0.5), q75=q(0.75), max=float(arr[-1]))
@@ -559,21 +561,24 @@ def _certificate_from_values(
     return Certificate.measure(beta, eps, seed, restarts, ACCEPT_TOL)
 
 
+def _accept(beta: BraidWord, rngs: list, seed: int, restarts: int, k: int, z: np.ndarray) -> Certificate | None:
+    """Restart k's certificate at the generator values z, mu drawn from its rngs[k], if it is accepted."""
+    cert = _certificate_from_values(beta, dict(zip(gen_order(beta.n), map(complex, z))), rngs[k], seed, restarts)
+    return cert if cert.accepted else None
+
+
 def solve_full_rank(beta: BraidWord, options: SolveOptions = SolveOptions()) -> Certificate | NotFound:
     """Multi-start search for generator values satisfying the sign-matrix equations.
 
     Restart t starts from the t-th substream spawned from the seed.  Restart
-    0 runs alone, then the rest CHUNK at a time (see _chunks), each chunk's
-    running restarts taking one damping trial each per fold, and the
-    lowest-index accepted restart wins, the one a restart-by-restart search
-    would return first; so the outcome is a deterministic function of (seed,
-    restarts), whatever the chunk sizes.  A restart is accepted once its
-    max-abs residual is at most ACCEPT_TOL; a chunk stops running the
-    restarts after its lowest accepted one (see _lm_chunk).
+    0 runs alone, then the rest CHUNK at a time (see _chunks and _lm_chunk),
+    and the lowest-index accepted restart wins, the one a restart-by-restart
+    search would return first; so the outcome is a deterministic function of
+    (seed, restarts), whatever the chunk sizes.  A restart is accepted only
+    when its certificate is (Certificate.accepted, the rule verify runs).
     """
     _require_knot(beta)
-    n = beta.n
-    m = n * (n - 1)
+    m = beta.n * (beta.n - 1)
     resid = _sign_residual(beta)
     seeds = np.random.SeedSequence(options.seed)
     # one empty array each, so that a search with no chunk summarises zero restarts
@@ -582,12 +587,10 @@ def solve_full_rank(beta: BraidWord, options: SolveOptions = SolveOptions()) -> 
         # spawning continues the numbering, so chunk by chunk gives the same substreams
         rngs = [np.random.default_rng(child) for child in seeds.spawn(size)]
         x0 = np.array([rng.standard_normal(2 * m) for rng in rngs])
-        z, ma, code = _lm_chunk(resid, x0[:, :m] + 1j * x0[:, m:], ACCEPT_TOL)
-        won = np.flatnonzero(_accepted(ma, code, ACCEPT_TOL))
-        if won.size:
-            k = won[0]
-            values = {g: complex(val) for g, val in zip(gen_order(n), z[k])}
-            return _certificate_from_values(beta, values, rngs[k], options.seed, options.restarts)
+        accept = functools.partial(_accept, beta, rngs, options.seed, options.restarts)
+        _, ma, code, cert = _lm_chunk(resid, x0[:, :m] + 1j * x0[:, m:], accept)
+        if cert is not None:
+            return cert
         finals.append(ma)
         codes.append(code)
     summary = _summary(np.concatenate(finals), np.concatenate(codes))

@@ -88,6 +88,11 @@ class TestRing:
         assert c * x == NCPoly.const(3, c) * x
         assert x * c == x * NCPoly.const(3, c)
 
+    @given(nc_polys(n=3), st.integers(-5, 5))
+    def test_int_minus_poly(self, x, c):
+        assert c - x == -(x - c) == NCPoly.const(3, c) - x
+        assert 1 - x == -(x - 1)
+
 
 class TestConjugation:
     def test_reverses_and_swaps(self):
@@ -183,6 +188,10 @@ class TestTextForm:
     def test_double_digit_indices(self):
         x = NCPoly.gen(12, 10, 11)
         assert x.render() == "a10,11"
+
+    def test_repr_names_the_type(self):
+        assert repr(1 - a(2, 1, 2) * a(2, 2, 1)) == "<NCPoly 1 - a12*a21>"
+        assert repr(NCPoly.zero(2)) == "<NCPoly 0>"
 
 
 class TestSubProduct:
