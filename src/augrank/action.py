@@ -256,28 +256,19 @@ class PhiMatrix:
 
 
 def mat_mul(a: PhiMatrix, b: PhiMatrix) -> PhiMatrix:
+    """a . b; each entry's sum of products fills one term map, as sub_product's does."""
     if a.n != b.n or a.side != b.side:
         raise ValueError("matrix mismatch")
-    n = a.n
-    zero = NCPoly.zero(n)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = zero
-            for l in range(n):
-                x, y = a.entries[i][l], b.entries[l][j]
-                if x.is_zero() or y.is_zero():
-                    continue
-                if x.is_one():
-                    acc = acc + y
-                elif y.is_one():
-                    acc = acc + x
-                else:
-                    acc = acc + x * y
-            row.append(acc)
-        rows.append(tuple(row))
-    return PhiMatrix(n, a.side, tuple(rows))
+    budget = term_budget()
+
+    def entry(row, col) -> NCPoly:
+        terms: dict[Word, int] = {}
+        for x, y in zip(row, col):
+            x._add_product(terms, x, y, 1, budget)
+        return NCPoly._raw((a.n,), terms)
+
+    cols = tuple(zip(*b.entries))
+    return PhiMatrix(a.n, a.side, tuple(tuple(entry(row, col) for col in cols) for row in a.entries))
 
 
 def _letter_step(x: np.ndarray, e: int, sub_mul, order: list[int], last: bool = False) -> None:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Every run echoes its full configuration; JSON output is byte-stable for a
-fixed configuration, so reruns can be diffed.  Exit codes: 0 success or
+Every run echoes its full configuration.  Output is byte-stable on one
+machine (same numpy build, BLAS kernel and CPU), so reruns can be diffed;
+the README lists what holds across BLAS kernels.  Exit codes: 0 success or
 accepted certificate, 2 no certificate found / verification not accepted,
 1 error, a usage error (unknown or missing option, bad option value) included.
 """
@@ -117,7 +118,7 @@ def _emit_certificate(args, cert: Certificate) -> int:
     """Write cert to --output if given and print it; the exit code of a found certificate."""
     obj = cert.to_obj()
     if args.output:
-        jsonio.dump_file(args.output, obj)  # what cert.save writes
+        cert.save(args.output)
     _emit(
         args,
         {"found": True, "certificate": obj},

@@ -203,9 +203,6 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_one(self) -> bool:
-        return self._terms == {self._unit: 1}
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

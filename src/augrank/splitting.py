@@ -30,7 +30,7 @@ from .action import (
     sum_desc,
 )
 from .braids import BraidWord, cable
-from .checks import CheckReport
+from .checks import CheckReport, require_at_least
 from .freealg import (
     Mon,
     NCPoly,
@@ -221,7 +221,7 @@ def verify_sum_collapse(n_gen: int, k: int, p: int) -> CheckReport:
     """Check the two-term collapse of the alternating window sums under splitting."""
     if not 1 <= n_gen <= k - 1:
         raise ValueError(f"generator index {n_gen} out of range for B_{k}")
-    kp = k * p
+    kp = k * require_at_least("p", p, 1)
     m = (n_gen - 1) * p + 1
     first = range(m, m + p)
     second = range(m + p, m + 2 * p)

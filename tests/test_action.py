@@ -12,6 +12,7 @@ from augrank.action import (
     chain_compose,
     fold_block,
     kappa_closed_form,
+    mat_mul,
     phi,
     phi_left,
     phi_left_direct,
@@ -282,6 +283,68 @@ class TestChainCompose:
             chain_compose(
                 phi_left(BraidWord(2, (1,))), phi_right(BraidWord(2, (1,))), BraidWord(2, (1,))
             )
+
+
+def ref_mat_mul(a: PhiMatrix, b: PhiMatrix) -> PhiMatrix:
+    """a . b entry by entry, summed with + and *."""
+    zero = NCPoly.zero(a.n)
+    rows = tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), zero) for col in zip(*b.entries))
+        for row in a.entries
+    )
+    return PhiMatrix(a.n, a.side, rows)
+
+
+def assert_same_product(a: PhiMatrix, b: PhiMatrix) -> None:
+    got = mat_mul(a, b)
+    assert got == ref_mat_mul(a, b)
+    assert all(0 not in x.terms.values() for row in got.entries for x in row)
+
+
+class TestMatMul:
+    @given(braid_word_pairs(min_n=2, max_n=4, max_len=4))
+    def test_matches_sum_of_products(self, pair):
+        (l1, r1), (l2, r2) = (phi_matrices(b) for b in pair)
+        assert_same_product(l1, l2)
+        assert_same_product(r2, r1)
+
+    def test_zero_and_unit_entries(self):
+        one, zero = NCPoly.one(3), NCPoly.zero(3)
+        x, y = a(3, 1, 2) * a(3, 2, 3) - 2, a(3, 3, 1) + 5
+        m1 = PhiMatrix(3, "L", ((one, zero, x), (zero, zero, zero), (y, one, one)))
+        m2 = PhiMatrix(3, "L", ((x, one, zero), (zero, y, one), (one, zero, y)))
+        assert_same_product(m1, m2)
+        assert mat_mul(m1, m2).at(1, 1) == x + x
+        assert mat_mul(m1, m2).at(2, 3).is_zero()
+        ident = PhiMatrix.identity(3, "L")
+        assert mat_mul(ident, m2) == m2 and mat_mul(m1, ident) == m1
+
+    def test_terms_cancel_then_reappear(self):
+        # a12*a21 comes in, cancels to nothing, and comes back in one entry;
+        # the second entry cancels for good
+        g, one, zero = a(3, 1, 2), NCPoly.one(3), NCPoly.zero(3)
+        h = a(3, 2, 1)
+        m1 = PhiMatrix(3, "R", ((g, g, g), (one, one, zero), (zero,) * 3))
+        m2 = PhiMatrix(3, "R", ((h, h, zero), (-h, -h, zero), (h, zero, zero)))
+        assert_same_product(m1, m2)
+        got = mat_mul(m1, m2)
+        assert got.at(1, 1) == g * h and got.at(1, 2).is_zero()
+        assert dict(got.at(2, 1).terms) == {}
+
+    def test_mismatch(self):
+        with pytest.raises(ValueError, match="matrix mismatch"):
+            mat_mul(PhiMatrix.identity(2, "L"), PhiMatrix.identity(2, "R"))
+        with pytest.raises(ValueError, match="matrix mismatch"):
+            mat_mul(PhiMatrix.identity(2, "L"), PhiMatrix.identity(3, "L"))
+
+    def test_respects_budget(self, monkeypatch):
+        # entry (1,1) is 1 + a12*a21 + a13*a31: 3 monomials
+        m1 = PhiMatrix(3, "L", ((NCPoly.one(3), a(3, 1, 2), a(3, 1, 3)),) * 3)
+        m2 = PhiMatrix(3, "L", tuple((x,) * 3 for x in (NCPoly.one(3), a(3, 2, 1), a(3, 3, 1))))
+        assert len(mat_mul(m1, m2).at(1, 1).terms) == 3
+        monkeypatch.setenv("KCH_TERM_BUDGET", "2")
+        with pytest.raises(TermBudgetError):
+            mat_mul(m1, m2)
 
 
 class TestClosedForms:

@@ -50,6 +50,8 @@ class TestBraidWord:
         assert (b * b.inverse()).letters == (1, -2, 2, -1)
         with pytest.raises(ValueError):
             b * BraidWord(4, ())
+        with pytest.raises(TypeError):
+            b * 3
 
 
 class TestWrithePerm:

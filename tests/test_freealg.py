@@ -83,6 +83,16 @@ class TestRing:
         assert x * (y + z) == x * y + x * z
         assert (x + y) * z == x * z + y * z
 
+    def test_foreign_operands(self):
+        # an operand that is neither an int nor the same kind of polynomial
+        # is refused by both sides of the operator
+        x = a(2, 1, 2) + 1
+        for op in (lambda: x + "a", lambda: x * 1.5, lambda: 2.5 * x,
+                   lambda: TensorPoly.one(2, 2) + NCPoly.one(2)):
+            with pytest.raises(TypeError):
+                op()
+        assert (x == 3) is False and x != NCPoly.const(2, 3)
+
     @given(nc_polys(n=3), st.integers(-5, 5))
     def test_int_scalars(self, x, c):
         assert c * x == NCPoly.const(3, c) * x

@@ -133,6 +133,12 @@ class TestCableSplitting:
             report = verify_sum_collapse(n_gen, k, p)
             assert report.ok, report.to_obj()
 
+    def test_window_sums_need_a_strand(self):
+        # p = 0 cables to no strands: the suite would compare nothing
+        for p in (0, -1):
+            with pytest.raises(ValueError, match=f"p must be >= 1, got {p}"):
+                verify_sum_collapse(1, 2, p)
+
     def test_star_case_failure_names_the_entry(self, monkeypatch):
         # a wrong descending sum on the extra strand shows as one diff whose
         # sides are module elements, keyed by the str of (block, offset)
