@@ -444,11 +444,8 @@ def sum_asc(n_amb: int, i: int, j: int, m: int, l: int) -> NCPoly:
 
 
 def sum_desc(n_amb: int, i: int, j: int, m: int, l: int) -> NCPoly:
-    """Alternating sum over subsets of the window, indices descending inside."""
-    terms: dict[Mon, int] = {}
-    for ys in _subsets(m, l):
-        terms[_chain(i, ys[::-1], j)] = (-1) ** len(ys)
-    return NCPoly(n_amb, terms)
+    """Alternating sum over subsets of the window, indices descending inside: sum_asc(j to i) conjugated."""
+    return sum_asc(n_amb, j, i, m, l).conjugate()
 
 
 def sum_crossing(n_amb: int, i: int, j: int, m: int, l: int) -> NCPoly:
@@ -472,31 +469,14 @@ def sum_crossing(n_amb: int, i: int, j: int, m: int, l: int) -> NCPoly:
 
 
 def tau_closed_form(m: int, p: int, i: int, j: int, n: int) -> NCPoly:
-    """Image of a_ij (i < j) on n strands under the ascending band word of width p at m."""
-    if not (1 <= i < j <= n):
-        raise ValueError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
-    if m < 1 or m + p > n:
-        raise ValueError(f"window (m={m}, p={p}) does not fit in ambient {n}")
-    g = lambda a, b: NCPoly.gen(n, a, b)
-    if m <= i < j < m + p:
-        return g(i + 1, j + 1)
-    if m <= i < j == m + p:
-        return -g(i + 1, m)
-    if i == m + p:
-        return g(m, j)
-    if i < m and j == m + p:
-        return g(i, m)
-    if i < m <= j < m + p:
-        return g(i, j + 1) - g(i, m) * g(m, j + 1)
-    if m <= i < m + p < j:
-        return g(i + 1, j) - g(i + 1, m) * g(m, j)
-    return g(i, j)
+    """Image of a_ij (i < j) on n strands under the ascending band word of width p at m: kappa, one window."""
+    return kappa_closed_form(m, 1, p, i, j, n)
 
 
 def kappa_closed_form(m: int, l: int, p: int, i: int, j: int, n: int) -> NCPoly:
     """Image of a_ij (i < j) on n strands under the descending product of band words.
 
-    Valid for window count l <= p; the l = p case is the cabled generator.
+    Valid for window count l <= p; l = 1 is the band word of width p (tau), l = p the cabled generator.
     """
     if not (1 <= i < j <= n):
         raise ValueError(f"need 1 <= i < j <= {n}, got ({i}, {j})")

@@ -182,9 +182,6 @@ def iterated_torus_braid(ps: Sequence[int], qs: Sequence[int]) -> BraidWord:
     """
     if len(ps) != len(qs):
         raise ValueError(f"length mismatch: {len(ps)} vs {len(qs)}")
-    for p in ps:
-        if p < 1:
-            raise ValueError(f"each cabling degree must be >= 1, got {p}")
     if not ps:
         return BraidWord(1)
     beta = torus_braid(ps[0], qs[0])

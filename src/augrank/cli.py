@@ -58,10 +58,9 @@ def _emit(args, fields: dict, text_lines: list[str]) -> None:
 
 def cmd_phi(args) -> int:
     braid = BraidWord.from_text(args.n, args.word)
-    m = (phi_left if args.side == "L" else phi_right)(braid)
-    rows = m.render_entries()
-    text_matrix = "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
-    _emit(args, {"matrix": m.to_obj()}, [text_matrix])
+    obj = (phi_left if args.side == "L" else phi_right)(braid).to_obj()
+    text_matrix = "[" + ", ".join("[" + ", ".join(row) + "]" for row in obj["entries"]) + "]"
+    _emit(args, {"matrix": obj}, [text_matrix])
     return 0
 
 

@@ -139,6 +139,8 @@ class TestStarAction:
         bad = a(3, 3, 1) * a(3, 2, 3)  # second star inside
         with pytest.raises(StarDecompositionError):
             star_decompose(bad, "R")
+        with pytest.raises(ValueError, match="side must be 'L' or 'R', got 'X'"):
+            star_decompose(a(3, 1, 3), "X")
 
     def test_star_decompose_error_names_the_word(self):
         # a55,54 and a56,55 encode past the surrogate block; the message decodes them
@@ -168,6 +170,15 @@ class TestMatrices:
     def test_identity_matrix(self):
         assert phi_left(BraidWord(3, ())) == PhiMatrix.identity(3, "L")
         assert phi_right(BraidWord(3, ())) == PhiMatrix.identity(3, "R")
+
+    def test_entry_grid_is_validated(self):
+        one = NCPoly.one(2)
+        with pytest.raises(ValueError, match="side must be 'L' or 'R', got 'X'"):
+            PhiMatrix(2, "X", ((one, one), (one, one)))
+        with pytest.raises(ValueError, match="entry grid is not n x n"):
+            PhiMatrix(2, "L", ((one, one), (one,)))
+        with pytest.raises(ValueError, match="entry ambient does not match matrix size"):
+            PhiMatrix(2, "L", ((one, one), (one, NCPoly.one(3))))
 
     def test_left_matrix_sigma1(self):
         assert phi_left(BraidWord(2, (1,))).render_entries() == EXPECTED_L_S1
@@ -211,6 +222,50 @@ class TestMatrices:
                 for mon in m.at(i, j).terms:
                     if mon:
                         assert mon[0][0] == pm(i)
+
+
+class TestCheckFailures:
+    """Each exact suite, made to fail, names the sample or the entry that failed."""
+
+    def test_chain_rule(self, monkeypatch):
+        # a composition tagged with the other side never equals the product's matrix
+        other = {"L": "R", "R": "L"}
+        wrong = lambda m1, m2, b1: PhiMatrix.identity(m1.n, other[m1.side])
+        monkeypatch.setattr("augrank.checks.chain_compose", wrong)
+        words = [("2 -2 1", "2 2 1 2"), ("-1 -1", "-1 -2")]
+        diffs = check_chain_rule(3, count=2, seed=0).diffs
+        assert diffs == [
+            {"pair": idx, "side": side, "beta1": b1, "beta2": b2}
+            for idx, (b1, b2) in enumerate(words)
+            for side in "LR"
+        ]
+        assert list(diffs[0]) == ["pair", "side", "beta1", "beta2"]
+
+    def test_transpose(self, monkeypatch):
+        # a right matrix tagged "L" never equals the conjugate transpose of the left
+        monkeypatch.setattr("augrank.checks.phi_matrices", lambda b: (PhiMatrix.identity(b.n, "L"),) * 2)
+        diffs = check_transpose(3, count=2, seed=0).diffs
+        assert diffs == [{"word": "2 2 -2 1 2 2", "index": 0}, {"word": "1 2 1 -1 -1 1", "index": 1}]
+        assert list(diffs[0]) == ["word", "index"]
+
+    def test_monomial_structure(self, monkeypatch):
+        # a permutation onto no strand: every constant and every chain start is off
+        monkeypatch.setattr("augrank.checks.perm", lambda b: lambda i: 0)
+        diffs = check_monomial_structure(2, count=1, seed=0).diffs
+        assert diffs == [
+            {"word": "1 -1 1", "i": 1, "j": 1, "bad": "((2, 1),)"},
+            {"word": "1 -1 1", "i": 1, "j": 2, "bad": "constant"},
+            {"word": "1 -1 1", "i": 2, "j": 1, "bad": "constant"},
+        ]
+        assert list(diffs[0]) == ["word", "i", "j", "bad"]
+
+    def test_braid_relations(self, monkeypatch):
+        # an action by the first letter only: the two sides of each relation differ
+        monkeypatch.setattr("augrank.checks.phi", lambda b, g: phi(BraidWord(b.n, b.letters[:1]), g))
+        diffs = check_braid_relations(3).diffs
+        assert len(diffs) == 6
+        assert diffs[0] == {"relation": "adjacent 1", "generator": "a12"}
+        assert list(diffs[0]) == ["relation", "generator"]
 
 
 def exact_value(x: NCPoly, values) -> int:
@@ -283,6 +338,9 @@ class TestChainCompose:
             chain_compose(
                 phi_left(BraidWord(2, (1,))), phi_right(BraidWord(2, (1,))), BraidWord(2, (1,))
             )
+        m = phi_left(BraidWord(2, (1,)))
+        with pytest.raises(ValueError, match="braid ambient does not match matrices"):
+            chain_compose(m, m, BraidWord(3, (1,)))
 
 
 def ref_mat_mul(a: PhiMatrix, b: PhiMatrix) -> PhiMatrix:
@@ -388,6 +446,9 @@ class TestClosedForms:
             tau_closed_form(1, 2, 2, 1, 3)  # i >= j
         with pytest.raises(ValueError):
             tau_closed_form(2, 3, 1, 2, 4)  # window does not fit
+        for p in (0, -1):  # a band word of no width, as tau_word says
+            with pytest.raises(ValueError, match=rf"\(m=1, l=1, p={p}\) does not fit in ambient 3"):
+                tau_closed_form(1, p, 1, 2, 3)
 
     def test_kappa_single_factor_is_tau(self):
         for m, p, n in [(1, 2, 4), (2, 3, 6), (3, 1, 5)]:

@@ -22,6 +22,7 @@ from augrank.augment import (
     STALL_ABOVE,
     TRIALS,
     Certificate,
+    ConstructionError,
     MuOneError,
     NotFound,
     STOP_REASONS,
@@ -1057,6 +1058,13 @@ class TestConstruction:
         )
         with pytest.raises(ValueError, match="not accepted"):
             construct_satellite_aug(bad, self.tre)
+
+    def test_wrong_images_fail_verification(self, monkeypatch):
+        # a splitting map that sends every generator to 0: the satellite's
+        # own measurement refuses the values it builds
+        monkeypatch.setattr(augment, "split_gen", lambda i, j, p: None)
+        with pytest.raises(ConstructionError, match=r"failed verification: residuals \(1\.000e\+00, 1\.000e\+00"):
+            construct_satellite_aug(self.tre, self.tre)
 
 
 def test_delta_sign_bookkeeping():

@@ -195,6 +195,9 @@ class TestTorusAndPatterns:
         assert iterated_torus_braid((), ()) == BraidWord(1)
         with pytest.raises(ValueError):
             iterated_torus_braid((2, 2), (3,))
+        # every degree goes through torus_braid, which names the bad one
+        with pytest.raises(ValueError, match="^torus braid needs p >= 1, got 0$"):
+            iterated_torus_braid((2, 0), (3, 1))
 
 
 class TestTauKappaWords:

@@ -6,9 +6,10 @@ import warnings
 import pytest
 
 from augrank.cli import build_parser, main
-from augrank import action, augment, jsonio
+from augrank import action, augment, checks, jsonio
 from augrank.action import phi_left
 from augrank.braids import BraidWord
+from augrank.freealg import NCPoly
 
 
 def _complex(obj):
@@ -290,6 +291,15 @@ class TestSearchVerifyConstruct:
             assert abs(abs(_complex(obj["lambda"])) - 1) < 1e-12
             companion = sat
 
+    def test_construct_reports_failed_verification(self, capsys, tmp_path, monkeypatch):
+        # accepted factors, wrong splitting images: exit 1 naming the failed check
+        path = tmp_path / "t23.json"
+        run(capsys, *SEARCH, "--output", str(path))
+        monkeypatch.setattr(augment, "split_gen", lambda i, j, p: None)
+        code, out, err = run(capsys, "construct-aug", "--alpha-cert", str(path), "--gamma-cert", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: constructed satellite assignment failed verification: residuals")
+
     def test_construct_from_files(self, capsys, tmp_path):
         a_path, g_path, out_path = (
             tmp_path / "a.json",
@@ -427,6 +437,10 @@ BAD_INPUT_CASES = (
          "error: braid word must be integers separated by spaces, such as '1 -2 1', got '1,1'\n"),
         (("phi", "--n", "2", "--word", "x"), None, 1,
          "error: braid word must be integers separated by spaces, such as '1 -2 1', got 'x'\n"),
+        # every cabling degree goes through torus_braid, whose check names it
+        (("satellite", "--iterated-torus", "--p", "2,0", "--q", "3,1"), None, 1,
+         "error: torus braid needs p >= 1, got 0\n"),
+        (("torus", "--p", "0", "--q", "3"), None, 1, "error: torus braid needs p >= 1, got 0\n"),
     ]
 )
 
@@ -539,6 +553,17 @@ class TestCheckCommand:
         obj = json.loads(out)
         assert obj["status"] == "pass"
         assert all(r["status"] == "pass" for r in obj["reports"])
+
+    def test_failing_suite_prints_its_first_diffs(self, capsys, monkeypatch):
+        # every tau closed form off by a12: exit 1, ten diff lines per report
+        monkeypatch.setattr(checks, "tau_closed_form", lambda m, p, i, j, amb: NCPoly.gen(amb, 1, 2))
+        code, out, _ = run(capsys, "check", "--suite", "tau", "--n", "3")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[1] == "fail: ascending band word closed form {'n': 3}"
+        assert lines[2] == "  diff: {'m': 1, 'p': 1, 'i': 1, 'j': 2, 'lhs': 'a12', 'rhs': '-a21'}"
+        assert [line[:8] for line in lines[2:-1]] == ["  diff: "] * 10
+        assert lines[-1] == "CHECK FAILURES"
 
     def test_psi_suite_echoes_config(self, capsys):
         code, out, _ = run(capsys, "check", "--suite", "psi", "--k", "3", "--p", "2")

@@ -44,6 +44,14 @@ class TestRing:
             a(2, 1, 2) + a(3, 1, 2)
         with pytest.raises(ValueError):
             a(2, 1, 2) * a(3, 1, 3)  # the extra strand is a third strand
+        with pytest.raises(ValueError, match="ambient size must be >= 1, got 0"):
+            NCPoly.one(0)
+
+    def test_immutable(self):
+        x = a(2, 1, 2)
+        with pytest.raises(AttributeError, match="NCPoly is immutable"):
+            x._terms = {}
+        assert x == a(2, 1, 2)
 
     def test_generator_validation(self):
         with pytest.raises(ValueError):
@@ -166,6 +174,11 @@ class TestEvaluate:
         x = a(3, 1, 3)
         with pytest.raises(ValueError, match="no value"):
             x.evaluate({(1, 2): 1.0})
+
+    def test_assignment_ambient_mismatch(self):
+        eps = _assignment(2, _random_values(2, 0))
+        with pytest.raises(ValueError, match="assignment ambient does not match polynomial ambient"):
+            eps.evaluate(a(3, 1, 3))
 
 
 class TestAssignment:

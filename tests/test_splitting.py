@@ -133,6 +133,12 @@ class TestCableSplitting:
             report = verify_sum_collapse(n_gen, k, p)
             assert report.ok, report.to_obj()
 
+    @pytest.mark.parametrize("verify", [verify_commutes, verify_sum_collapse])
+    @pytest.mark.parametrize("n_gen", [0, 2])
+    def test_generator_index_out_of_range(self, verify, n_gen):
+        with pytest.raises(ValueError, match=f"generator index {n_gen} out of range for B_2"):
+            verify(n_gen, 2, 2)
+
     def test_window_sums_need_a_strand(self):
         # p = 0 cables to no strands: the suite would compare nothing
         for p in (0, -1):
