@@ -52,12 +52,12 @@ ring, and :func:`fold_block` the whole fold for every ring: the seed (batch
 axes last; the lower-left block, which nothing reads, left unset), the
 trimmed last letter and the read-out through the final order.  A ring
 enters with its one, its zero and its in-place y -= a*b: NCPoly objects
-here, assigned elementwise from the fused
-:meth:`augrank.freealg.SparsePoly.sub_product` (one term map per update,
-one budget read per fold), and batched complex numbers in
-:func:`augrank.augment.eval_phi_matrices`.  In the free algebra the order
-of the factors matters: rows are multiplied on the left, columns on the
-right.
+here, each y - a*b summed into a copy of y's terms by
+:meth:`augrank.freealg.SparsePoly._add_product`, the loop behind ``*`` and
+:func:`mat_mul` (one budget read per fold; a zero a or b leaves y), and
+batched complex numbers in :func:`augrank.augment.eval_phi_matrices`.  In
+the free algebra the order of the factors matters: rows are multiplied on
+the left, columns on the right.
 
 A caller that wants one side folds only part of the array.  PhiL reads v
 and its own rows, never PhiR, so :func:`phi_left` folds the top part
@@ -226,13 +226,6 @@ class PhiMatrix:
                 if x.n != self.n:
                     raise ValueError("entry ambient does not match matrix size")
 
-    @classmethod
-    def identity(cls, n: int, side: str) -> "PhiMatrix":
-        one, zero = NCPoly.one(n), NCPoly.zero(n)
-        return cls(
-            n, side, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        )
-
     def at(self, i: int, j: int) -> NCPoly:
         """1-based entry access."""
         return self.entries[i - 1][j - 1]
@@ -256,7 +249,7 @@ class PhiMatrix:
 
 
 def mat_mul(a: PhiMatrix, b: PhiMatrix) -> PhiMatrix:
-    """a . b; each entry's sum of products fills one term map, as sub_product's does."""
+    """a . b; each entry's sum of products fills one term map."""
     if a.n != b.n or a.side != b.side:
         raise ValueError("matrix mismatch")
     budget = term_budget()
@@ -356,7 +349,13 @@ def _free_fold(beta: BraidWord, part=np.s_[:]) -> tuple[np.ndarray, np.ndarray]:
     for i, j in gen_order(n):
         v[i - 1, j - 1] = NCPoly._raw((n,), {encode_gen(i, j): 1})  # valid by construction
     budget = term_budget()  # read once per fold, not once per update
-    fused = np.frompyfunc(lambda y, a, b: y.sub_product(a, b, budget), 3, 1)
+
+    def sub_mul(y, a, b):  # y - a*b in one copy of y's terms
+        if not (a._terms and b._terms):
+            return y
+        return NCPoly._raw(y._amb, y._add_product(dict(y._terms), a, b, -1, budget))
+
+    fused = np.frompyfunc(sub_mul, 3, 1)
     return fold_block(beta, v, one, zero, lambda y, a, b: fused(y, a, b, out=y), part)
 
 

@@ -63,7 +63,7 @@ def _render(x):
 
 
 def require_at_least(name: str, value: int, least: int) -> int:
-    """value, or a ValueError naming name when it is below least: there a suite compares nothing."""
+    """value, or a ValueError naming name when it is below least: there a suite checks nothing, or repeats a check."""
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return value
@@ -74,6 +74,7 @@ def _sampled(claim: str, n: int, count: int, seed: int, max_len: int, diffs_of) 
     words draw() takes from one random.Random(seed).  An empty draw checks nothing."""
     require_at_least("n", n, 2)
     require_at_least("count", count, 1)
+    require_at_least("seed", seed, 0)  # random.Random(-s) draws what Random(s) draws
     rng = random.Random(seed)
     pool = [e for e in range(-(n - 1), n) if e != 0]
     draw = lambda: BraidWord(n, tuple(rng.choice(pool) for _ in range(rng.randint(0, max_len))))

@@ -7,11 +7,11 @@ the ambient checks.
 Coefficients are Python ints, so all arithmetic is exact at any size.
 Symbolic products abort with :class:`TermBudgetError` once a result exceeds
 the monomial budget (default 10^6, overridable via the ``KCH_TERM_BUDGET``
-environment variable, which must hold a positive integer).  The fused
-:meth:`SparsePoly.sub_product` (y - a*b, the symbolic letter fold's update)
-checks the budget the way products do: on the growing term map before each
-term of a and once at the end; a loop of them reads the budget once and
-passes it down.
+environment variable, which must hold a positive integer).  Every product
+runs :meth:`SparsePoly._add_product` (terms += sign * a * b, the budget
+checked on the growing map before each term of a and at the end): ``*``,
+each entry of :func:`augrank.action.mat_mul` and the symbolic letter fold's
+update y - a*b; a loop of them reads the budget once and passes it down.
 
 The ring arithmetic is written once, in :class:`SparsePoly`; :class:`NCPoly`
 supplies the free algebra's monomials (words of generators), and
@@ -200,9 +200,6 @@ class SparsePoly:
         decode = self._decode_mon
         return MappingProxyType({decode(m): c for m, c in self._terms.items()})
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -262,24 +259,6 @@ class SparsePoly:
         if not (self._terms and other._terms):
             return self._raw(self._amb, {})
         return self._raw(self._amb, self._add_product({}, self, other, 1, term_budget()))
-
-    def sub_product(self, a, b, budget: int | None = None):
-        """self - a*b, accumulated into one copy of self's terms.
-
-        Checks operands and the budget as ``-`` and ``*`` do; a zero a or b
-        returns self.  budget defaults to :func:`term_budget`.
-        """
-        for other in (a, b):
-            if type(other) is not type(self):
-                raise TypeError(
-                    f"sub_product needs {type(self).__name__} operands, got {type(other).__name__}"
-                )
-            self._require_compatible(other)
-        if not (a._terms and b._terms):
-            return self
-        if budget is None:
-            budget = term_budget()
-        return self._raw(self._amb, self._add_product(dict(self._terms), a, b, -1, budget))
 
     def _add_product(self, terms: dict, a, b, sign: int, budget: int) -> dict:
         # terms += sign * a * b in place, checking the budget as the map grows
@@ -372,12 +351,6 @@ class NCPoly(SparsePoly):
         return cls._raw((n,), {"": 1})
 
     @classmethod
-    def const(cls, n: int, c: int) -> "NCPoly":
-        check_ambient(n)
-        c = _int_coefficient((), c)
-        return cls._raw((n,), {"": c} if c else {})
-
-    @classmethod
     def gen(cls, n: int, i: int, j: int) -> "NCPoly":
         return cls(n, {((i, j),): 1})
 
@@ -428,8 +401,3 @@ class Assignment:
 
     def value(self, i: int, j: int) -> complex:
         return self.values[(i, j)]
-
-    def evaluate(self, x: NCPoly) -> complex:
-        if x.n != self.n:
-            raise ValueError("assignment ambient does not match polynomial ambient")
-        return x.evaluate(self.values)

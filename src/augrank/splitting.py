@@ -91,10 +91,6 @@ class TensorPoly(SparsePoly):
     def zero(cls, k: int, p: int) -> "TensorPoly":
         return cls._raw((k, p), {})
 
-    @classmethod
-    def one(cls, k: int, p: int) -> "TensorPoly":
-        return cls._raw((k, p), {("", ""): 1})
-
 
 def tensor_embed_left(x: NCPoly, p: int) -> TensorPoly:
     """x (x) 1."""
@@ -167,7 +163,7 @@ def psi_star(x: NCPoly, k: int, p: int) -> dict[tuple[int, int], TensorPoly]:
     out: dict[tuple[int, int], TensorPoly] = {}
     for i, coeff in star_decompose(x, "L").items():
         image = psi(coeff, k, p)
-        if not image.is_zero():
+        if image:
             out[split_index(i, p)] = image  # split_index is injective
     return out
 

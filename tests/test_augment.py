@@ -48,9 +48,8 @@ from augrank.augment import (
 from augrank.braids import BraidWord, cable, perm, satellite_braid, torus_braid, writhe
 from augrank.checks import check_block_structure
 from augrank.freealg import Assignment, NCPoly, SparsePoly, gen_order, term_budget
-from augrank.splitting import TensorPoly
 
-from strategies import braid_words, nc_polys
+from strategies import braid_words
 
 TREFOIL = BraidWord(2, (1, 1, 1))
 C10_WORD = satellite_braid(BraidWord(2, (1,) * 5), BraidWord(2, (1,)))
@@ -176,7 +175,7 @@ class TestResiduals:
         for i in range(1, b.n + 1):
             for j in range(1, b.n + 1):
                 for sym, num in ((sym_l, ml), (sym_r, mr)):
-                    want = eps.evaluate(sym.at(i, j))
+                    want = sym.at(i, j).evaluate(eps.values)
                     got = num[i - 1, j - 1]
                     assert abs(want - got) <= 1e-10 * max(1.0, abs(want))
 
@@ -238,19 +237,19 @@ class TestFold:
                 assert np.allclose(ml[t], ml_t, atol=0, rtol=1e-14)
                 assert np.allclose(mr[t], mr_t, atol=0, rtol=1e-14)
 
-    @given(nc_polys(n=3, max_terms=6))
-    def test_zero_operand_fast_path(self, x):
-        # the fold multiplies by the zeroed entries of v; those products and
-        # sums return at once and must equal what the general loops give
-        tensor = TensorPoly(3, 2, {(m, ((1, 2),)): c for m, c in x.terms.items()})
-        for y, zero in ((x, NCPoly.zero(3)), (tensor, TensorPoly.zero(3, 2))):
-            for got in (y * zero, zero * y, y * 0, 0 * y):
-                assert got == zero
-            for got in (y - zero, y + zero, y - 0):
-                assert got == y
-                assert list(got.terms.items()) == list(y.terms.items())
-            with pytest.raises(ValueError, match="ambient"):
-                y * type(zero).zero(*(a + 1 for a in zero._amb))
+    def test_zero_operand_fast_path(self, monkeypatch):
+        # the fold's update y - a*b returns y where a or b is zero (v's
+        # zeroed patch entries, the identity's zeros), before the product loop
+        add_product = SparsePoly._add_product
+        operands = []
+
+        def recorded(self, terms, a, b, sign, budget):
+            operands.append((bool(a), bool(b)))
+            return add_product(self, terms, a, b, sign, budget)
+
+        monkeypatch.setattr(SparsePoly, "_add_product", recorded)
+        phi_matrices(cable(torus_braid(3, 4), 2))
+        assert operands and set(operands) == {(True, True)}
 
 
 class TestRank:
@@ -312,13 +311,14 @@ class TestSolver:
         assert cert.ideal_residual <= 1e-9
 
     @pytest.mark.parametrize(
-        "beta",
-        [torus_braid(p, q) for p, q in TORUS_PQ] + [C10_WORD],
-        ids=[f"T({p},{q})" for p, q in TORUS_PQ] + ["c10"],
+        "beta, seed",
+        [(torus_braid(p, q), 0) for p, q in TORUS_PQ] + [(C10_WORD, 0), (C10_WORD, 6)],
+        ids=[f"T({p},{q})" for p, q in TORUS_PQ] + ["c10", "c10-seed6"],
     )
-    def test_certificate_precision(self, beta):
+    def test_certificate_precision(self, beta, seed):
         # a found restart runs on to the floor: every residual ends far below ACCEPT_TOL
-        cert = solve_full_rank(beta, SolveOptions(seed=0))
+        # (at seed 6 criterion 10's word is won at restart 1, in the second chunk)
+        cert = solve_full_rank(beta, SolveOptions(seed=seed))
         assert isinstance(cert, Certificate) and cert.rank == beta.n
         assert max(cert.residual_L, cert.residual_R, cert.ideal_residual) <= 1e-12
 
@@ -338,13 +338,15 @@ class TestSolver:
             solve_full_rank(BraidWord(2, ()))
 
     def test_not_found_carries_evidence(self):
-        beta = satellite_braid(TREFOIL, BraidWord(2, (1,)))
-        out = solve_full_rank(beta, SolveOptions(restarts=8, seed=0))
+        # criterion 11's restarts end at a nonzero local minimum: evidence, never a breakdown
+        out = solve_full_rank(C11_WORD, SolveOptions(restarts=64, seed=0))
         assert isinstance(out, NotFound)
         assert out.best_residual > ACCEPT_TOL
-        assert out.residual_summary["count"] == 8
+        assert out.residual_summary["count"] == 64
         assert out.residual_summary["min"] <= out.residual_summary["max"]
-        assert sum(out.residual_summary["stops"].values()) == 8
+        stops = out.residual_summary["stops"]
+        assert sum(stops.values()) == 64 and stops["max_iter"] == stops["non_finite"] == 0
+        assert out.label == out.to_obj()["label"] == "evidence-only"
 
     def test_non_finite_restarts_are_not_evidence(self):
         # T(2,601) does have a maximal-rank augmentation, but the plain residual
@@ -852,8 +854,8 @@ def reference_phi(beta):
             if i != j:
                 x[i, n + j] = NCPoly.gen(n, i + 1, j + 1)
     budget = term_budget()
-    fused = np.frompyfunc(lambda y, a, b: y.sub_product(a, b, budget), 3, 1)
-    return tuple(tuple(tuple(row) for row in m) for m in reference_fold(x, beta.letters, fused))
+    sub_mul = lambda y, a, b: NCPoly._raw(y._amb, y._add_product(dict(y._terms), a, b, -1, budget))
+    return tuple(tuple(tuple(row) for row in m) for m in reference_fold(x, beta.letters, np.frompyfunc(sub_mul, 3, 1)))
 
 
 def term_lists(entries):
@@ -935,13 +937,13 @@ class TestFoldOracle:
         # the two-sided fold would cost one side as much as both
         beta = cable(torus_braid(3, 4), 2)
         products = [0]
-        sub_product = SparsePoly.sub_product
+        add_product = SparsePoly._add_product
 
-        def counted(y, a, b, budget=None):
-            products[0] += len(a.terms) * len(b.terms)
-            return sub_product(y, a, b, budget)
+        def counted(self, terms, a, b, sign, budget):
+            products[0] += len(a._terms) * len(b._terms)
+            return add_product(self, terms, a, b, sign, budget)
 
-        monkeypatch.setattr(SparsePoly, "sub_product", counted)
+        monkeypatch.setattr(SparsePoly, "_add_product", counted)
         work = {}
         for fold in (phi_matrices, phi_left, phi_right):
             products[0] = 0

@@ -317,6 +317,8 @@ class TestSearchVerifyConstruct:
         obj = jsonio.load_file(str(out_path))
         assert obj["rank"] == 4
         assert obj["restarts"] == 0
+        # the factors' residuals sit at the floor, and so do the satellite's
+        assert max(obj[k] for k in ("residual_L", "residual_R", "ideal_residual")) <= 1e-12
 
 
 SEARCH = ("ar-search", "--n", "2", "--word", "1 1 1")
@@ -354,94 +356,101 @@ def _rank_deficient(obj):
     obj["rank"] = 1
 
 
-# (argv, edit applied to a good trefoil certificate, exit code, what stderr
-# says at exit 1 or stdout at exit 2); an edit that returns a str writes that
-# text in place of the edited JSON; a usage error exits 1 like any other bad
-# input, never 2 ("not found")
+def _case(key, argv, edit, code, message):
+    """One row, named by its own key: a row put in anywhere renames no other.
+
+    The name is the one pytest gave the row when it numbered rows by position.
+    """
+    return pytest.param(argv, edit, code, message, id=f"argv{key}-{getattr(edit, '__name__', None)}-{code}-{message}")
+
+
+# (key, argv, edit applied to a good trefoil certificate, exit code, what
+# stderr says at exit 1 or stdout at exit 2); an edit that returns a str
+# writes that text in place of the edited JSON; a usage error exits 1 like
+# any other bad input, never 2 ("not found")
 BAD_INPUT_CASES = (
-    [
-        (SEARCH + ("--tol", "1e-3"), None, 1, "unrecognized arguments: --tol"),
-        (SEARCH + ("--bogus", "1"), None, 1, "unrecognized arguments: --bogus 1"),
-        (("ar-search", "--word", "1 1 1"), None, 1, "the following arguments are required: --n"),
-        (SEARCH + ("--restarts", "-3"), None, 1, "restarts must be >= 0"),
-        (("ar-search", "--n", "abc"), None, 1, "argument --n: invalid int value: 'abc'"),
-        (CONSTRUCT + ("--tol", "1e-3"), None, 1, "unrecognized arguments: --tol"),
-        (("verify",), None, 1, "the following arguments are required: --cert"),
-    ]
-    + [
-        (VERIFY, _set_word([1.9, 1, 1]), 1, "braid letter must be an integer, got 1.9"),
-        (VERIFY, lambda obj: obj["braid"].update(n=2.7), 1, "braid n must be an integer, got 2.7"),
-        (VERIFY, _set_word([True, 1, 1]), 1, "braid letter must be an integer, got True"),
-        (VERIFY, _repeat_generator, 1, "certificate repeats generator a_1,2"),
-        (VERIFY, lambda obj: obj.update(rank=7), 2, ""),
-        (VERIFY, lambda obj: obj.update(tol="10"), 1, "tol must be a number, got '10'"),
-        (VERIFY, _set_first_re(True), 1, "generator a_1,2.re must be a number, got True"),
-        (VERIFY, _set_first_re("1.0"), 1, "generator a_1,2.re must be a number, got '1.0'"),
-        (("check", "--suite", "nope"), None, 1, "argument --suite: invalid choice: 'nope'"),
-        # a randomized check with no word to draw, or none drawn, checks nothing
-        (("check", "--suite", "chainrule", "--count", "0"), None, 1, "count must be >= 1, got 0"),
-        (("check", "--suite", "chainrule", "--count", "-1"), None, 1, "count must be >= 1, got -1"),
-        (("check", "--suite", "transpose", "--count", "0"), None, 1, "count must be >= 1, got 0"),
-        (("check", "--suite", "chainrule", "--n", "1"), None, 1, "n must be >= 2"),
-        (("check", "--suite", "transpose", "--n", "0"), None, 1, "n must be >= 2"),
-        (SEARCH + ("--seed", "-1"), None, 1, "seed must be >= 0, got -1"),
-        # an exact suite whose parameters leave it no entry to compare checks nothing
-        (("check", "--suite", "commutes", "--k", "1"), None, 1, "k must be >= 2, got 1"),
-        (("check", "--suite", "psi", "--k", "0"), None, 1, "k must be >= 1, got 0"),
-        (("check", "--suite", "tau", "--n", "1"), None, 1, "n must be >= 2, got 1"),
-        (("check", "--suite", "sigma_n", "--k", "1"), None, 1, "k must be >= 2, got 1"),
-        (("check", "--suite", "blocks", "--n", "1"), None, 1, "n must be >= 2, got 1"),
-        (("check", "--suite", "blocks", "--p", "0"), None, 1, "p must be >= 1, got 0"),
-        (VERIFY, lambda obj: obj.update(generators=5), 1, "(malformed: 'int' object is not iterable)"),
-        (VERIFY, lambda obj: obj.pop("rank"), 1, "(missing 'rank')"),
-        (VERIFY, _overflow_mu, 1, "error: OverflowError: complex exponentiation\n"),
-        (VERIFY, _deep_nesting, 1, "JSON nested too deeply to load\n"),
-        (("satellite", "--iterated-torus", "--q", "3"), None, 1, "error: satellite --iterated-torus needs --p\n"),
-        # a finite value whose fold overflows: not accepted in either format, null in JSON
-        (VERIFY, _set_first_re(1e200), 2, "residual_R: inf"),
-        (VERIFY + ("--format", "json"), _set_first_re(1e200), 2, '"residual_R": null'),
-        (CONSTRUCT, _set_first_re(1e200), 1, "companion certificate is not accepted"),
-        # a 1-strand search runs its restarts like any other
-        (("ar-search", "--n", "1", "--word", "", "--restarts", "0"), None, 2,
-         "no certificate found after 0 restarts (inconclusive)"),
-        # the free algebra encodes a strand index in ten bits
-        (("phi", "--n", "1024", "--word", ""), None, 1,
-         "error: ambient size 1024 is over the free algebra's limit of 1023 strands\n"),
-        # only a knot has a certificate: the empty B2 word closes to a 2-component unlink
-        (("ar-search", "--n", "2", "--word", ""), None, 1, "error: closure must be a knot\n"),
-        (CONSTRUCT, _set_word([]), 1, "error: companion closure is not a knot\n"),
-        (VERIFY, _set_word([]), 1, "error: closure must be a knot\n"),
-        # residuals at 1e-31 but the relations off: a lambda off its mu, and a
-        # lambda mu^w that underflows to 0 (the relations divide by it)
-        (VERIFY, lambda obj: obj.update({"lambda": {"re": 5.0, "im": 0.0}}), 2, "ideal_residual: 9.455e+00"),
-        (VERIFY, lambda obj: obj.update(mu={"re": 1e-300, "im": 0.0}), 2, "ideal_residual: inf"),
-        (CONSTRUCT, lambda obj: obj.update(mu={"re": 1e-300, "im": 0.0}), 1, "ideal inf) over 1e-09"),
-        # an exact solution where det A(mu) = 1 - mu + mu^2 = 0: rank 1 of 2, as stored
-        (VERIFY, _rank_deficient, 2, "rank: 1\nNOT accepted"),
-        (CONSTRUCT, _rank_deficient, 1, "companion certificate is not accepted"),
-        # each satellite mode rejects the other mode's options rather than ignoring them
-        (("satellite", "--alpha", "1 1 1", "--k", "2", "--p", "2", "--q", "5"), None, 1,
-         "error: satellite --q needs --iterated-torus\n"),
-        (("satellite", "--iterated-torus", "--p", "2,2", "--q", "3,1", "--alpha", "1", "--k", "7"), None, 1,
-         "error: satellite --iterated-torus takes no --alpha, --k or --gamma\n"),
-        # a malformed list or word names its option, or the word, and the form it takes
-        (("satellite", "--alpha", "1", "--k", "2", "--p", "2,2"), None, 1,
-         "error: --p must be one integer strand count such as 2, got '2,2'\n"),
-        (("satellite", "--iterated-torus", "--p", "2,x", "--q", "3"), None, 1,
-         "error: --p must be a comma list of integers such as 2,3, got '2,x'\n"),
-        (("satellite", "--iterated-torus", "--p", "2,2", "--q", "3,1.5"), None, 1,
-         "error: --q must be a comma list of integers such as 2,3, got '3,1.5'\n"),
-        (("satellite", "--iterated-torus", "--p", "2,2", "--q", "3"), None, 1,
-         "error: --p and --q must list as many integers, got 2 and 1\n"),
-        (("ar-search", "--n", "2", "--word", "1,1"), None, 1,
-         "error: braid word must be integers separated by spaces, such as '1 -2 1', got '1,1'\n"),
-        (("phi", "--n", "2", "--word", "x"), None, 1,
-         "error: braid word must be integers separated by spaces, such as '1 -2 1', got 'x'\n"),
-        # every cabling degree goes through torus_braid, whose check names it
-        (("satellite", "--iterated-torus", "--p", "2,0", "--q", "3,1"), None, 1,
-         "error: torus braid needs p >= 1, got 0\n"),
-        (("torus", "--p", "0", "--q", "3"), None, 1, "error: torus braid needs p >= 1, got 0\n"),
-    ]
+    _case(0, SEARCH + ("--tol", "1e-3"), None, 1, "unrecognized arguments: --tol"),
+    _case(1, SEARCH + ("--bogus", "1"), None, 1, "unrecognized arguments: --bogus 1"),
+    _case(2, ("ar-search", "--word", "1 1 1"), None, 1, "the following arguments are required: --n"),
+    _case(3, SEARCH + ("--restarts", "-3"), None, 1, "restarts must be >= 0"),
+    _case(4, ("ar-search", "--n", "abc"), None, 1, "argument --n: invalid int value: 'abc'"),
+    _case(5, CONSTRUCT + ("--tol", "1e-3"), None, 1, "unrecognized arguments: --tol"),
+    _case(6, ("verify",), None, 1, "the following arguments are required: --cert"),
+    _case(7, VERIFY, _set_word([1.9, 1, 1]), 1, "braid letter must be an integer, got 1.9"),
+    _case(8, VERIFY, lambda obj: obj["braid"].update(n=2.7), 1, "braid n must be an integer, got 2.7"),
+    _case(9, VERIFY, _set_word([True, 1, 1]), 1, "braid letter must be an integer, got True"),
+    _case(10, VERIFY, _repeat_generator, 1, "certificate repeats generator a_1,2"),
+    _case(11, VERIFY, lambda obj: obj.update(rank=7), 2, ""),
+    _case(12, VERIFY, lambda obj: obj.update(tol="10"), 1, "tol must be a number, got '10'"),
+    _case(13, VERIFY, _set_first_re(True), 1, "generator a_1,2.re must be a number, got True"),
+    _case(14, VERIFY, _set_first_re("1.0"), 1, "generator a_1,2.re must be a number, got '1.0'"),
+    _case(15, ("check", "--suite", "nope"), None, 1, "argument --suite: invalid choice: 'nope'"),
+    # a randomized check with no word to draw, or none drawn, checks nothing
+    _case(16, ("check", "--suite", "chainrule", "--count", "0"), None, 1, "count must be >= 1, got 0"),
+    _case(17, ("check", "--suite", "chainrule", "--count", "-1"), None, 1, "count must be >= 1, got -1"),
+    _case(18, ("check", "--suite", "transpose", "--count", "0"), None, 1, "count must be >= 1, got 0"),
+    # random.Random(-s) draws what random.Random(s) draws
+    _case(56, ("check", "--suite", "chainrule", "--seed", "-1"), None, 1, "seed must be >= 0, got -1"),
+    _case(57, ("check", "--suite", "transpose", "--seed", "-7"), None, 1, "seed must be >= 0, got -7"),
+    _case(19, ("check", "--suite", "chainrule", "--n", "1"), None, 1, "n must be >= 2"),
+    _case(20, ("check", "--suite", "transpose", "--n", "0"), None, 1, "n must be >= 2"),
+    _case(21, SEARCH + ("--seed", "-1"), None, 1, "seed must be >= 0, got -1"),
+    # an exact suite whose parameters leave it no entry to compare checks nothing
+    _case(22, ("check", "--suite", "commutes", "--k", "1"), None, 1, "k must be >= 2, got 1"),
+    _case(23, ("check", "--suite", "psi", "--k", "0"), None, 1, "k must be >= 1, got 0"),
+    _case(24, ("check", "--suite", "tau", "--n", "1"), None, 1, "n must be >= 2, got 1"),
+    _case(25, ("check", "--suite", "sigma_n", "--k", "1"), None, 1, "k must be >= 2, got 1"),
+    _case(26, ("check", "--suite", "blocks", "--n", "1"), None, 1, "n must be >= 2, got 1"),
+    _case(27, ("check", "--suite", "blocks", "--p", "0"), None, 1, "p must be >= 1, got 0"),
+    _case(28, VERIFY, lambda obj: obj.update(generators=5), 1, "(malformed: 'int' object is not iterable)"),
+    _case(29, VERIFY, lambda obj: obj.pop("rank"), 1, "(missing 'rank')"),
+    _case(30, VERIFY, _overflow_mu, 1, "error: OverflowError: complex exponentiation\n"),
+    _case(31, VERIFY, _deep_nesting, 1, "JSON nested too deeply to load\n"),
+    _case(32, ("satellite", "--iterated-torus", "--q", "3"), None, 1, "error: satellite --iterated-torus needs --p\n"),
+    # a finite value whose fold overflows: not accepted in either format, null in JSON
+    _case(33, VERIFY, _set_first_re(1e200), 2, "residual_R: inf"),
+    _case(34, VERIFY + ("--format", "json"), _set_first_re(1e200), 2, '"residual_R": null'),
+    _case(35, CONSTRUCT, _set_first_re(1e200), 1, "companion certificate is not accepted"),
+    # a 1-strand search runs its restarts like any other
+    _case(36, ("ar-search", "--n", "1", "--word", "", "--restarts", "0"), None, 2,
+        "no certificate found after 0 restarts (inconclusive)"),
+    # the free algebra encodes a strand index in ten bits
+    _case(37, ("phi", "--n", "1024", "--word", ""), None, 1,
+        "error: ambient size 1024 is over the free algebra's limit of 1023 strands\n"),
+    # only a knot has a certificate: the empty B2 word closes to a 2-component unlink
+    _case(38, ("ar-search", "--n", "2", "--word", ""), None, 1, "error: closure must be a knot\n"),
+    _case(39, CONSTRUCT, _set_word([]), 1, "error: companion closure is not a knot\n"),
+    _case(40, VERIFY, _set_word([]), 1, "error: closure must be a knot\n"),
+    # residuals at 1e-31 but the relations off: a lambda off its mu, and a
+    # lambda mu^w that underflows to 0 (the relations divide by it)
+    _case(41, VERIFY, lambda obj: obj.update({"lambda": {"re": 5.0, "im": 0.0}}), 2, "ideal_residual: 9.455e+00"),
+    _case(42, VERIFY, lambda obj: obj.update(mu={"re": 1e-300, "im": 0.0}), 2, "ideal_residual: inf"),
+    _case(43, CONSTRUCT, lambda obj: obj.update(mu={"re": 1e-300, "im": 0.0}), 1, "ideal inf) over 1e-09"),
+    # an exact solution where det A(mu) = 1 - mu + mu^2 = 0: rank 1 of 2, as stored
+    _case(44, VERIFY, _rank_deficient, 2, "rank: 1\nNOT accepted"),
+    _case(45, CONSTRUCT, _rank_deficient, 1, "companion certificate is not accepted"),
+    # each satellite mode rejects the other mode's options rather than ignoring them
+    _case(46, ("satellite", "--alpha", "1 1 1", "--k", "2", "--p", "2", "--q", "5"), None, 1,
+        "error: satellite --q needs --iterated-torus\n"),
+    _case(47, ("satellite", "--iterated-torus", "--p", "2,2", "--q", "3,1", "--alpha", "1", "--k", "7"), None, 1,
+        "error: satellite --iterated-torus takes no --alpha, --k or --gamma\n"),
+    # a malformed list or word names its option, or the word, and the form it takes
+    _case(48, ("satellite", "--alpha", "1", "--k", "2", "--p", "2,2"), None, 1,
+        "error: --p must be one integer strand count such as 2, got '2,2'\n"),
+    _case(49, ("satellite", "--iterated-torus", "--p", "2,x", "--q", "3"), None, 1,
+        "error: --p must be a comma list of integers such as 2,3, got '2,x'\n"),
+    _case(50, ("satellite", "--iterated-torus", "--p", "2,2", "--q", "3,1.5"), None, 1,
+        "error: --q must be a comma list of integers such as 2,3, got '3,1.5'\n"),
+    _case(51, ("satellite", "--iterated-torus", "--p", "2,2", "--q", "3"), None, 1,
+        "error: --p and --q must list as many integers, got 2 and 1\n"),
+    _case(52, ("ar-search", "--n", "2", "--word", "1,1"), None, 1,
+        "error: braid word must be integers separated by spaces, such as '1 -2 1', got '1,1'\n"),
+    _case(53, ("phi", "--n", "2", "--word", "x"), None, 1,
+        "error: braid word must be integers separated by spaces, such as '1 -2 1', got 'x'\n"),
+    # every cabling degree goes through torus_braid, whose check names it
+    _case(54, ("satellite", "--iterated-torus", "--p", "2,0", "--q", "3,1"), None, 1,
+        "error: torus braid needs p >= 1, got 0\n"),
+    _case(55, ("torus", "--p", "0", "--q", "3"), None, 1, "error: torus braid needs p >= 1, got 0\n"),
 )
 
 
@@ -461,6 +470,8 @@ def test_bad_input_is_rejected_up_front(capsys, tmp_path, argv, edit, code, mess
     if code == 1:
         assert out == ""
         assert message in err
+        if not err.startswith("usage: "):  # argparse's own usage errors print the usage first
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     else:
         assert err == ""
         assert message in out
