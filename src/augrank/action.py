@@ -47,6 +47,22 @@ PhiL's columns only, its column operation PhiR's rows only, and v is not
 updated; this keeps the fold from building images far larger than any
 matrix entry.
 
+The same holds earlier for each strand once no later letter touches it: its
+row of v is read only by the column operations that update that row, its
+column only by the row operations that update that column, and neither
+reaches PhiL, PhiR or a letter's v_ts, v_st.  So after a strand's last
+letter the fold sets its row and column of v to zero (a strand that no
+letter touches, right after the seed).  The matrices are exactly unchanged,
+and in the free algebra every later update of that row and column is a
+zero product, which leaves y.  The plan is worked out once per word by
+walking the letters backwards until every strand is seen, and the letters
+are folded in segments between deaths, so a letter that kills no strand
+costs nothing more.  A strand last touched by the last or the
+second-to-last letter is not zeroed, since the last letter updates no v.
+On criterion 06's 3-cable of sigma1^3 in B9 this cuts the fold's term
+products from 1530344 to 465704 and its largest product from 32282 to
+16076 terms.
+
 :func:`_letter_step` is that step, written once for numpy arrays over any
 ring, and :func:`fold_block` the whole fold for every ring: the seed (batch
 axes last; the lower-left block, which nothing reads, left unset), the
@@ -314,6 +330,30 @@ def _letter_step(x: np.ndarray, e: int, sub_mul, order: list[int], last: bool = 
         x[pt, qs], x[ps, qt] = -v_ts, -v_st
 
 
+@functools.lru_cache(maxsize=256)  # a search folds one word about 75 times
+def _dead_strands(n: int, letters: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """:func:`fold_block`'s plan: (stop, strands), stops ascending.
+
+    After the first stop letters no letter touches these strands again; a
+    strand that no letter touches dies at 0.  The last pair is (len - 1, ()),
+    the letters before the trimmed last one, and a strand last touched by
+    one of the last two letters is not listed, since the last letter updates
+    no v.
+    """
+    last = max(len(letters) - 1, 0)
+    stops: dict[int, int] = {}
+    for k in range(len(letters) - 1, -1, -1):  # backwards, until every strand is seen
+        if len(stops) == n:
+            break
+        stops.setdefault(abs(letters[k]) - 1, k + 1)
+        stops.setdefault(abs(letters[k]), k + 1)
+    dead: dict[int, list[int]] = {}
+    for i in range(n):
+        if stops.get(i, 0) < last:
+            dead.setdefault(stops.get(i, 0), []).append(i)
+    return tuple((stop, tuple(dead[stop])) for stop in sorted(dead)) + ((last, ()),)
+
+
 def fold_block(beta: BraidWord, v: np.ndarray, one, zero, sub_mul, part=np.s_[:]) -> tuple[np.ndarray, np.ndarray]:
     """PhiL and PhiR of beta over the ring of v, one, zero and sub_mul (see :func:`_letter_step`).
 
@@ -321,7 +361,11 @@ def fold_block(beta: BraidWord, v: np.ndarray, one, zero, sub_mul, part=np.s_[:]
     ignored.  The block array is seeded with the batch axes last, x[part]
     folds (the whole array, [PhiL | v] or [v ; PhiR]; a block outside it comes
     back as the identity), and both matrices are read out through the final
-    order, batch axes first and C-contiguous.
+    order, batch axes first and C-contiguous.  Between letters the row and
+    the column of v of each strand that no later letter touches are set to
+    the ring's zero (:func:`_dead_strands`, worked out once per word): only
+    they read each other, so the matrices do not change, and in the free
+    algebra every later update of them is a zero product that leaves y.
     """
     n, k = beta.n, v.ndim - 2
     # the step never reads or writes the lower-left block, so it stays unset
@@ -331,9 +375,14 @@ def fold_block(beta: BraidWord, v: np.ndarray, one, zero, sub_mul, part=np.s_[:]
     flat = x.reshape((4 * n * n,) + v.shape[:k])
     flat[n : 2 * n * n : 2 * n + 1] = zero  # v's diagonal
     flat[:: 2 * n + 1] = one
-    y, order = x[part], list(range(n))
-    for e in beta.letters[:-1]:
-        _letter_step(y, e, sub_mul, order)
+    y, order, done = x[part], list(range(n)), 0
+    for stop, dead in _dead_strands(n, beta.letters):
+        for e in beta.letters[done:stop]:
+            _letter_step(y, e, sub_mul, order)
+        for i in dead:  # v's row and column of strand i; the indices hold on every part
+            y[order[i], -n:] = zero
+            y[:n, order[i] - n] = zero
+        done = stop
     if beta.letters:
         _letter_step(y, beta.letters[-1], sub_mul, order, last=True)
     order = np.array(order)

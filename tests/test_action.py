@@ -26,7 +26,7 @@ from augrank.action import (
     sum_desc,
     tau_closed_form,
 )
-from augrank.braids import BraidWord, cable, include_bar, perm, tau_word, torus_braid
+from augrank.braids import BraidWord, cable, include_bar, perm, satellite_braid, tau_word, torus_braid
 from augrank.checks import (
     check_braid_relations,
     check_chain_rule,
@@ -189,9 +189,16 @@ class TestMatrices:
         assert phi_left(BraidWord(2, (1, 1, 1))).render_entries() == EXPECTED_L_S1_CUBED
 
     @given(braid_words(max_n=4, max_len=5))
+    @example(include_bar(BraidWord(3, (1, -2, 1)), 5))  # words whose strands go idle before the end
+    @example(cable(BraidWord(3, (1, 1, 1)), 3))
+    @example(satellite_braid(torus_braid(2, 3), BraidWord(3, (1, 2))))
+    @example(BraidWord(4, (1, 3)))
+    @example(BraidWord(4, ()))
     def test_fold_matches_direct_extraction(self, b):
-        assert phi_left(b) == phi_left_direct(b)
-        assert phi_right(b) == phi_right_direct(b)
+        left, right = phi_left_direct(b), phi_right_direct(b)
+        assert phi_matrices(b) == (left, right)
+        assert phi_left(b) == left
+        assert phi_right(b) == right
 
     @given(braid_words(max_n=4, max_len=6))
     def test_transpose_symmetry(self, b):
@@ -279,8 +286,17 @@ class TestFoldBlock:
 
     @pytest.mark.parametrize(
         "beta",
-        [BraidWord(3, (1, -2, 1, 2, -1)), torus_braid(3, 4), cable(BraidWord(2, (1, -1, 1)), 2)],
-        ids=["B3-mixed", "T(3,4)", "cable"],
+        [
+            BraidWord(3, (1, -2, 1, 2, -1)),
+            torus_braid(3, 4),
+            cable(BraidWord(2, (1, -1, 1)), 2),
+            include_bar(BraidWord(3, (1, -2, 1)), 5),
+            cable(BraidWord(3, (1, 1, 1)), 3),
+            satellite_braid(torus_braid(2, 3), BraidWord(3, (1, 2))),
+            BraidWord(4, (1, 3)),
+            BraidWord(4, ()),
+        ],
+        ids=["B3-mixed", "T(3,4)", "cable", "included", "B9-cable", "satellite", "far-letters", "empty"],
     )
     def test_integer_ring_matches_free_algebra(self, beta):
         n = beta.n
@@ -295,7 +311,7 @@ class TestFoldBlock:
         for m, entries in zip(got, want + want):
             assert m.dtype == object and m.shape == (n, n) and m.flags.c_contiguous
             assert m.tolist() == entries
-        assert any(abs(x) > 1 for row in want[0] for x in row)  # the values did multiply
+        assert not beta.letters or any(abs(x) > 1 for row in want[0] for x in row)  # the values did multiply
 
 
 class TestChainCompose:
@@ -533,3 +549,11 @@ class TestBudget:
         monkeypatch.setenv("KCH_TERM_BUDGET", "3")
         with pytest.raises(TermBudgetError):
             phi_left(BraidWord(3, (1, 2, 1, 2, 1, 2)))
+
+    def test_idle_strands_stay_under_budget(self, monkeypatch):
+        # the largest product of the B9 cable's fold has 16076 terms; updating
+        # the idle strands' images would build one of 32282
+        beta = cable(BraidWord(3, (1, 1, 1)), 3)
+        want = phi_matrices(beta)
+        monkeypatch.setenv("KCH_TERM_BUDGET", "20000")
+        assert phi_matrices(beta) == want

@@ -45,7 +45,7 @@ from augrank.augment import (
     solve_full_rank,
     values_to_array,
 )
-from augrank.braids import BraidWord, cable, perm, satellite_braid, torus_braid, writhe
+from augrank.braids import BraidWord, cable, include_bar, perm, satellite_braid, torus_braid, writhe
 from augrank.checks import check_block_structure
 from augrank.freealg import Assignment, NCPoly, SparsePoly, gen_order, term_budget
 
@@ -168,6 +168,11 @@ class TestResiduals:
             assert np.allclose(mr[t], mr_t, atol=0, rtol=1e-14)
 
     @given(braid_words(min_n=2, max_n=4, max_len=6), st.integers(0, 100))
+    @example(include_bar(BraidWord(3, (1, -2, 1)), 5), 0)  # words whose strands go idle before the end
+    @example(cable(BraidWord(3, (1, 1, 1)), 3), 1)
+    @example(satellite_braid(torus_braid(2, 3), BraidWord(3, (1, 2))), 2)
+    @example(BraidWord(4, (1, 3)), 3)
+    @example(BraidWord(4, ()), 4)
     def test_numeric_fold_matches_symbolic(self, b, seed):
         eps = random_assignment(b.n, seed)
         ml, mr = eval_phi_matrices(b, values_to_array(eps.values, b.n))
@@ -883,8 +888,13 @@ class TestFoldOracle:
             BraidWord(3, ()),
             BraidWord(1, ()),
             satellite_braid(satellite_braid(torus_braid(4, 5), torus_braid(2, 5)), torus_braid(2, 5)),
+            include_bar(BraidWord(3, (1, -2, 1)), 5),
+            satellite_braid(torus_braid(2, 3), BraidWord(3, (1, 2))),
         ],
-        ids=["c11", "negative-letters", "one-letter", "one-negative-letter", "empty", "B1", "B16-265"],
+        ids=[
+            "c11", "negative-letters", "one-letter", "one-negative-letter", "empty", "B1", "B16-265",
+            "included", "satellite",
+        ],
     )
     @pytest.mark.parametrize("batch", [1, 13, 715])
     def test_numeric_fold(self, beta, batch):
@@ -952,6 +962,26 @@ class TestFoldOracle:
         assert work["phi_matrices"] > 0
         assert work["phi_left"] <= 0.6 * work["phi_matrices"]
         assert work["phi_right"] <= 0.6 * work["phi_matrices"]
+
+    def test_idle_strands_add_no_products(self, monkeypatch):
+        # strands past the word's own are idle from the seed on, so their
+        # rows and columns of v cost nothing however many there are
+        word = BraidWord(3, (1, -2, 1, 2, -1))
+        products = [0]
+        add_product = SparsePoly._add_product
+
+        def counted(self, terms, a, b, sign, budget):
+            products[0] += len(a._terms) * len(b._terms)
+            return add_product(self, terms, a, b, sign, budget)
+
+        monkeypatch.setattr(SparsePoly, "_add_product", counted)
+        work = []
+        for n in range(word.n, word.n + 4):
+            products[0] = 0
+            phi_matrices(include_bar(word, n))
+            work.append(products[0])
+        assert work[0] > 0
+        assert work == work[:1] * 4
 
 
 class TestCertificateSerialization:
