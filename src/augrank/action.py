@@ -349,9 +349,8 @@ def _dead_strands(n: int, letters: tuple[int, ...]) -> tuple[tuple[int, tuple[in
         stops.setdefault(abs(letters[k]), k + 1)
     dead: dict[int, list[int]] = {}
     for i in range(n):
-        if stops.get(i, 0) < last:
-            dead.setdefault(stops.get(i, 0), []).append(i)
-    return tuple((stop, tuple(dead[stop])) for stop in sorted(dead)) + ((last, ()),)
+        dead.setdefault(stops.get(i, 0), []).append(i)
+    return tuple((stop, tuple(dead[stop])) for stop in sorted(dead) if stop < last) + ((last, ()),)
 
 
 def fold_block(beta: BraidWord, v: np.ndarray, one, zero, sub_mul, part=np.s_[:]) -> tuple[np.ndarray, np.ndarray]:
