@@ -42,50 +42,38 @@ Rows and columns are relabelled, not moved: the fold keeps the order of the
 rows of [PhiL | v], which is also that of the columns of [v ; PhiR], in one
 list; a letter updates one row and one column in place and swaps two
 entries of the list, and the matrices are read out through the final order.
-After the last letter nothing reads v, so that letter's row operation covers
-PhiL's columns only, its column operation PhiR's rows only, and v is not
-updated; this keeps the fold from building images far larger than any
-matrix entry.
 
-The same holds earlier for each strand once no later letter touches it: its
-row of v is read only by the column operations that update that row, its
-column only by the row operations that update that column, and neither
-reaches PhiL, PhiR or a letter's v_ts, v_st.  So after a strand's last
-letter the fold sets its row and column of v to zero (a strand that no
-letter touches, right after the seed).  The matrices are exactly unchanged,
-and in the free algebra every later update of that row and column is a
-zero product, which leaves y.  The plan is worked out once per word by
-walking the letters backwards until every strand is seen, and the letters
-are folded in segments between deaths, so a letter that kills no strand
-costs nothing more.  A strand last touched by the last or the
-second-to-last letter is not zeroed, since the last letter updates no v.
-On criterion 06's 3-cable of sigma1^3 in B9 this cuts the fold's term
-products from 1530344 to 465704 and its largest product from 32282 to
-16076 terms.
+Zeros are the fold's only way to skip work nothing reads: in the free
+algebra an update y -= a*b with a zero factor returns y at once.  A
+strand's row of v is read only by the column operations that update that
+row, its column only by the row operations that update that column, and
+neither reaches PhiL, PhiR or a letter's v_ts, v_st.  So right after a
+strand's last letter (right after the seed, for a strand that no letter
+touches) the fold sets its row and column of v to zero, and the matrices
+are exactly unchanged.  Only the two strands of the last letter are left,
+and that letter's patch sets aside and zeroes their v_ts, v_st, so all of v
+is zero while its operations run and the images, which can grow far past
+any matrix entry, are not updated.  A caller that wants one side seeds the
+other with zeros instead of the identity: PhiL reads v and its own rows,
+never PhiR, and the other way round, so the side not asked for stays zero
+and every update of it is a zero product.  The plan is worked out once per
+word by walking the letters backwards until every strand is seen.  On
+criterion 06's 3-cable of sigma1^3 in B9 the zeros cut the fold's term
+products from 1530344 to 465704 and its largest product from 32282 to 16076
+terms; on cable(T(3,4), 2) one side costs 13546 term products where both
+cost 24392.
 
 :func:`_letter_step` is that step, written once for numpy arrays over any
 ring, and :func:`fold_block` the whole fold for every ring: the seed (batch
 axes last; the lower-left block, which nothing reads, left unset), the
-trimmed last letter and the read-out through the final order.  A ring
-enters with its one, its zero and its in-place y -= a*b: NCPoly objects
-here, each y - a*b summed into a copy of y's terms by
+plan's zeros and the read-out of the sides asked for through the final
+order.  A ring enters with its one, its zero and its in-place y -= a*b:
+NCPoly objects here, each y - a*b summed into a copy of y's terms by
 :meth:`augrank.freealg.SparsePoly._add_product`, the loop behind ``*`` and
 :func:`mat_mul` (one budget read per fold; a zero a or b leaves y), and
 batched complex numbers in :func:`augrank.augment.eval_phi_matrices`.  In
 the free algebra the order of the factors matters: rows are multiplied on
 the left, columns on the right.
-
-A caller that wants one side folds only part of the array.  PhiL reads v
-and its own rows, never PhiR, so :func:`phi_left` folds the top part
-[PhiL | v] and :func:`phi_right` the right part [v ; PhiR].  Each still runs
-v's row and column operations, because every later letter reads v: the top
-part does the row operations in full and the column operations on v's rows
-only, the right part the column operations in full and the row operations
-on v's columns only.  What is skipped is the column operation on PhiR's
-rows and the row operation on PhiL's columns, which only the other side
-reads; on cable(T(3,4), 2) one side costs 15168 term products where both
-cost 26014.  :func:`phi_matrices` and the numeric fold, which need both
-sides, fold the whole array once.
 
 The oracles stay independent of the fold: :func:`phi_left_direct` and
 :func:`phi_right_direct` read the matrices off the action of beta, included in
@@ -280,54 +268,39 @@ def mat_mul(a: PhiMatrix, b: PhiMatrix) -> PhiMatrix:
     return PhiMatrix(a.n, a.side, tuple(tuple(entry(row, col) for col in cols) for row in a.entries))
 
 
-def _letter_step(x: np.ndarray, e: int, sub_mul, order: list[int], last: bool = False) -> None:
+def _letter_step(x: np.ndarray, e: int, sub_mul, order: list[int]) -> None:
     """Advance the fold by one letter, in place.
 
     x holds the block array [[PhiL(P), v], [0, PhiR(P)]] of shape (2n, 2n, ...)
     with v[i-1, j-1] = act(P, a_ij); trailing axes are a batch, and v's
-    diagonal holds the ring's zero.  x may also be its top part
-    [PhiL(P) | v] of shape (n, 2n, ...) or its right part [v ; PhiR(P)] of
-    shape (2n, n, ...).  Columns are counted from the right end (column j of
-    [v ; PhiR] is x[:, j - n]) and PhiR's rows start at row n, so every index
-    below means the same on all three shapes, and the step takes no argument
-    for the shape.  The rows of [PhiL | v] and the columns of [v ; PhiR] are
-    relabelled, not moved: row i of [PhiL | v] is stored at x[order[i]] and
-    column j of [v ; PhiR] at x[:, order[j] - n] (a letter relabels rows s, t
-    and those columns s, t alike, so one list serves both), and the step
-    updates order.  sub_mul(y, a, b) sets y to the ring's y - a*b in place,
-    with a or b broadcast over y; the caller of :func:`fold_block` picks it
-    once per fold.  sigma_k^-1 is sigma_k with the roles of strands k and
-    k+1 swapped, so both signs share the update below: one row operation on
-    rows s, t (PhiL and the row images; the new row s is row_t - v_ts row_s,
-    multiplied on the left, the new row t the old row s), one column
-    operation on columns s, t of [v ; PhiR] (the column images and PhiR;
-    likewise col_t - col_s v_st, multiplied on the right), and a 2 x 2 patch
-    of v.  Each operation updates the stored row t (column t) in place, and
+    diagonal holds the ring's zero.  The rows of [PhiL | v] and the columns
+    of [v ; PhiR] are relabelled, not moved: row i is stored at x[order[i]]
+    and column j at x[:, n + order[j]] (a letter relabels rows s, t and
+    columns s, t alike, so one list serves both), and the step updates
+    order.  sub_mul(y, a, b) sets y to the ring's y - a*b in place, with a
+    or b broadcast over y; the caller of :func:`fold_block` picks it once
+    per fold.  sigma_k^-1 is sigma_k with the roles of strands k and k+1
+    swapped, so both signs share the update below: one row operation on rows
+    s, t (the new row s is row_t - v_ts row_s, multiplied on the left, the
+    new row t the old row s), one column operation on columns s, t
+    (col_t - col_s v_st, multiplied on the right), and a 2 x 2 patch of v.
+    Each operation updates the stored row t (column t) in place, and
     swapping the two labels makes it row s (column s).  The patch's
     off-diagonal entries are set aside and zeroed while the two operations
     run, then written back negated: with the labels swapped, each lands
-    where it was read from.  With last set, nothing reads v again: the row
-    operation covers PhiL's columns only, the column operation PhiR's rows
-    only (either span is empty where its block is absent), and v is left as
-    it is.
+    where it was read from.
     """
     n = len(order)
     s, t = abs(e) - 1, abs(e)
     if e < 0:
         s, t = t, s
     ps, pt = order[s], order[t]
-    qs, qt = ps - n, pt - n
-    v_ts, v_st = x[pt, qs, ...].copy(), x[ps, qt, ...].copy()  # 0-d for the object ring
-    if last:
-        left, right = slice(0, -n), slice(n, None)
-    else:
-        left = right = slice(None)
-        x[pt, qs], x[ps, qt] = x[pt, qt], x[ps, qs]  # zeros from v's diagonal
-    sub_mul(x[pt, left], v_ts, x[ps, left])
-    sub_mul(x[right, qt], x[right, qs], v_st)
+    v_ts, v_st = x[pt, n + ps, ...].copy(), x[ps, n + pt, ...].copy()  # 0-d for the object ring
+    x[pt, n + ps], x[ps, n + pt] = x[pt, n + pt], x[ps, n + ps]  # zeros from v's diagonal
+    sub_mul(x[pt], v_ts, x[ps])
+    sub_mul(x[:, n + pt], x[:, n + ps], v_st)
     order[s], order[t] = pt, ps
-    if not last:
-        x[pt, qs], x[ps, qt] = -v_ts, -v_st
+    x[pt, n + ps], x[ps, n + pt] = -v_ts, -v_st
 
 
 @functools.lru_cache(maxsize=256)  # a search folds one word about 75 times
@@ -335,12 +308,9 @@ def _dead_strands(n: int, letters: tuple[int, ...]) -> tuple[tuple[int, tuple[in
     """:func:`fold_block`'s plan: (stop, strands), stops ascending.
 
     After the first stop letters no letter touches these strands again; a
-    strand that no letter touches dies at 0.  The last pair is (len - 1, ()),
-    the letters before the trimmed last one, and a strand last touched by
-    one of the last two letters is not listed, since the last letter updates
-    no v.
+    strand that no letter touches dies at 0.  A strand whose last letter is
+    the word's last letter is not listed: no letter follows to read it.
     """
-    last = max(len(letters) - 1, 0)
     stops: dict[int, int] = {}
     for k in range(len(letters) - 1, -1, -1):  # backwards, until every strand is seen
         if len(stops) == n:
@@ -350,21 +320,23 @@ def _dead_strands(n: int, letters: tuple[int, ...]) -> tuple[tuple[int, tuple[in
     dead: dict[int, list[int]] = {}
     for i in range(n):
         dead.setdefault(stops.get(i, 0), []).append(i)
-    return tuple((stop, tuple(dead[stop])) for stop in sorted(dead) if stop < last) + ((last, ()),)
+    return tuple((stop, tuple(dead[stop])) for stop in sorted(dead) if stop < len(letters))
 
 
-def fold_block(beta: BraidWord, v: np.ndarray, one, zero, sub_mul, part=np.s_[:]) -> tuple[np.ndarray, np.ndarray]:
-    """PhiL and PhiR of beta over the ring of v, one, zero and sub_mul (see :func:`_letter_step`).
+def fold_block(beta: BraidWord, v: np.ndarray, one, zero, sub_mul, sides: str = "LR") -> tuple[np.ndarray, ...]:
+    """PhiL and PhiR of beta, or one of them, over the ring of v, one, zero and sub_mul (see :func:`_letter_step`).
 
     v[..., i-1, j-1] is the value of a_ij, batch axes first; v's diagonal is
-    ignored.  The block array is seeded with the batch axes last, x[part]
-    folds (the whole array, [PhiL | v] or [v ; PhiR]; a block outside it comes
-    back as the identity), and both matrices are read out through the final
-    order, batch axes first and C-contiguous.  Between letters the row and
-    the column of v of each strand that no later letter touches are set to
-    the ring's zero (:func:`_dead_strands`, worked out once per word): only
-    they read each other, so the matrices do not change, and in the free
-    algebra every later update of them is a zero product that leaves y.
+    ignored.  The block array is seeded with the batch axes last and the
+    ring's one on the diagonal of each side in sides ("LR", "L" or "R"); a
+    side not named is all zeros, and stays so, since every update of it has
+    a zero factor.  Every letter is one step of the whole array.  Between
+    letters the row and the column of v of each strand that no later letter
+    touches are set to the ring's zero (:func:`_dead_strands`, worked out
+    once per word): only they read each other, so the matrices do not
+    change, and in the free algebra every later update of them is a zero
+    product that leaves y.  One block per side in sides is read out through
+    the final order, batch axes first and C-contiguous.
     """
     n, k = beta.n, v.ndim - 2
     # the step never reads or writes the lower-left block, so it stays unset
@@ -373,23 +345,25 @@ def fold_block(beta: BraidWord, v: np.ndarray, one, zero, sub_mul, part=np.s_[:]
     x[:n, n:] = v.transpose(k, k + 1, *range(k))
     flat = x.reshape((4 * n * n,) + v.shape[:k])
     flat[n : 2 * n * n : 2 * n + 1] = zero  # v's diagonal
-    flat[:: 2 * n + 1] = one
-    y, order, done = x[part], list(range(n)), 0
+    diagonal = flat[:: 2 * n + 1]  # PhiL's n entries, then PhiR's
+    diagonal[:n] = one if "L" in sides else zero
+    diagonal[n:] = one if "R" in sides else zero
+    order, done = list(range(n)), 0
     for stop, dead in _dead_strands(n, beta.letters):
         for e in beta.letters[done:stop]:
-            _letter_step(y, e, sub_mul, order)
-        for i in dead:  # v's row and column of strand i; the indices hold on every part
-            y[order[i], -n:] = zero
-            y[:n, order[i] - n] = zero
+            _letter_step(x, e, sub_mul, order)
+        for i in dead:  # v's row and column of strand i
+            x[order[i], n:] = zero
+            x[:n, n + order[i]] = zero
         done = stop
-    if beta.letters:
-        _letter_step(y, beta.letters[-1], sub_mul, order, last=True)
+    for e in beta.letters[done:]:
+        _letter_step(x, e, sub_mul, order)
     order = np.array(order)
-    batch_first = lambda block: np.ascontiguousarray(block.transpose(*range(2, k + 2), 0, 1))
-    return batch_first(x[order, :n]), batch_first(x[n:, n + order])
+    index = {"L": (order, np.s_[:n]), "R": (np.s_[n:], n + order)}
+    return tuple(np.ascontiguousarray(x[index[side]].transpose(*range(2, k + 2), 0, 1)) for side in sides)
 
 
-def _free_fold(beta: BraidWord, part=np.s_[:]) -> tuple[np.ndarray, np.ndarray]:
+def _free_fold(beta: BraidWord, sides: str) -> tuple[PhiMatrix, ...]:
     """:func:`fold_block` over the free algebra, v holding the generators themselves."""
     n = beta.n
     one, zero = NCPoly.one(n), NCPoly.zero(n)  # these check n before any generator is built
@@ -404,26 +378,23 @@ def _free_fold(beta: BraidWord, part=np.s_[:]) -> tuple[np.ndarray, np.ndarray]:
         return NCPoly._raw(y._amb, y._add_product(dict(y._terms), a, b, -1, budget))
 
     fused = np.frompyfunc(sub_mul, 3, 1)
-    return fold_block(beta, v, one, zero, lambda y, a, b: fused(y, a, b, out=y), part)
-
-
-def _phi_matrix(block: np.ndarray, side: str) -> PhiMatrix:
-    return PhiMatrix(len(block), side, tuple(map(tuple, block)))
+    blocks = fold_block(beta, v, one, zero, lambda y, a, b: fused(y, a, b, out=y), sides)
+    return tuple(PhiMatrix(n, side, tuple(map(tuple, block))) for block, side in zip(blocks, sides))
 
 
 def phi_matrices(beta: BraidWord) -> tuple[PhiMatrix, PhiMatrix]:
     """Left and right action matrices of beta, from one letter fold."""
-    return tuple(map(_phi_matrix, _free_fold(beta), "LR"))
+    return _free_fold(beta, "LR")
 
 
 def phi_left(beta: BraidWord) -> PhiMatrix:
-    """Left action matrix, from a fold of the top part [PhiL | v] only."""
-    return _phi_matrix(_free_fold(beta, np.s_[: beta.n])[0], "L")
+    """Left action matrix, from a fold whose right side is seeded with zeros."""
+    return _free_fold(beta, "L")[0]
 
 
 def phi_right(beta: BraidWord) -> PhiMatrix:
-    """Right action matrix, from a fold of the right part [v ; PhiR] only."""
-    return _phi_matrix(_free_fold(beta, np.s_[:, beta.n :])[1], "R")
+    """Right action matrix, from a fold whose left side is seeded with zeros."""
+    return _free_fold(beta, "R")[0]
 
 
 def chain_compose(m1: PhiMatrix, m2: PhiMatrix, beta1: BraidWord) -> PhiMatrix:

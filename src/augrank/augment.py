@@ -16,9 +16,9 @@ which alone seeds the block array [[PhiL, v], [0, PhiR]] and reads it out),
 given the complex numbers' one, zero and y -= a*b: the evaluated matrices
 sit beside the generator values v pushed forward through each letter's
 substitution.  One letter is a row operation, a column operation and a
-2 x 2 patch of v (the last letter skips v), O(n) scalar operations, and the
-whole fold is batched over many points at once (every restart of a chunk
-and its finite differences) along the array's trailing axes.
+2 x 2 patch of v, O(n) scalar operations, and the whole fold is batched
+over many points at once (every restart of a chunk and its finite
+differences) along the array's trailing axes.
 """
 
 from __future__ import annotations

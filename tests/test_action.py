@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 
 from augrank.action import (
     PhiMatrix,
+    _dead_strands,
     StarDecompositionError,
     cabled_generator_closed_form,
     chain_compose,
@@ -305,13 +306,32 @@ class TestFoldBlock:
         v = rng.integers(-3, 4, size=(n, n)).astype(object)
         values = {(i, j): v[i - 1, j - 1] for i, j in gen_order(n)}
         sub_mul = lambda y, a, b: np.subtract(y, a * b, out=y)
-        fold = lambda part=np.s_[:]: fold_block(beta, v, 1, 0, sub_mul, part)
+        fold = lambda sides: fold_block(beta, v, 1, 0, sub_mul, sides)
         want = [[[exact_value(x, values) for x in row] for row in m.entries] for m in phi_matrices(beta)]
-        got = fold() + (fold(np.s_[:n])[0], fold(np.s_[:, n:])[1])
-        for m, entries in zip(got, want + want):
+        got = fold("LR"), fold("L"), fold("R")
+        assert [len(blocks) for blocks in got] == [2, 1, 1]  # a side not asked for does not come back
+        for m, entries in zip(sum(got, ()), want + want):
             assert m.dtype == object and m.shape == (n, n) and m.flags.c_contiguous
             assert m.tolist() == entries
         assert not beta.letters or any(abs(x) > 1 for row in want[0] for x in row)  # the values did multiply
+
+    @given(braid_words(min_n=2, max_n=6, max_len=8))
+    @example(include_bar(BraidWord(3, (1, -2, 1)), 5))  # words whose strands go idle before the end
+    @example(cable(BraidWord(3, (1, 1, 1)), 3))
+    @example(satellite_braid(torus_braid(2, 3), BraidWord(3, (1, 2))))
+    @example(BraidWord(4, (1, 3)))
+    @example(BraidWord(4, ()))
+    def test_plan_zeroes_each_strand_after_its_last_letter(self, beta):
+        # a strand is zeroed once, right after its last letter (0 if untouched),
+        # unless that is the word's last letter: no letter follows to read it
+        letters = beta.letters
+        stops = {i: max((k + 1 for k, e in enumerate(letters) if i in (abs(e) - 1, abs(e))), default=0)
+                 for i in range(beta.n)}
+        plan = _dead_strands(beta.n, letters)
+        assert [stop for stop, _ in plan] == sorted({stop for stop, _ in plan})  # ascending, each stop once
+        assert all(dead for _, dead in plan)
+        listed = [(i, stop) for stop, dead in plan for i in dead]
+        assert sorted(listed) == [(i, stop) for i, stop in stops.items() if stop < len(letters)]
 
 
 class TestChainCompose:
