@@ -38,10 +38,10 @@ a letter on strands s, t changes rows s, t of v the way it changes rows s, t
 of PhiL, and columns s, t of v the way it changes columns s, t of PhiR.  So
 one letter is one row operation on rows s, t, one column operation on
 columns n+s, n+t and a 2 x 2 patch of v: O(n) in-place updates y -= a*b.
-Rows and columns are relabelled, not moved: the fold keeps the order of the
-rows of [PhiL | v], which is also that of the columns of [v ; PhiR], in one
-list; a letter updates one row and one column in place and swaps two
-entries of the list, and the matrices are read out through the final order.
+Rows and columns are relabelled, not moved: a letter relabels rows s, t of
+[PhiL | v] and columns s, t of [v ; PhiR] alike, so one stored position per
+strand serves both, and the matrices are read out through the final
+positions, which are the word's strand permutation.
 
 Zeros are the fold's only way to skip work nothing reads: in the free
 algebra an update y -= a*b with a zero factor returns y at once.  A
@@ -56,19 +56,20 @@ is zero while its operations run and the images, which can grow far past
 any matrix entry, are not updated.  A caller that wants one side seeds the
 other with zeros instead of the identity: PhiL reads v and its own rows,
 never PhiR, and the other way round, so the side not asked for stays zero
-and every update of it is a zero product.  The plan is worked out once per
-word by walking the letters backwards until every strand is seen.  On
-criterion 06's 3-cable of sigma1^3 in B9 the zeros cut the fold's term
-products from 1530344 to 465704 and its largest product from 32282 to 16076
-terms; on cable(T(3,4), 2) one side costs 13546 term products where both
-cost 24392.
+and every update of it is a zero product.  On criterion 06's 3-cable of
+sigma1^3 in B9 the zeros cut the fold's term products from 1530344 to
+465704 and its largest product from 32282 to 16076 terms; on
+cable(T(3,4), 2) one side costs 13546 term products where both cost 24392.
 
-:func:`_letter_step` is that step, written once for numpy arrays over any
-ring, and :func:`fold_block` the whole fold for every ring: the seed (batch
-axes last; the lower-left block, which nothing reads, left unset), the
-plan's zeros and the read-out of the sides asked for through the final
-order.  A ring enters with its one, its zero and its in-place y -= a*b:
-NCPoly objects here, each y - a*b summed into a copy of y's terms by
+:func:`_plan` works the positions out once per word: per letter, the two it
+steps (sigma_k^-1's swap of the strands applied) and those zeroed right
+after it, the positions idle from the start and the final order.
+:func:`_letter_step` is that step, arithmetic only, written once for numpy
+arrays over any ring, and :func:`fold_block` the whole fold for every ring:
+the seed (batch axes last; the lower-left block, which nothing reads, left
+unset), one loop over the plan and the read-out of the sides asked for.  A
+ring enters with its one, its zero and its in-place y -= a*b: NCPoly objects
+here, each y - a*b summed into a copy of y's terms by
 :meth:`augrank.freealg.SparsePoly._add_product`, the loop behind ``*`` and
 :func:`mat_mul` (one budget read per fold; a zero a or b leaves y), and
 batched complex numbers in :func:`augrank.augment.eval_phi_matrices`.  In
@@ -139,17 +140,16 @@ def phi_letter(e: int, x: NCPoly) -> NCPoly:
     out: dict[Word, int] = {}
     for w, coeff in x._terms.items():
         _check_budget(len(out), budget)
-        parts = [imgs.get(ch) for ch in w]
-        if all(p is None for p in parts):  # every moved word's image holds strand k or k + 1: w is new
-            out[w] = coeff
-            continue
-        partial: list[tuple[Word, int]] = [("", coeff)]
-        for ch, img in zip(w, parts):
-            if img is None:
-                partial = [(m + ch, c) for m, c in partial]
-            else:
-                partial = [(m + frag, c * ci) for m, c in partial for ci, frag in img]
+        partial, kept = [("", coeff)], 0  # partial expands w[:kept]; a run of unmoved characters is one slice
+        for i, ch in enumerate(w):
+            img = imgs.get(ch)
+            if img:
+                run = w[kept:i]
+                partial = [(m + run + frag, c * ci) for m, c in partial for ci, frag in img]
+                kept = i + 1
+        run = w[kept:]
         for m, c in partial:
+            m += run
             acc = out.get(m, 0) + c
             if acc:
                 out[m] = acc
@@ -268,59 +268,58 @@ def mat_mul(a: PhiMatrix, b: PhiMatrix) -> PhiMatrix:
     return PhiMatrix(a.n, a.side, tuple(tuple(entry(row, col) for col in cols) for row in a.entries))
 
 
-def _letter_step(x: np.ndarray, e: int, sub_mul, order: list[int]) -> None:
+def _letter_step(x: np.ndarray, ps: int, pt: int, sub_mul) -> None:
     """Advance the fold by one letter, in place.
 
     x holds the block array [[PhiL(P), v], [0, PhiR(P)]] of shape (2n, 2n, ...)
     with v[i-1, j-1] = act(P, a_ij); trailing axes are a batch, and v's
-    diagonal holds the ring's zero.  The rows of [PhiL | v] and the columns
-    of [v ; PhiR] are relabelled, not moved: row i is stored at x[order[i]]
-    and column j at x[:, n + order[j]] (a letter relabels rows s, t and
-    columns s, t alike, so one list serves both), and the step updates
-    order.  sub_mul(y, a, b) sets y to the ring's y - a*b in place, with a
-    or b broadcast over y; the caller of :func:`fold_block` picks it once
-    per fold.  sigma_k^-1 is sigma_k with the roles of strands k and k+1
-    swapped, so both signs share the update below: one row operation on rows
-    s, t (the new row s is row_t - v_ts row_s, multiplied on the left, the
-    new row t the old row s), one column operation on columns s, t
+    diagonal holds the ring's zero.  ps and pt are the stored positions of
+    the letter's strands s and t, from :func:`_plan`, which has already
+    swapped them for sigma_k^-1 and applied the relabelling.  sub_mul(y, a, b)
+    sets y to the ring's y - a*b in place, with a or b broadcast over y; the
+    caller of :func:`fold_block` picks it once per fold.  One row operation
+    on rows s, t (the new row s is row_t - v_ts row_s, multiplied on the
+    left, the new row t the old row s), one column operation on columns s, t
     (col_t - col_s v_st, multiplied on the right), and a 2 x 2 patch of v.
-    Each operation updates the stored row t (column t) in place, and
-    swapping the two labels makes it row s (column s).  The patch's
+    Each operation updates the stored row pt (column n + pt) in place, and
+    the plan's swapped labels make it row s (column s).  The patch's
     off-diagonal entries are set aside and zeroed while the two operations
     run, then written back negated: with the labels swapped, each lands
     where it was read from.
     """
-    n = len(order)
-    s, t = abs(e) - 1, abs(e)
-    if e < 0:
-        s, t = t, s
-    ps, pt = order[s], order[t]
+    n = len(x) // 2
     v_ts, v_st = x[pt, n + ps, ...].copy(), x[ps, n + pt, ...].copy()  # 0-d for the object ring
     x[pt, n + ps], x[ps, n + pt] = x[pt, n + pt], x[ps, n + ps]  # zeros from v's diagonal
     sub_mul(x[pt], v_ts, x[ps])
     sub_mul(x[:, n + pt], x[:, n + ps], v_st)
-    order[s], order[t] = pt, ps
     x[pt, n + ps], x[ps, n + pt] = -v_ts, -v_st
 
 
-@functools.lru_cache(maxsize=256)  # a search folds one word about 75 times
-def _dead_strands(n: int, letters: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """:func:`fold_block`'s plan: (stop, strands), stops ascending.
+_Plan = tuple[tuple[int, ...], tuple[tuple[int, int, tuple[int, ...]], ...], tuple[int, ...]]
 
-    After the first stop letters no letter touches these strands again; a
-    strand that no letter touches dies at 0.  A strand whose last letter is
-    the word's last letter is not listed: no letter follows to read it.
+
+@functools.lru_cache(maxsize=256)  # a search folds one word about 75 times
+def _plan(n: int, letters: tuple[int, ...]) -> _Plan:
+    """:func:`fold_block`'s plan for a word: (idle, steps, order), in stored positions.
+
+    idle lists the strands that no letter touches (none for the empty word).
+    steps holds, per letter, the positions (ps, pt) it steps and the
+    positions zeroed right after it: its strands whose last letter it is,
+    unless it is the word's last, since no letter follows to read them.
+    order[i] is the final position of strand i, which is perm(beta)(i + 1) - 1.
     """
-    stops: dict[int, int] = {}
-    for k in range(len(letters) - 1, -1, -1):  # backwards, until every strand is seen
-        if len(stops) == n:
-            break
-        stops.setdefault(abs(letters[k]) - 1, k + 1)
-        stops.setdefault(abs(letters[k]), k + 1)
-    dead: dict[int, list[int]] = {}
-    for i in range(n):
-        dead.setdefault(stops.get(i, 0), []).append(i)
-    return tuple((stop, tuple(dead[stop])) for stop in sorted(dead) if stop < len(letters))
+    last = {i: k for k, e in enumerate(letters) for i in (abs(e) - 1, abs(e))}
+    order, steps = list(range(n)), []
+    for k, e in enumerate(letters):
+        s, t = abs(e) - 1, abs(e)
+        if e < 0:  # sigma_k^-1 is sigma_k with the roles of strands k and k+1 swapped
+            s, t = t, s
+        ps, pt = order[s], order[t]
+        order[s], order[t] = pt, ps
+        dead = tuple(order[i] for i in (abs(e) - 1, abs(e)) if last[i] == k < len(letters) - 1)
+        steps.append((ps, pt, dead))
+    idle = tuple(i for i in range(n) if i not in last) if letters else ()
+    return idle, tuple(steps), tuple(order)
 
 
 def fold_block(beta: BraidWord, v: np.ndarray, one, zero, sub_mul, sides: str = "LR") -> tuple[np.ndarray, ...]:
@@ -330,13 +329,13 @@ def fold_block(beta: BraidWord, v: np.ndarray, one, zero, sub_mul, sides: str = 
     ignored.  The block array is seeded with the batch axes last and the
     ring's one on the diagonal of each side in sides ("LR", "L" or "R"); a
     side not named is all zeros, and stays so, since every update of it has
-    a zero factor.  Every letter is one step of the whole array.  Between
-    letters the row and the column of v of each strand that no later letter
-    touches are set to the ring's zero (:func:`_dead_strands`, worked out
-    once per word): only they read each other, so the matrices do not
-    change, and in the free algebra every later update of them is a zero
-    product that leaves y.  One block per side in sides is read out through
-    the final order, batch axes first and C-contiguous.
+    a zero factor.  Following the word's :func:`_plan`, it zeroes v's row and
+    column at each idle position, then steps the whole array once per letter
+    and zeroes v's row and column at each position no later letter touches:
+    only they read each other, so the matrices do not change, and in the
+    free algebra every later update of them is a zero product that leaves y.
+    One block per side in sides is read out through the final order (the
+    strand permutation), batch axes first and C-contiguous.
     """
     n, k = beta.n, v.ndim - 2
     # the step never reads or writes the lower-left block, so it stays unset
@@ -348,16 +347,13 @@ def fold_block(beta: BraidWord, v: np.ndarray, one, zero, sub_mul, sides: str = 
     diagonal = flat[:: 2 * n + 1]  # PhiL's n entries, then PhiR's
     diagonal[:n] = one if "L" in sides else zero
     diagonal[n:] = one if "R" in sides else zero
-    order, done = list(range(n)), 0
-    for stop, dead in _dead_strands(n, beta.letters):
-        for e in beta.letters[done:stop]:
-            _letter_step(x, e, sub_mul, order)
-        for i in dead:  # v's row and column of strand i
-            x[order[i], n:] = zero
-            x[:n, n + order[i]] = zero
-        done = stop
-    for e in beta.letters[done:]:
-        _letter_step(x, e, sub_mul, order)
+    idle, steps, order = _plan(n, beta.letters)
+    for p in idle:  # v's row and column at position p
+        x[p, n:] = x[:n, n + p] = zero
+    for ps, pt, dead in steps:
+        _letter_step(x, ps, pt, sub_mul)
+        for p in dead:
+            x[p, n:] = x[:n, n + p] = zero
     order = np.array(order)
     index = {"L": (order, np.s_[:n]), "R": (np.s_[n:], n + order)}
     return tuple(np.ascontiguousarray(x[index[side]].transpose(*range(2, k + 2), 0, 1)) for side in sides)

@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 
 from augrank.action import (
     PhiMatrix,
-    _dead_strands,
+    _plan,
     StarDecompositionError,
     cabled_generator_closed_form,
     chain_compose,
@@ -327,11 +327,17 @@ class TestFoldBlock:
         letters = beta.letters
         stops = {i: max((k + 1 for k, e in enumerate(letters) if i in (abs(e) - 1, abs(e))), default=0)
                  for i in range(beta.n)}
-        plan = _dead_strands(beta.n, letters)
-        assert [stop for stop, _ in plan] == sorted({stop for stop, _ in plan})  # ascending, each stop once
-        assert all(dead for _, dead in plan)
-        listed = [(i, stop) for stop, dead in plan for i in dead]
-        assert sorted(listed) == [(i, stop) for i, stop in stops.items() if stop < len(letters)]
+        idle, steps, order = _plan(beta.n, letters)
+        assert len(steps) == len(letters)
+        where = list(range(beta.n))  # where[i]: the stored position of strand i
+        zeroed = [(p, 0) for p in idle]
+        for k, (e, (ps, pt, dead)) in enumerate(zip(letters, steps)):
+            s, t = (abs(e) - 1, abs(e)) if e > 0 else (abs(e), abs(e) - 1)
+            assert (ps, pt) == (where[s], where[t])  # the step positions replay the relabelling
+            where[s], where[t] = pt, ps
+            zeroed += [(where.index(p), k + 1) for p in dead]
+        assert sorted(zeroed) == [(i, stop) for i, stop in stops.items() if stop < len(letters)]
+        assert order == tuple(where) == tuple(i - 1 for i in perm(beta).images)
 
 
 class TestChainCompose:
